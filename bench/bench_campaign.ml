@@ -2,14 +2,15 @@
 
    Measures exhaustive-campaign throughput (cases/sec) on a mix of
    resumable IR kernels and closure kernels, across five engine
-   configurations:
+   configurations (every executor row runs [Executor.ground_truth_model]
+   under the default bit-flip-64 spec — the one campaign path):
 
      baseline        the pre-optimization engine — tree-walking IR
                      interpreter (Ir.to_program_interpreted), one domain,
                      full re-execution per case; for closure kernels the
                      engine never changed, so baseline = serial
-     serial          Ground_truth.run — compiled machine, one domain,
-                     full re-execution
+     serial          Ground_truth.run, the per-case oracle — compiled
+                     machine, one domain, full re-execution
      batched_nocone  Executor with cone replay disabled — one domain,
                      prefix-snapshot bit batching, full suffix per case
                      (yesterday's batched mode)
@@ -18,8 +19,6 @@
                      slice is exact (IR programs lowered through
                      Pipeline.to_program; closure kernels have no cone,
                      so batched = batched_nocone there)
-     pooled          Parallel.ground_truth — N domains, work stealing,
-                     full re-execution per case
      pooled+batched  Executor, N domains, work stealing + bit batching
                      (+ cone replay where available)
 
@@ -33,14 +32,9 @@
    CRC-32-enveloped checkpoint stream, and fails loudly if checksummed
    durability costs more than 2% of campaign throughput.
 
-   A model guard times the generalized model-aware executor entry point
-   ([Executor.ground_truth_model] under the default [Bit_flip_64] spec)
-   against the direct 64-bit-flip path and fails loudly if the
-   generalization costs more than 5% of campaign throughput — making a
-   campaign's fault model pluggable must not tax the campaigns everyone
-   already runs. Non-default model throughput is also measured and
-   recorded (informational; the discrete models share the prefix-snapshot
-   batcher with closure corruption, the stochastic model re-executes per
+   A model table records the non-default models' throughput on the same
+   executor (informational: the discrete models share the prefix-snapshot
+   batcher with bit-flip-64, the stochastic model re-executes per
    case).
 
    Usage: bench_campaign.exe [--quick] [--json PATH] [--domains N] [--reps N] *)
@@ -49,7 +43,6 @@ module Golden = Ftb_trace.Golden
 module Ground_truth = Ftb_inject.Ground_truth
 module Models = Ftb_inject.Models
 module Executor = Ftb_inject.Executor
-module Parallel = Ftb_inject.Parallel
 module Engine = Ftb_campaign.Engine
 module Checkpoint = Ftb_campaign.Checkpoint
 
@@ -143,6 +136,10 @@ let time ~reps f =
 
 type mode_result = { mode : string; seconds : float; cases_per_sec : float }
 
+(* The campaign executor under the paper's fault model. *)
+let executor ?cone ~domains golden =
+  Executor.ground_truth_model ?cone ~domains Models.default_spec golden
+
 let bench_program ~opts (name, program, baseline_program) =
   let golden = Golden.run program in
   let baseline_golden =
@@ -170,10 +167,9 @@ let bench_program ~opts (name, program, baseline_program) =
     [
       ("baseline", fun () -> Ground_truth.run baseline_golden);
       ("serial", fun () -> Ground_truth.run golden);
-      ("batched_nocone", fun () -> Executor.ground_truth ~domains:1 ~cone:false golden);
-      ("batched", fun () -> Executor.ground_truth ~domains:1 golden);
-      ("pooled", fun () -> Parallel.ground_truth ~domains:opts.domains golden);
-      ("pooled_batched", fun () -> Executor.ground_truth ~domains:opts.domains golden);
+      ("batched_nocone", fun () -> executor ~domains:1 ~cone:false golden);
+      ("batched", fun () -> executor ~domains:1 golden);
+      ("pooled_batched", fun () -> executor ~domains:opts.domains golden);
     ]
   in
   let results =
@@ -188,11 +184,10 @@ let bench_program ~opts (name, program, baseline_program) =
   in
   let rate m = (List.find (fun r -> r.mode = m) results).cases_per_sec in
   Printf.printf
-    "  vs baseline: serial %.2fx, batched %.2fx, pooled+batched %.2fx (pooled %.2fx)\n%!"
+    "  vs baseline: serial %.2fx, batched %.2fx, pooled+batched %.2fx\n%!"
     (rate "serial" /. rate "baseline")
     (rate "batched" /. rate "baseline")
-    (rate "pooled_batched" /. rate "baseline")
-    (rate "pooled" /. rate "baseline");
+    (rate "pooled_batched" /. rate "baseline");
   if has_cone then
     Printf.printf "  cone replay: %.2fx over full-suffix batching\n%!"
       (rate "batched" /. rate "batched_nocone");
@@ -322,96 +317,33 @@ let bench_persistence ~opts =
   { guard_cases = cases; guard_waves = waves; save_s; plain_s; ckpt_s; amortized;
     wall_overhead; budget; tripwire }
 
-(* Model guard: the pluggable-model entry point under the default spec
-   must stay within 5% of the direct 64-bit-flip executor. [Bit_flip_64]
-   dispatches to the exact pre-model code path, so the true difference is
-   one match per call — this guard exists to catch a future refactor that
-   accidentally routes the default model through the generalized
-   (closure-corruption) machinery. Interleaved best-of-N, same protocol
-   as the persistence guard. *)
+(* Model table: throughput of the non-default fault models on the same
+   executor, recorded for reference (no budget: each model's cost is its
+   own). *)
 
 type model_rate = { mr_spec : string; mr_cases : int; mr_cases_per_sec : float }
-
-type model_guard = {
-  mg_cases : int;
-  direct_s : float;  (* Executor.ground_truth, the 64-bit-flip path *)
-  dispatch_s : float;  (* Executor.ground_truth_model default_spec *)
-  mg_overhead : float;  (* dispatch/direct - 1 *)
-  mg_budget : float;
-  model_rates : model_rate list;  (* non-default models, informational *)
-}
 
 let bench_models ~opts =
   let open Ftb_ir in
   let n = if opts.quick then 200 else 800 in
   let program = Ir.to_program (Programs.dot ~n ~seed:11 ~tolerance:1e-9) in
   let golden = Golden.run program in
-  let cases = Golden.cases golden in
-  let reference = Executor.ground_truth ~domains:1 golden in
-  Printf.printf "model guard: ir.dot n:%d, %d cases, default model via both entry points\n%!"
-    n cases;
-  let reps = max opts.reps 5 in
-  let direct_s = ref infinity and dispatch_s = ref infinity in
-  let timed best f =
-    let t0 = Unix.gettimeofday () in
-    let gt : Ground_truth.t = f () in
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt;
-    gt
-  in
-  let run_direct () = timed direct_s (fun () -> Executor.ground_truth ~domains:1 golden) in
-  let run_dispatch () =
-    timed dispatch_s (fun () ->
-        Executor.ground_truth_model ~domains:1 Models.default_spec golden)
-  in
-  for i = 1 to reps do
-    let first, second =
-      if i land 1 = 1 then (run_direct, run_dispatch) else (run_dispatch, run_direct)
-    in
-    ignore (first ());
-    ignore (second ())
-  done;
-  let check what (gt : Ground_truth.t) =
-    if not (Bytes.equal reference.Ground_truth.outcomes gt.Ground_truth.outcomes) then begin
-      Printf.eprintf "FATAL: %s outcomes differ from the direct executor on the model guard\n"
-        what;
-      exit 1
-    end
-  in
-  check "direct 64-bit-flip executor" (run_direct ());
-  check "model dispatch (default spec)" (run_dispatch ());
-  let direct_s = !direct_s and dispatch_s = !dispatch_s in
-  let mg_overhead = (dispatch_s /. direct_s) -. 1. in
-  let mg_budget = 0.05 in
-  Printf.printf
-    "  default model: dispatch %8.3f s vs direct %8.3f s — %+.2f%% (budget %.0f%%)\n%!"
-    dispatch_s direct_s (100. *. mg_overhead) (100. *. mg_budget);
-  if mg_overhead > mg_budget then begin
-    Printf.eprintf
-      "FATAL: the generalized executor is %.2f%% slower than the 64-bit-flip path under \
-       the default model (budget %.0f%%)\n"
-      (100. *. mg_overhead) (100. *. mg_budget);
-    exit 1
-  end;
-  let model_rates =
-    List.map
-      (fun (spec : Models.spec) ->
-        let total = Models.total_cases spec ~sites:(Golden.sites golden) in
-        let _, seconds =
-          time ~reps:opts.reps (fun () ->
-              Executor.ground_truth_model ~domains:1 spec golden)
-        in
-        let rate = float_of_int total /. seconds in
-        Printf.printf "  %-28s %8d cases  %8.3f s   %12.0f cases/s\n%!"
-          (Models.spec_name spec) total seconds rate;
-        { mr_spec = Models.spec_to_string spec; mr_cases = total; mr_cases_per_sec = rate })
-      [
-        { Models.model = Models.Bit_flip_32; seed = 0 };
-        { Models.model = Models.Adjacent_burst_2; seed = 0 };
-        { Models.model = Models.Random_value { lo = -50.; hi = 50. }; seed = 7 };
-      ]
-  in
-  { mg_cases = cases; direct_s; dispatch_s; mg_overhead; mg_budget; model_rates }
+  Printf.printf "model table: ir.dot n:%d, non-default models\n%!" n;
+  List.map
+    (fun (spec : Models.spec) ->
+      let total = Models.total_cases spec ~sites:(Golden.sites golden) in
+      let _, seconds =
+        time ~reps:opts.reps (fun () -> Executor.ground_truth_model ~domains:1 spec golden)
+      in
+      let rate = float_of_int total /. seconds in
+      Printf.printf "  %-28s %8d cases  %8.3f s   %12.0f cases/s\n%!" (Models.spec_name spec)
+        total seconds rate;
+      { mr_spec = Models.spec_to_string spec; mr_cases = total; mr_cases_per_sec = rate })
+    [
+      { Models.model = Models.Bit_flip_32; seed = 0 };
+      { Models.model = Models.Adjacent_burst_2; seed = 0 };
+      { Models.model = Models.Random_value { lo = -50.; hi = 50. }; seed = 7 };
+    ]
 
 (* Cone guard: dependent-cone replay must never be slower than
    full-suffix batching by more than 5%. The cone path replays a subset
@@ -446,7 +378,7 @@ let bench_cone ~opts =
       exit 1);
   let golden = Golden.run program in
   let cases = Golden.cases golden in
-  let reference = Executor.ground_truth ~domains:1 ~cone:false golden in
+  let reference = executor ~domains:1 ~cone:false golden in
   Printf.printf "cone guard: %s, %d cases, cone replay vs full-suffix batching\n%!" name
     cases;
   let reps = max opts.reps 5 in
@@ -458,10 +390,8 @@ let bench_cone ~opts =
     if dt < !best then best := dt;
     gt
   in
-  let run_cone () = timed cone_s (fun () -> Executor.ground_truth ~domains:1 golden) in
-  let run_nocone () =
-    timed nocone_s (fun () -> Executor.ground_truth ~domains:1 ~cone:false golden)
-  in
+  let run_cone () = timed cone_s (fun () -> executor ~domains:1 golden) in
+  let run_nocone () = timed nocone_s (fun () -> executor ~domains:1 ~cone:false golden) in
   for i = 1 to reps do
     let first, second = if i land 1 = 1 then (run_cone, run_nocone) else (run_nocone, run_cone) in
     ignore (first ());
@@ -713,6 +643,7 @@ let write_json ~opts ~guard ~models ~cone ~cache rows =
   bpf "  \"benchmark\": \"campaign-executor-throughput\",\n";
   bpf "  \"quick\": %b,\n" opts.quick;
   bpf "  \"domains\": %d,\n" opts.domains;
+  bpf "  \"host_cores\": %d,\n" (Domain.recommended_domain_count ());
   bpf "  \"reps\": %d,\n" opts.reps;
   bpf "  \"identical_outcomes\": true,\n";
   bpf "  \"persistence_guard\": {\n";
@@ -727,22 +658,14 @@ let write_json ~opts ~guard ~models ~cone ~cache rows =
   bpf "    \"tripwire\": %.2f,\n" guard.tripwire;
   bpf "    \"within_budget\": true\n";
   bpf "  },\n";
-  bpf "  \"model_guard\": {\n";
-  bpf "    \"cases\": %d,\n" models.mg_cases;
-  bpf "    \"direct_seconds\": %.6f,\n" models.direct_s;
-  bpf "    \"dispatch_seconds\": %.6f,\n" models.dispatch_s;
-  bpf "    \"overhead\": %.4f,\n" models.mg_overhead;
-  bpf "    \"budget\": %.2f,\n" models.mg_budget;
-  bpf "    \"within_budget\": true,\n";
-  bpf "    \"non_default_models\": [\n";
+  bpf "  \"non_default_models\": [\n";
   List.iteri
     (fun i { mr_spec; mr_cases; mr_cases_per_sec } ->
-      bpf "      { \"spec\": \"%s\", \"cases\": %d, \"cases_per_sec\": %.1f }%s\n"
+      bpf "    { \"spec\": \"%s\", \"cases\": %d, \"cases_per_sec\": %.1f }%s\n"
         (json_escape mr_spec) mr_cases mr_cases_per_sec
-        (if i = List.length models.model_rates - 1 then "" else ","))
-    models.model_rates;
-  bpf "    ]\n";
-  bpf "  },\n";
+        (if i = List.length models - 1 then "" else ","))
+    models;
+  bpf "  ],\n";
   bpf "  \"cone_guard\": {\n";
   bpf "    \"kernel\": \"%s\",\n" (json_escape cone.cg_name);
   bpf "    \"cases\": %d,\n" cone.cg_cases;
@@ -791,7 +714,6 @@ let write_json ~opts ~guard ~models ~cone ~cache rows =
       bpf "      \"speedup_batched_vs_serial\": %.3f,\n" (rate "batched" /. rate "serial");
       bpf "      \"speedup_cone_vs_full_suffix\": %.3f,\n"
         (rate "batched" /. rate "batched_nocone");
-      bpf "      \"speedup_pooled_vs_serial\": %.3f,\n" (rate "pooled" /. rate "serial");
       bpf "      \"speedup_pooled_batched_vs_baseline\": %.3f\n"
         (rate "pooled_batched" /. rate "baseline");
       bpf "    }%s\n" (if i = List.length rows - 1 then "" else ","))

@@ -110,26 +110,12 @@ let scaling_grids ~quick = if quick then (3, 6) else (6, 12)
 
 let context_cache : (string, Context.t) Hashtbl.t = Hashtbl.create 8
 
-let stderr_is_tty = Unix.isatty Unix.stderr
-
-let progress name ~done_ ~total =
-  if stderr_is_tty then begin
-    Printf.eprintf "\r  [%s] exhaustive campaign %d/%d%!" name done_ total;
-    if done_ = total then Printf.eprintf "\n%!"
-  end
-  else begin
-    (* Non-interactive: about eight progress lines per campaign. *)
-    let step = max 4096 (total / 8 / 4096 * 4096) in
-    if done_ = total || done_ mod step = 0 then
-      Printf.eprintf "  [%s] exhaustive campaign %d/%d\n%!" name done_ total
-  end
-
 let context ~name program =
   match Hashtbl.find_opt context_cache name with
   | Some c -> c
   | None ->
       let t0 = Unix.gettimeofday () in
-      let c = Context.prepare ~progress:(progress name) ~name program in
+      let c = Context.prepare ~name program in
       Printf.eprintf "  [%s] context ready: %d sites, %d cases (%.1fs)\n%!" name
         (Context.sites c) (Context.cases c)
         (Unix.gettimeofday () -. t0);

@@ -288,35 +288,9 @@ let campaign_run () name exhaustive adaptive aconfig fraction seed model csv che
   end
   else begin
     let rng = Ftb_util.Rng.create ~seed in
-    (* The default model keeps the historical sampler byte-for-byte;
-       other models draw from their own dense case space and classify
-       through the model-aware contained runner (same split as the
-       daemon's sample jobs). *)
-    let masked, sdc, crash, runs =
-      if Models.spec_equal model Models.default_spec then begin
-        let cases = Ftb_inject.Sample_run.draw_uniform rng golden ~fraction in
-        let samples = Ftb_inject.Sample_run.run_cases ?fuel golden cases in
-        let masked, sdc, crash = Ftb_inject.Sample_run.count_outcomes samples in
-        (masked, sdc, crash, Array.length samples)
-      end
-      else begin
-        let n = Models.total_cases model ~sites in
-        let k = max 1 (int_of_float (Float.ceil (fraction *. float_of_int n))) in
-        let cases = Ftb_util.Sampling.uniform rng ~n ~k:(min k n) in
-        let masked = ref 0 and sdc = ref 0 and crash = ref 0 in
-        Array.iter
-          (fun case ->
-            match
-              Ftb_inject.Ground_truth.outcome_of_byte
-                (Ftb_inject.Ground_truth.case_byte_model ?fuel model golden case)
-            with
-            | Ftb_trace.Runner.Masked -> incr masked
-            | Ftb_trace.Runner.Sdc -> incr sdc
-            | Ftb_trace.Runner.Crash -> incr crash)
-          cases;
-        (!masked, !sdc, !crash, Array.length cases)
-      end
-    in
+    let cases = Ftb_inject.Sample_run.draw_uniform_model rng model golden ~fraction in
+    let masked, sdc, crash = Ftb_inject.Sample_run.count_cases_model ?fuel model golden cases in
+    let runs = Array.length cases in
     let total = float_of_int runs in
     Printf.printf "monte carlo campaign (%s of the space, %d runs):\n" (pct fraction)
       runs;
@@ -423,7 +397,7 @@ let boundary_run () name fraction filter seed evaluate =
           ~observations boundary golden));
   if evaluate then begin
     Printf.printf "running exhaustive campaign for ground-truth evaluation...\n%!";
-    let gt = Ftb_inject.Ground_truth.run golden in
+    let gt = Ftb_inject.Executor.ground_truth_model Ftb_inject.Models.default_spec golden in
     let e = Ftb_core.Metrics.evaluate boundary gt in
     Printf.printf "  true SDC ratio: %s\n" (pct (Ftb_inject.Ground_truth.sdc_ratio gt));
     Printf.printf "  precision %s, recall %s\n" (pct e.Ftb_core.Metrics.precision)
@@ -483,7 +457,7 @@ let adaptive_run () name round_fraction stop seed evaluate =
           ~observations result.Ftb_core.Adaptive.boundary golden));
   if evaluate then begin
     Printf.printf "running exhaustive campaign for ground-truth evaluation...\n%!";
-    let gt = Ftb_inject.Ground_truth.run golden in
+    let gt = Ftb_inject.Executor.ground_truth_model Ftb_inject.Models.default_spec golden in
     Printf.printf "  true SDC ratio: %s\n" (pct (Ftb_inject.Ground_truth.sdc_ratio gt));
     let e = Ftb_core.Metrics.evaluate result.Ftb_core.Adaptive.boundary gt in
     Printf.printf "  precision %s, recall %s\n" (pct e.Ftb_core.Metrics.precision)
@@ -532,7 +506,7 @@ let protect_run () name fraction seed budgets =
   Printf.printf "%s: protection plan from a %s sample (%d runs)\n" name (pct fraction)
     (Array.length samples);
   Printf.printf "running exhaustive campaign to score the plan...\n%!";
-  let gt = Ftb_inject.Ground_truth.run golden in
+  let gt = Ftb_inject.Executor.ground_truth_model Ftb_inject.Models.default_spec golden in
   let evaluations = Ftb_core.Protection.evaluate plan gt ~budgets:(Array.of_list budgets) in
   let table =
     Ftb_util.Table.create [ "budget"; "residual SDC"; "eliminated"; "efficiency" ]

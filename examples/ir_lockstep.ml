@@ -63,7 +63,7 @@ let () =
 
   (* What did the boundary learn? Cross-check against the classic
      store-and-diff pipeline to show the lockstep path is exact. *)
-  let gt = Ftb_inject.Ground_truth.run golden in
+  let gt = Ftb_inject.Executor.ground_truth_model Ftb_inject.Models.default_spec golden in
   let evaluation = Ftb_core.Metrics.evaluate boundary gt in
   Printf.printf "\nboundary quality vs ground truth:\n";
   Printf.printf "  precision %s   recall %s\n"

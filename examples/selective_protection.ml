@@ -35,7 +35,7 @@ let () =
   (* Ground truth for the evaluation (the thing the boundary lets a real
      deployment avoid; we run it here to score the ranking honestly). *)
   Printf.printf "running exhaustive campaign for the evaluation baseline...\n%!";
-  let gt = Ftb_inject.Ground_truth.run golden in
+  let gt = Ftb_inject.Executor.ground_truth_model Ftb_inject.Models.default_spec golden in
   Printf.printf "true overall SDC ratio: %s\n\n"
     (Ftb_report.Ascii.percent (Ftb_inject.Ground_truth.sdc_ratio gt));
 

@@ -10,7 +10,7 @@
       against the golden run and re-executes only the missing shards.
       The resumed result is bit-identical to an uninterrupted run.
     - {b crash isolation} — each case runs contained
-      ({!Ftb_inject.Ground_truth.case_byte}); exceptions escaping a whole
+      ({!Ftb_inject.Ground_truth.case_byte_model}); exceptions escaping a whole
       shard (worker-domain trouble) fail only that shard, which the
       supervisor retries up to [max_retries] times before raising
       {!Shard_failed} — after persisting a final checkpoint so the
@@ -154,7 +154,7 @@ val run :
     unsupervised-but-contained, with no persistence. [case_runner]
     overrides the per-case worker (tests use this to inject shard
     failures); the default is
-    [Ground_truth.case_byte ?fuel:config.fuel].
+    [Ground_truth.case_byte_model ?fuel:config.fuel config.model].
 
     Raises [Invalid_argument] on nonsensical config values,
     {!Ftb_inject.Persist.Format_error} when a checkpoint is invalid and

@@ -17,7 +17,7 @@ type planned = {
 }
 
 let full_hit p = p.miss_sections = 0
-let any_hit p = p.hit_sections > 0 && p.plan.Section.sites > 0
+let any_hit p = p.hit_cases > 0
 
 (* A cached section profile is accepted only if every redundant field
    agrees with the plan — the key already implies all of this, but a

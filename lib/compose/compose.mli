@@ -30,6 +30,8 @@ type planned = {
 
 val full_hit : planned -> bool
 val any_hit : planned -> bool
+(** At least one case comes from the store ([hit_cases > 0]); zero-site
+    sections, trivially "hit", do not count. *)
 
 val probe :
   ?trust_unaudited:bool ->

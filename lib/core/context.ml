@@ -5,9 +5,11 @@ type t = {
   ground_truth : Ftb_inject.Ground_truth.t;
 }
 
-let prepare ?progress ~name program =
+let prepare ~name program =
   let golden = Ftb_trace.Golden.run program in
-  let ground_truth = Ftb_inject.Ground_truth.run ?progress golden in
+  let ground_truth =
+    Ftb_inject.Executor.ground_truth_model Ftb_inject.Models.default_spec golden
+  in
   { name; program; golden; ground_truth }
 
 let golden_sdc_ratio t = Ftb_inject.Ground_truth.sdc_ratio t.ground_truth

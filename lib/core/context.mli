@@ -12,9 +12,9 @@ type t = {
   ground_truth : Ftb_inject.Ground_truth.t;
 }
 
-val prepare :
-  ?progress:(done_:int -> total:int -> unit) -> name:string -> Ftb_trace.Program.t -> t
-(** Run the golden run and the exhaustive campaign. *)
+val prepare : name:string -> Ftb_trace.Program.t -> t
+(** Run the golden run and the exhaustive bit-flip-64 campaign
+    ([Executor.ground_truth_model] on the default domain pool). *)
 
 val golden_sdc_ratio : t -> float
 val sites : t -> int

@@ -29,7 +29,7 @@ let run ?(fraction = 0.02) ?(seed = 42) ~name ~tolerances make =
       (fun tolerance ->
         let program = make ~tolerance in
         let golden = Golden.run program in
-        let gt = Ground_truth.run golden in
+        let gt = Ftb_inject.Executor.ground_truth_model Ftb_inject.Models.default_spec golden in
         let cases = Sample_run.draw_uniform (Ftb_util.Rng.split rng) golden ~fraction in
         let samples = Sample_run.run_cases golden cases in
         let boundary = Boundary.infer ~filter:true ~sites:(Golden.sites golden) samples in

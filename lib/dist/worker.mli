@@ -5,7 +5,7 @@
     detach) and a heartbeat channel driven by a dedicated thread, so lease
     renewal keeps flowing while a shard computes on the worker's own
     domain pool. Each granted shard is executed with the same batched
-    executor as a local campaign ({!Ftb_inject.Executor.range_into}), so
+    executor as a local campaign ({!Ftb_inject.Executor.range_into_model}), so
     the returned bytes are bit-identical to what the daemon would have
     computed itself; the grant's golden fingerprint is verified first and
     a mismatch is reported as a typed shard failure instead of silently

@@ -1,85 +1,44 @@
-(** Batched campaign executor: prefix-snapshot bit batching.
+(** The campaign executor: the one path every exhaustive campaign takes.
 
-    The 64 cases of one injection site share an identical injection-free
-    prefix — every dynamic instruction before the site produces its golden
-    value no matter which bit the case will flip. An exhaustive campaign
-    re-executes that prefix 64 times per site for nothing. For programs
-    that carry the [resumable] capability ({!Ftb_trace.Program.t}, today
-    the compiled IR machine of [Ftb_ir]), this executor runs the prefix
-    once under a counting context, snapshots the interpreter state at the
-    injection point, and replays only the suffix for each bit:
-    O(sites × (prefix + 64 × suffix)) instead of O(64 × sites × run).
+    A campaign is one contained run per (dynamic instruction, corruption)
+    case. The corruption is a parameter, {!Models.spec}: the paper's
+    bit-flip-64 model ({!Models.default_spec}) is one discrete model among
+    several, and runs through exactly the same code as the others.
 
-    Dependent-cone replay goes one step further. Programs built by
-    [Ftb_ir.Pipeline.to_program] additionally carry a cone plan
-    ({!Ftb_trace.Program.cone}): per injection site, the precomputed
-    forward slice of the site's event through the golden dataflow. Where
-    the plan is exact (the cone stays off float branches and is small),
-    a case is classified by recomputing only the cone members against
-    recorded golden operands — no prefix, no suffix, no output
-    materialization. Sites the plan declines, fuel-limited campaigns, and
-    stochastic models all fall back to the snapshot/per-case paths.
-    [?cone:false] disables the fast path entirely (differential testing,
+    Per site, the executor picks the fastest tier the program and model
+    allow, and falls back tier by tier:
+    + {b cone replay} — programs built by [Ftb_ir.Pipeline.to_program]
+      carry a cone plan ({!Ftb_trace.Program.cone}): per site, the
+      precomputed forward slice of the site's event through the golden
+      dataflow. Where the plan is exact (the cone stays off float
+      branches and is small), a case is classified by recomputing only
+      the cone members against recorded golden operands — no prefix, no
+      suffix, no output materialization. Discrete models and
+      unlimited-fuel campaigns only.
+    + {b prefix-snapshot batching} — the cases of one site share an
+      identical injection-free prefix. For programs with the [resumable]
+      capability (the compiled IR machine) the executor runs that prefix
+      once under a counting context, snapshots the interpreter at the
+      injection point, and replays only the suffix per case:
+      O(sites × (prefix + width × suffix)) instead of
+      O(width × sites × run). Discrete models only.
+    + {b per-case} — one full contained run per case
+      ({!Ground_truth.case_byte_model}): stochastic models, closure
+      kernels, and ragged shard edges.
+
+    [?cone:false] disables the first tier (differential testing,
     benchmarking the tiers against each other).
 
-    Correctness bar: outcome bytes are bit-identical to the serial engine
-    ({!Ground_truth.run}) — the snapshot carries the exact context
-    position and remaining fuel, the replay uses the same classification
-    path ({!Ftb_trace.Runner.outcome_of_run_contained}), cone replay
-    reproduces guard crashes and norm classification exactly, and
-    programs without either capability transparently fall back to
-    per-case full re-execution. *)
-
-val site_into :
-  ?fuel:int ->
-  ?cone:bool ->
-  Ftb_trace.Golden.t ->
-  site:int ->
-  Bytes.t ->
-  pos:int ->
-  unit
-(** [site_into golden ~site buf ~pos] computes the outcome bytes of the
-    site's 64 bit-flip cases (bit 0 first) into [buf.[pos..pos+63]],
-    via cone replay when the program carries an exact plan for the site
-    (and [cone], default [true], permits), else batching over one shared
-    prefix when the program is resumable. A prefix crash (the fuel
-    watchdog firing before the injection point) is replicated to all 64
-    bits — each case would follow the identical path to the identical
-    crash. Raises [Invalid_argument] when [site] is out of range or the
-    buffer slice does not fit. *)
-
-val range_into :
-  ?fuel:int ->
-  ?cone:bool ->
-  Ftb_trace.Golden.t ->
-  lo:int ->
-  hi:int ->
-  Bytes.t ->
-  off:int ->
-  unit
-(** [range_into golden ~lo ~hi buf ~off] computes outcome bytes for the
-    dense case range [lo, hi) into [buf] starting at [off] (case [c] lands
-    at [off + c - lo]). Whole sites inside the range are batched via
-    {!site_into}; ragged edges at non-site-aligned bounds (shard
-    boundaries) run per-case. The campaign engine's default shard runner
-    is exactly this. *)
-
-val site_into_model :
-  ?fuel:int ->
-  ?cone:bool ->
-  Models.spec ->
-  Ftb_trace.Golden.t ->
-  site:int ->
-  Bytes.t ->
-  pos:int ->
-  unit
-(** {!site_into} generalized to an arbitrary fault model: computes the
-    site's [Models.spec_width] outcome bytes. Discrete models take the
-    cone fast path where exact (their corruption is a pure function of
-    the golden value) and otherwise batch over the shared prefix at their
-    own width; stochastic models (and non-resumable programs) fall back
-    to per-case {!Ground_truth.case_byte_model}. [Bit_flip_64] dispatches
-    to {!site_into} itself — byte- and cost-identical. *)
+    Correctness bar: outcome bytes are bit-identical to the serial
+    per-case oracle ({!Ground_truth.run} for bit-flip-64, a loop of
+    {!Ground_truth.case_byte_model} for any model) — the snapshot carries
+    the exact context position and remaining fuel, the replay uses the
+    same classification path
+    ({!Ftb_trace.Runner.outcome_of_run_contained}), and cone replay
+    reproduces guard crashes and norm classification exactly. A prefix
+    crash (the fuel watchdog firing before the injection point) is
+    replicated to every case of the site — each would follow the
+    identical path to the identical crash. *)
 
 val range_into_model :
   ?fuel:int ->
@@ -91,38 +50,27 @@ val range_into_model :
   Bytes.t ->
   off:int ->
   unit
-(** {!range_into} over the model's dense case space
-    ([sites * spec_width]); whole sites batch via {!site_into_model},
-    ragged shard edges run per-case. The campaign engine's default shard
-    runner under a non-default model. *)
-
-val ground_truth :
-  ?pool:Parallel.Pool.t ->
-  ?domains:int ->
-  ?fuel:int ->
-  ?cone:bool ->
-  ?batched:bool ->
-  Ftb_trace.Golden.t ->
-  Ground_truth.t
-(** Exhaustive campaign over the full sample space, batched and pooled:
-    sites are work-stolen one at a time off the domain pool ([pool]
-    defaults to {!Parallel.Pool.global}, [domains] to
-    {!Parallel.default_domains}; [domains:1] without an explicit pool runs
-    serially on the calling domain). [batched:false] forces per-case full
-    re-execution (the [Parallel.ground_truth] strategy) and [cone:false]
-    keeps batching but disables cone replay — useful for benchmarking the
-    engine tiers against each other. Outcome bytes are bit-identical
-    across every combination of batched × pooled × cone. *)
+(** [range_into_model spec golden ~lo ~hi buf ~off] computes outcome
+    bytes for the dense case range [lo, hi) of the model's case space
+    ([sites * spec_width]) into [buf] starting at [off] (case [c] lands at
+    [off + c - lo]). Whole sites inside the range take the tiers above;
+    ragged edges at non-site-aligned bounds (shard boundaries) run
+    per-case. The campaign engine's, the fleet worker's and the section
+    cache's shard runner. Raises [Invalid_argument] when the range is out
+    of bounds or the buffer slice does not fit. *)
 
 val ground_truth_model :
   ?pool:Parallel.Pool.t ->
   ?domains:int ->
   ?fuel:int ->
   ?cone:bool ->
-  ?batched:bool ->
   Models.spec ->
   Ftb_trace.Golden.t ->
   Ground_truth.t
-(** {!ground_truth} under an arbitrary fault model ([Bit_flip_64]
-    dispatches to it exactly). The result's byte width is the model's
-    [spec_width]. *)
+(** Exhaustive campaign over the model's full case space: sites are
+    work-stolen one at a time off the domain pool ([pool] defaults to
+    {!Parallel.Pool.global}, [domains] to {!Parallel.default_domains};
+    [domains:1] without an explicit pool runs serially on the calling
+    domain). The result's byte width is the model's [spec_width]. Outcome
+    bytes are bit-identical for every pool width and [cone] setting.
+    Raises [Invalid_argument] when [domains <= 0]. *)

@@ -11,8 +11,6 @@ type reason_counts = { nan : int; inf : int; exn : int; fuel : int }
    ever stored '\000'..'\002'; the crash taxonomy refines '\002' into four
    reason-carrying bytes, so every v1 byte is still a valid v2 byte (a v1
    crash loads as a generic exception crash). *)
-let byte_of_outcome = function Runner.Masked -> '\000' | Runner.Sdc -> '\001' | Runner.Crash -> '\002'
-
 let crash_byte = function
   | Ctx.Exception_raised -> '\002'
   | Ctx.Nan_value -> '\003'
@@ -39,22 +37,11 @@ let crash_reason_of_byte = function
   | '\005' -> Some Ctx.Fuel_exhausted
   | _ -> None
 
-let outcome_byte = byte_of_outcome
-
-let classify_case golden case =
-  (Runner.run_outcome golden (Fault.of_case case)).Runner.outcome
-
-let case_byte ?fuel golden case =
-  byte_of_result (Runner.run_outcome_contained ?fuel golden (Fault.of_case case))
-
 let case_byte_model ?fuel (spec : Models.spec) golden case =
-  match spec.Models.model with
-  | Models.Bit_flip_64 -> case_byte ?fuel golden case
-  | _ ->
-      let site = case / Models.spec_width spec in
-      byte_of_result
-        (Runner.run_outcome_custom_contained ?fuel golden ~site
-           ~corrupt:(Models.case_corrupt spec ~case))
+  byte_of_result
+    (Runner.run_outcome_custom_contained ?fuel golden
+       ~site:(case / Models.spec_width spec)
+       ~corrupt:(Models.case_corrupt spec ~case))
 
 let of_outcomes ?(width = Ftb_util.Bits.bits_per_double) golden outcomes =
   let total = Golden.sites golden * width in
@@ -65,16 +52,10 @@ let of_outcomes ?(width = Ftb_util.Bits.bits_per_double) golden outcomes =
   Bytes.iter (fun b -> ignore (outcome_of_byte b)) outcomes;
   { golden; outcomes }
 
-let run ?progress ?fuel golden =
-  let total = Golden.cases golden in
-  let outcomes = Bytes.create total in
-  for case = 0 to total - 1 do
-    Bytes.set outcomes case (case_byte ?fuel golden case);
-    match progress with
-    | Some f when case land 0xFFF = 0 -> f ~done_:case ~total
-    | Some _ | None -> ()
-  done;
-  (match progress with Some f -> f ~done_:total ~total | None -> ());
+let run ?fuel golden =
+  let outcomes =
+    Bytes.init (Golden.cases golden) (case_byte_model ?fuel Models.default_spec golden)
+  in
   { golden; outcomes }
 
 let outcome t case = outcome_of_byte (Bytes.get t.outcomes case)
@@ -88,13 +69,9 @@ let injected_error golden (fault : Fault.t) =
   if Float.is_nan err then infinity else err
 
 let injected_error_model (spec : Models.spec) golden ~case =
-  match spec.Models.model with
-  | Models.Bit_flip_64 -> injected_error golden (Fault.of_case case)
-  | _ ->
-      let site = case / Models.spec_width spec in
-      let v = Golden.value golden site in
-      let err = abs_float (Models.case_corrupt spec ~case v -. v) in
-      if Float.is_nan err then infinity else err
+  let v = Golden.value golden (case / Models.spec_width spec) in
+  let err = abs_float (Models.case_corrupt spec ~case v -. v) in
+  if Float.is_nan err then infinity else err
 
 let counts t ~masked ~sdc ~crash =
   Bytes.iter

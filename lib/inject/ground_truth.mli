@@ -16,25 +16,20 @@ type t = private {
 type reason_counts = { nan : int; inf : int; exn : int; fuel : int }
 (** Crash-taxonomy tallies: how many cases crashed for each reason. *)
 
-val run :
-  ?progress:(done_:int -> total:int -> unit) -> ?fuel:int -> Ftb_trace.Golden.t -> t
-(** Run the complete campaign: [sites * 64] outcome-only executions, each
-    contained ({!Ftb_trace.Runner.run_outcome_contained}) and bounded by
-    the optional [fuel] watchdog. [progress] is called every few thousand
-    cases. *)
+val run : ?fuel:int -> Ftb_trace.Golden.t -> t
+(** The per-case oracle: the complete bit-flip-64 campaign as [sites * 64]
+    serial {!case_byte_model} executions, with no batching, pooling or
+    cone replay. Campaigns use [Executor.ground_truth_model]; this stays
+    so differential tests have an independent reference to compare
+    against. *)
 
 val of_outcomes : ?width:int -> Ftb_trace.Golden.t -> Bytes.t -> t
 (** Assemble a campaign result from raw outcome bytes (one of
-    {!case_byte} per case, dense order). Used by the parallel campaign
+    {!case_byte_model} per case, dense order). Used by the parallel campaign
     runner, the resumable campaign engine and the persistence layer;
     validates the length ([sites * width], default width 64) and byte
     values. Pass the fault model's {!Models.spec_width} as [width] for
     non-default campaigns. *)
-
-val outcome_byte : Ftb_trace.Runner.outcome -> char
-(** The stored byte of a bare outcome ('\000' masked, '\001' sdc, '\002'
-    crash). Crashes written through this compatibility helper carry no
-    taxonomy reason; prefer {!byte_of_result}. *)
 
 val byte_of_result : Ftb_trace.Runner.result -> char
 (** The stored byte of a classified run, including the crash reason:
@@ -44,7 +39,7 @@ val byte_of_result : Ftb_trace.Runner.result -> char
 val crash_byte : Ftb_trace.Ctx.crash_reason -> char
 (** The stored byte of a crash with the given taxonomy reason (the Crash
     rows of {!byte_of_result}). The batched executor uses it to replicate
-    a prefix crash — which happens before any injection — to all 64 bits
+    a prefix crash — which happens before any injection — to every case
     of a site. *)
 
 val outcome_of_byte : char -> Ftb_trace.Runner.outcome
@@ -54,22 +49,14 @@ val outcome_of_byte : char -> Ftb_trace.Runner.outcome
 val crash_reason_of_byte : char -> Ftb_trace.Ctx.crash_reason option
 (** The taxonomy reason encoded in a stored byte; [None] for masked/sdc. *)
 
-val classify_case : Ftb_trace.Golden.t -> int -> Ftb_trace.Runner.outcome
-(** Run one dense case and return its outcome (uncontained, unlimited —
-    the historical unit of work; campaigns use {!case_byte}). *)
-
-val case_byte : ?fuel:int -> Ftb_trace.Golden.t -> int -> char
-(** Run one dense case contained and return its taxonomy-carrying outcome
-    byte — the unit of work every campaign path (serial, parallel,
-    checkpointed engine) repeats, guaranteeing bit-identical outcome bytes
-    across all of them. *)
-
 val case_byte_model : ?fuel:int -> Models.spec -> Ftb_trace.Golden.t -> int -> char
-(** {!case_byte} generalized to an arbitrary fault model: run the dense
-    case [case] of the model's case space (site [case / spec_width])
-    contained, applying {!Models.case_corrupt}. For [Bit_flip_64] this is
-    exactly {!case_byte} — byte-identical to every pre-model campaign
-    path. Deterministic for stochastic models (the per-case RNG is
+(** Run the dense case [case] of the model's case space (site
+    [case / spec_width]) contained and bounded by the optional [fuel]
+    watchdog, applying {!Models.case_corrupt}, and return its
+    taxonomy-carrying outcome byte. This is the per-case unit of work
+    every campaign path falls back to (serial, pooled, checkpointed
+    engine, sampled jobs), so outcome bytes are bit-identical across all
+    of them. Deterministic for stochastic models (the per-case RNG is
     derived, not threaded). *)
 
 val outcome : t -> int -> Ftb_trace.Runner.outcome

@@ -1,36 +1,7 @@
-module Golden = Ftb_trace.Golden
-
 let default_domains () = Ftb_util.Domains.default ()
 
 let check_domains domains =
   if domains <= 0 then invalid_arg "Parallel: domains must be positive"
-
-(* Shard [0, total) into [domains] contiguous chunks and run [work lo hi]
-   on each, the last chunk on the calling domain. Historical static-chunk
-   primitive; campaign paths now run on the work-stealing {!Pool}. All
-   spawned domains are joined even when [work] raises on the calling
-   domain, and the first exception (caller first, then workers in spawn
-   order) is re-raised. *)
-let shard ~domains ~total work =
-  check_domains domains;
-  let chunk d = (d * total / domains, (d + 1) * total / domains) in
-  let spawned =
-    List.init (domains - 1) (fun d ->
-        let lo, hi = chunk d in
-        Domain.spawn (fun () -> work lo hi))
-  in
-  let worker_exn = ref None in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun d ->
-          try Domain.join d
-          with e -> if !worker_exn = None then worker_exn := Some e)
-        spawned)
-    (fun () ->
-      let lo, hi = chunk (domains - 1) in
-      work lo hi);
-  match !worker_exn with Some e -> raise e | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Persistent domain pool with a work-stealing scheduler.
@@ -260,54 +231,3 @@ module Pool = struct
     Mutex.unlock global_mutex;
     pool
 end
-
-(* ------------------------------------------------------------------ *)
-
-let ground_truth ?pool ?domains ?fuel golden =
-  let domains_requested = match domains with Some d -> d | None -> default_domains () in
-  check_domains domains_requested;
-  if domains_requested = 1 && pool = None then Ground_truth.run ?fuel golden
-  else begin
-    let pool, participants =
-      match pool with
-      | Some p -> (p, min domains_requested (Pool.domains p))
-      | None -> (Pool.global ~domains:domains_requested (), domains_requested)
-    in
-    let total = Golden.cases golden in
-    let outcomes = Bytes.create total in
-    (* Work items are dense case indices; each participant writes a
-       disjoint byte range, so Bytes.unsafe_set is race-free. *)
-    Pool.run pool ~participants ~total (fun lo hi ->
-        for case = lo to hi - 1 do
-          Bytes.unsafe_set outcomes case (Ground_truth.case_byte ?fuel golden case)
-        done);
-    Ground_truth.of_outcomes golden outcomes
-  end
-
-let run_cases ?pool ?domains golden cases =
-  let domains_requested = match domains with Some d -> d | None -> default_domains () in
-  check_domains domains_requested;
-  if domains_requested = 1 && pool = None then Sample_run.run_cases golden cases
-  else begin
-    let pool, participants =
-      match pool with
-      | Some p -> (p, min domains_requested (Pool.domains p))
-      | None -> (Pool.global ~domains:domains_requested (), domains_requested)
-    in
-    let total = Array.length cases in
-    let placeholder =
-      {
-        Sample_run.fault = Ftb_trace.Fault.make ~site:0 ~bit:0;
-        outcome = Ftb_trace.Runner.Masked;
-        crash_reason = None;
-        injected_error = 0.;
-        propagation = None;
-      }
-    in
-    let results = Array.make total placeholder in
-    Pool.run pool ~participants ~total (fun lo hi ->
-        for i = lo to hi - 1 do
-          results.(i) <- Sample_run.run_case golden cases.(i)
-        done);
-    results
-  end

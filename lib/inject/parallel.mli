@@ -3,13 +3,13 @@
     A fault-injection campaign is embarrassingly parallel: every case is an
     independent re-execution of the program against immutable inputs. This
     module provides a persistent domain {!Pool} with a work-stealing
-    scheduler, plus campaign entry points ({!ground_truth}, {!run_cases})
-    that run on it. It requires the program body to be re-entrant — true of
-    every kernel in this repository (bodies allocate fresh working state per
-    run and only read their captured inputs), and a requirement documented
-    on {!Ftb_trace.Program.t}'s [body].
+    scheduler; [Executor.ground_truth_model] and the campaign engine run
+    on it. It requires the program body to be re-entrant — true of every
+    kernel in this repository (bodies allocate fresh working state per run
+    and only read their captured inputs), and a requirement documented on
+    {!Ftb_trace.Program.t}'s [body].
 
-    Determinism: results are identical to the serial runners — each case's
+    Determinism: results are identical to serial runs — each case's
     execution is self-contained and every worker writes disjoint output
     slots, so scheduling cannot change outcomes. *)
 
@@ -22,16 +22,6 @@ val default_domains : unit -> int
       sharding saturates memory bandwidth well before high core counts.
 
     CLI [--domains] flags override both (they bypass this function). *)
-
-val shard : domains:int -> total:int -> (int -> int -> unit) -> unit
-(** [shard ~domains ~total work] splits [0, total) into [domains]
-    contiguous chunks and runs [work lo hi] for each, one per domain (the
-    last chunk on the calling domain). Static chunking — prefer
-    {!Pool.run} for campaign work, where per-case cost is uneven. All
-    spawned domains are joined even if [work] raises on the calling
-    domain; the first exception raised (caller first, then workers in
-    spawn order) is re-raised after every domain has been joined. Raises
-    [Invalid_argument] when [domains <= 0]. *)
 
 (** Persistent worker domains with atomic-counter work stealing.
 
@@ -77,28 +67,3 @@ module Pool : sig
       has; never shrinks — use [run ~participants] to run narrower jobs.
       [domains] defaults to {!default_domains}. *)
 end
-
-val ground_truth :
-  ?pool:Pool.t ->
-  ?domains:int ->
-  ?fuel:int ->
-  Ftb_trace.Golden.t ->
-  Ground_truth.t
-(** Parallel equivalent of {!Ground_truth.run}: cases are work-stolen off
-    the pool ([pool] defaults to {!Pool.global}; [domains] caps the
-    participants and defaults to {!default_domains}). [domains:1] without
-    an explicit pool falls back to the serial path. [fuel] is the per-run
-    step budget of the divergence watchdog. Raises [Invalid_argument] when
-    [domains <= 0]. Outcome bytes are bit-identical to the serial path for
-    any domain count — both repeat {!Ground_truth.case_byte}. For
-    snapshot-capable programs prefer [Executor.ground_truth], which batches
-    the 64 bit flips of each site over one shared prefix. *)
-
-val run_cases :
-  ?pool:Pool.t ->
-  ?domains:int ->
-  Ftb_trace.Golden.t ->
-  int array ->
-  Sample_run.t array
-(** Parallel equivalent of {!Sample_run.run_cases} (same order as the
-    input case array), work-stolen off the pool like {!ground_truth}. *)

@@ -32,42 +32,26 @@ let of_propagation fault (prop : Runner.propagation) =
     propagation;
   }
 
-let run_case ?fuel golden case =
-  let fault = Fault.of_case case in
-  let sink = Domain.DLS.get domain_sink in
-  of_propagation fault (Runner.run_propagation ?fuel ~sink golden fault)
-
 let run_case_model ?fuel (spec : Models.spec) golden case =
-  match spec.Models.model with
-  | Models.Bit_flip_64 ->
-      (* The default spec must stay byte-identical to every pre-model
-         sampling path, so it goes through the exact same runner. *)
-      run_case ?fuel golden case
-  | _ ->
-      let width = Models.spec_width spec in
-      let fault = Fault.make ~site:(case / width) ~bit:(case mod width) in
-      let sink = Domain.DLS.get domain_sink in
-      of_propagation fault
-        (Runner.run_propagation_custom ?fuel ~sink golden ~fault
-           ~corrupt:(Models.case_corrupt spec ~case))
+  let width = Models.spec_width spec in
+  let fault = Fault.make ~site:(case / width) ~bit:(case mod width) in
+  let sink = Domain.DLS.get domain_sink in
+  of_propagation fault
+    (Runner.run_propagation_custom ?fuel ~sink golden ~fault
+       ~corrupt:(Models.case_corrupt spec ~case))
 
-let run_cases ?progress ?fuel golden cases =
-  let total = Array.length cases in
-  Array.mapi
-    (fun i case ->
-      (match progress with
-      | Some f when i land 0xFF = 0 -> f ~done_:i ~total
-      | Some _ | None -> ());
-      run_case ?fuel golden case)
-    cases
+let run_cases ?fuel golden cases = Array.map (run_case_model ?fuel Models.default_spec golden) cases
 
-let draw_uniform rng golden ~fraction =
+let draw_uniform_model rng spec golden ~fraction =
   if not (fraction > 0. && fraction <= 1.) then
     invalid_arg "Sample_run.draw_uniform: fraction must be in (0, 1]";
-  let n = Golden.cases golden in
+  let n = Models.total_cases spec ~sites:(Golden.sites golden) in
   let k = max 1 (int_of_float (Float.ceil (fraction *. float_of_int n))) in
   let k = min k n in
   Ftb_util.Sampling.uniform rng ~n ~k
+
+let draw_uniform rng golden ~fraction =
+  draw_uniform_model rng Models.default_spec golden ~fraction
 
 let count_outcomes samples =
   let masked = ref 0 and sdc = ref 0 and crash = ref 0 in
@@ -78,4 +62,15 @@ let count_outcomes samples =
       | Runner.Sdc -> incr sdc
       | Runner.Crash -> incr crash)
     samples;
+  (!masked, !sdc, !crash)
+
+let count_cases_model ?fuel spec golden cases =
+  let masked = ref 0 and sdc = ref 0 and crash = ref 0 in
+  Array.iter
+    (fun case ->
+      match Ground_truth.outcome_of_byte (Ground_truth.case_byte_model ?fuel spec golden case) with
+      | Runner.Masked -> incr masked
+      | Runner.Sdc -> incr sdc
+      | Runner.Crash -> incr crash)
+    cases;
   (!masked, !sdc, !crash)

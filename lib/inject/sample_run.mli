@@ -18,28 +18,32 @@ type t = {
           instruction [j]. *)
 }
 
-val run_case : ?fuel:int -> Ftb_trace.Golden.t -> int -> t
-(** Run one dense case index as a propagation experiment, optionally
-    bounded by the [fuel] watchdog. *)
-
 val run_case_model : ?fuel:int -> Models.spec -> Ftb_trace.Golden.t -> int -> t
-(** {!run_case} generalized to an arbitrary fault model: run the dense
-    case of the model's case space (site [case / spec_width], local bit
-    [case mod spec_width]) with tracing, applying {!Models.case_corrupt}.
-    For [Bit_flip_64] this is exactly {!run_case} — byte-identical to
-    every pre-model sampling path. Deterministic for stochastic models. *)
+(** Run one dense case of the model's case space (site
+    [case / spec_width], local bit [case mod spec_width]) as a propagation
+    experiment with tracing, applying {!Models.case_corrupt}, optionally
+    bounded by the [fuel] watchdog. Deterministic for stochastic
+    models. *)
 
-val run_cases :
-  ?progress:(done_:int -> total:int -> unit) ->
-  ?fuel:int ->
-  Ftb_trace.Golden.t ->
-  int array ->
-  t array
-(** Run every given case. *)
+val run_cases : ?fuel:int -> Ftb_trace.Golden.t -> int array -> t array
+(** Run every given case of the bit-flip-64 space as a propagation
+    experiment ({!run_case_model} under {!Models.default_spec}). *)
+
+val draw_uniform_model :
+  Ftb_util.Rng.t -> Models.spec -> Ftb_trace.Golden.t -> fraction:float -> int array
+(** Uniform sample without replacement of [ceil (fraction * n)] case
+    indices of the model's case space ([n = Models.total_cases]).
+    [fraction] must be in (0, 1]. *)
 
 val draw_uniform : Ftb_util.Rng.t -> Ftb_trace.Golden.t -> fraction:float -> int array
-(** Uniform sample without replacement of [ceil (fraction * cases)] case
-    indices. [fraction] must be in (0, 1]. *)
+(** {!draw_uniform_model} under {!Models.default_spec}. *)
 
 val count_outcomes : t array -> int * int * int
 (** [(masked, sdc, crash)] tallies. *)
+
+val count_cases_model :
+  ?fuel:int -> Models.spec -> Ftb_trace.Golden.t -> int array -> int * int * int
+(** [(masked, sdc, crash)] tallies of the given cases of the model's case
+    space, each classified outcome-only and contained
+    ({!Ground_truth.case_byte_model}): an exception escaping the kernel
+    counts as a crash instead of aborting the count. *)

@@ -5,8 +5,8 @@ module Ctx = Ftb_trace.Ctx
    as native OCaml recursion, which makes its execution position
    uncapturable; this machine makes the complete interpreter state a plain
    record of arrays, so the batched campaign executor can snapshot it at an
-   injection site and replay only the suffix for each of the site's 64 bit
-   flips.
+   injection site and replay only the suffix for each of the site's
+   cases.
 
    Expressions are compiled once into closures over the state (no AST
    walking on the hot path); control flow is compiled into jumps; counted

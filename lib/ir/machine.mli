@@ -7,8 +7,8 @@
     the {e complete} interpreter state is a plain record of scalars and
     arrays. That is what makes prefix-snapshot bit batching possible: for
     each injection site the campaign executor runs the shared prefix once,
-    snapshots, and replays only the suffix for each of the site's 64 bit
-    flips (see [Ftb_inject.Executor]).
+    snapshots, and replays only the suffix for each of the site's cases
+    (see [Ftb_inject.Executor]).
 
     Execution is bit-identical to the structured interpreter: expression
     evaluation order, bounds checks, unassigned-register checks, loop
@@ -89,5 +89,5 @@ val prefix :
 
 val resume : t -> snapshot -> Ftb_trace.Ctx.t -> float array
 (** Replay a paused execution to completion under a new context (typically
-    {!Ftb_trace.Ctx.resume_outcome} carrying the injection). The snapshot
+    {!Ftb_trace.Ctx.resume_custom} carrying the injection). The snapshot
     itself is not mutated. *)

@@ -508,38 +508,12 @@ let run_sample t (job : Job.info) cancel ~heartbeat ~fraction ~seed =
   let spec = job.Job.spec in
   let golden = Golden.run (t.config.resolve spec.Job.bench) in
   let rng = Ftb_util.Rng.create ~seed in
-  (* The default model keeps the historical propagation-based sampler
-     (byte-identical draws and classifications); other models draw the
-     same way from their own dense case space and classify each case
-     through the model-aware contained runner. *)
-  let default_model = Models.spec_equal spec.Job.model Models.default_spec in
-  let cases =
-    if default_model then Ftb_inject.Sample_run.draw_uniform rng golden ~fraction
-    else begin
-      let n = Models.total_cases spec.Job.model ~sites:(Golden.sites golden) in
-      let k = max 1 (int_of_float (Float.ceil (fraction *. float_of_int n))) in
-      Ftb_util.Sampling.uniform rng ~n ~k:(min k n)
-    end
-  in
-  let count_chunk slice =
-    if default_model then
-      Ftb_inject.Sample_run.count_outcomes
-        (Ftb_inject.Sample_run.run_cases ?fuel:spec.Job.fuel golden slice)
-    else begin
-      let masked = ref 0 and sdc = ref 0 and crash = ref 0 in
-      Array.iter
-        (fun case ->
-          match
-            Ftb_inject.Ground_truth.outcome_of_byte
-              (Ftb_inject.Ground_truth.case_byte_model ?fuel:spec.Job.fuel spec.Job.model
-                 golden case)
-          with
-          | Ftb_trace.Runner.Masked -> incr masked
-          | Ftb_trace.Runner.Sdc -> incr sdc
-          | Ftb_trace.Runner.Crash -> incr crash)
-        slice;
-      (!masked, !sdc, !crash)
-    end
+  (* Every model draws from its own dense case space and classifies each
+     case outcome-only and contained, so a kernel exception counts as a
+     crash instead of failing the job. *)
+  let cases = Ftb_inject.Sample_run.draw_uniform_model rng spec.Job.model golden ~fraction in
+  let count_chunk =
+    Ftb_inject.Sample_run.count_cases_model ?fuel:spec.Job.fuel spec.Job.model golden
   in
   let total = Array.length cases in
   let chunk = spec.Job.shard_size in

@@ -159,8 +159,8 @@ let propagation ?fuel ?sink ~fault ~golden_statics () =
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot / resume: the prefix-snapshot batched executor runs the shared
-   prefix of a site's 64 bit flips once under a [counting] context, then
-   replays only the suffix per bit under a context resumed at the saved
+   prefix of a site's cases once under a [counting] context, then replays
+   only the suffix per case under a context resumed at the saved
    position. The context state is just (next, fuel); interpreter state is
    the program's own business (see [Ftb_ir.Machine]). *)
 
@@ -187,9 +187,6 @@ let resume_custom snapshot ~site ~corrupt =
           diverged_at = None;
         };
   }
-
-let resume_outcome snapshot ~(fault : Fault.t) =
-  resume_custom snapshot ~site:fault.Fault.site ~corrupt:(flip_of_fault fault)
 
 (* ------------------------------------------------------------------ *)
 

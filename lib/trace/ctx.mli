@@ -91,13 +91,13 @@ val counting : ?fuel:int -> unit -> t
 (** A context that performs only bookkeeping (dynamic-instruction count and
     fuel); every {!record} returns its argument unchanged and nothing is
     stored. Used by the batched campaign executor to drive the shared
-    prefix of a site's 64 bit-flip cases exactly once. *)
+    prefix of a site's cases exactly once. *)
 
 (** {1 Prefix snapshots}
 
     The batched executor runs a site's shared prefix once under a
-    {!counting} context, snapshots, and replays only the suffix per bit
-    with {!resume_outcome}. Only the context's own state (position and
+    {!counting} context, snapshots, and replays only the suffix per case
+    with {!resume_custom}. Only the context's own state (position and
     remaining fuel) lives here; interpreter state is snapshotted by the
     program's executor (see [Ftb_ir.Machine]). *)
 
@@ -107,19 +107,13 @@ type snapshot
 val snapshot : t -> snapshot
 (** Capture the context's current position. *)
 
-val resume_outcome : snapshot -> fault:Fault.t -> t
-(** An outcome-only injecting context that believes [snapshot.next] dynamic
-    instructions have already executed (with the corresponding fuel spent).
-    Behaves exactly like {!outcome_only} run past the same prefix — same
-    injection trigger, same fuel-exhaustion point. Raises
-    [Invalid_argument] when the fault site precedes the snapshot (the
-    injection would be unreachable). *)
-
 val resume_custom : snapshot -> site:int -> corrupt:(float -> float) -> t
-(** {!resume_outcome} generalized to an arbitrary corruption, mirroring
-    {!outcome_custom}: the batched executor uses it to replay a site's
-    suffix under any fault model's cases. Same [Invalid_argument]
-    condition. *)
+(** An outcome-only injecting context that applies [corrupt] at [site]
+    and believes [snapshot.next] dynamic instructions have already
+    executed (with the corresponding fuel spent). Behaves exactly like
+    {!outcome_custom} run past the same prefix — same injection trigger,
+    same fuel-exhaustion point. Raises [Invalid_argument] when [site]
+    precedes the snapshot (the injection would be unreachable). *)
 
 val hooked : ?fuel:int -> (index:int -> tag:int -> float -> float) -> t
 (** A context that forwards every recorded value to an arbitrary hook and

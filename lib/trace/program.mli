@@ -45,7 +45,7 @@ type t = {
           under [ctx] until it is about to record dynamic instruction
           [stop_at], then snapshots the interpreter state and pauses.
           Backs the batched campaign executor, which runs the shared prefix
-          of a site's 64 bit flips once. [None] for closure kernels, which
+          of a site's cases once. [None] for closure kernels, which
           the executor transparently re-runs in full. *)
   cone : (unit -> cone_plan option) option;
       (** dependent-cone capability: forces the (lazily built, memoized)

@@ -48,14 +48,6 @@ val run_outcome : ?fuel:int -> Golden.t -> Fault.t -> result
     tolerance, else SDC. Raises [Invalid_argument] when the fault site is
     outside the program's dynamic range. *)
 
-val run_outcome_contained : ?fuel:int -> Golden.t -> Fault.t -> result
-(** Like {!run_outcome}, but additionally contains *any* exception escaping
-    the kernel body — not only the cooperative [Ctx.Crash] — classifying it
-    as Crash with reason {!Ctx.Exception_raised}. This is the campaign
-    engine's unit of work: one broken case must never abort a campaign.
-    [Out_of_memory] and errors raised before the body starts (e.g. an
-    out-of-range fault site) still propagate. *)
-
 val run_outcome_custom :
   ?fuel:int -> Golden.t -> site:int -> corrupt:(float -> float) -> result
 (** Like {!run_outcome} but with an arbitrary corruption function applied
@@ -65,9 +57,13 @@ val run_outcome_custom :
 
 val run_outcome_custom_contained :
   ?fuel:int -> Golden.t -> site:int -> corrupt:(float -> float) -> result
-(** {!run_outcome_custom} with the crash containment of
-    {!run_outcome_contained} — the campaign engine's unit of work under a
-    non-default fault model. *)
+(** {!run_outcome_custom} that additionally contains *any* exception
+    escaping the kernel body — not only the cooperative [Ctx.Crash] —
+    classifying it as Crash with reason {!Ctx.Exception_raised}. This is
+    the campaign engine's unit of work under every fault model: one broken
+    case must never abort a campaign. [Out_of_memory] and errors raised
+    before the body starts (e.g. an out-of-range site) still
+    propagate. *)
 
 val outcome_of_run :
   Golden.t -> Fault.t -> Ctx.t -> (Ctx.t -> float array) -> result
@@ -75,7 +71,7 @@ val outcome_of_run :
     already-constructed injecting context — the generalization behind
     {!run_outcome} ([run] is then the program body). The batched campaign
     executor passes the suffix replay of a paused execution together with a
-    context resumed at the snapshot position ({!Ctx.resume_outcome}). *)
+    context resumed at the snapshot position ({!Ctx.resume_custom}). *)
 
 val outcome_of_run_contained :
   Golden.t -> Fault.t -> Ctx.t -> (Ctx.t -> float array) -> result

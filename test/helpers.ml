@@ -102,3 +102,7 @@ let diverging_program ?(tolerance = 0.5) () =
     body
 
 let qcheck_to_alcotest = QCheck_alcotest.to_alcotest
+
+(* One bit-flip-64 propagation experiment (dense case index). *)
+let run_case golden case =
+  Ftb_inject.Sample_run.run_case_model Ftb_inject.Models.default_spec golden case

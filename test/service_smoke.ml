@@ -13,13 +13,19 @@
    2. Protocol round-trip over a socketpair, daemon in-process: submit ->
       watch (>= 1 streamed progress event) -> complete with bit-identical
       bytes; then queue backpressure, cancellation of queued and running
-      jobs, error codes, and a graceful shutdown drain. *)
+      jobs, error codes, and a graceful shutdown drain.
+
+   3. Sample jobs, daemon in-process: a bit-flip-64 sample job counts
+      exactly what the propagation sampler counts on the same draw, and
+      a kernel that raises [Failure] in one case still completes, with
+      that case counted as a crash. *)
 
 module Ctx = Ftb_trace.Ctx
 module Static = Ftb_trace.Static
 module Program = Ftb_trace.Program
 module Golden = Ftb_trace.Golden
 module Ground_truth = Ftb_inject.Ground_truth
+module Sample_run = Ftb_inject.Sample_run
 module Checkpoint = Ftb_campaign.Checkpoint
 module Json = Ftb_service.Json
 module Wire = Ftb_service.Wire
@@ -77,8 +83,22 @@ let stall_program =
   Program.make ~name:"svc.stall" ~description:"stalls when a fault lands"
     ~tolerance:0.05 ~statics body
 
+(* A kernel with a bug on one path: flipping the sign bit of its first
+   value makes it raise [Failure] — not a cooperative [Ctx.Crash]. *)
+let raise_program =
+  let statics = Static.create_table () in
+  let tag = Static.register statics ~phase:"svc.raise" ~label:"v" in
+  let body ctx =
+    let v = Ctx.record ctx ~tag 2.0 in
+    if v = -2.0 then failwith "kernel bug on a negative input";
+    [| Ctx.record ctx ~tag (v +. 1.0) |]
+  in
+  Program.make ~name:"svc.raise" ~description:"raises Failure on one fault"
+    ~tolerance:0.05 ~statics body
+
 let resolve = function
   | "svc.slow" -> slow_program
+  | "svc.raise" -> raise_program
   | "svc.quick" -> quick_program
   | "svc.stall" -> stall_program
   | name -> invalid_arg (Printf.sprintf "unknown benchmark %S" name)
@@ -495,6 +515,54 @@ let restart_overflow_test () =
   Client.close client;
   Thread.join conn
 
+(* ------------------------------------------------------------------ *)
+(* Part 3: sample jobs                                                 *)
+
+let sample_test () =
+  let state_dir = fresh_dir "sample" in
+  let t = Server.create { (Server.default_config ~state_dir) with Server.domains = 1; resolve } in
+  Server.start t;
+  let server_fd, client_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let conn = Thread.create (fun () -> Server.serve_connection t server_fd) () in
+  let client = Client.of_fd client_fd in
+  let run_sample bench ~fraction ~seed =
+    let spec =
+      {
+        (Job.default_spec ~bench) with
+        Job.mode = Job.Sample { fraction; seed };
+        shard_size = 64;
+        fuel = Some fuel;
+      }
+    in
+    let id = get_ok (bench ^ ": sample submit") (Client.submit client spec) in
+    get_ok (bench ^ ": sample watch") (Client.watch client id)
+  in
+  let counts (job : Job.info) = Job.(job.counts.masked, job.counts.sdc, job.counts.crash) in
+  (* Same draw, same counts as the propagation sampler. *)
+  let job = run_sample "svc.quick" ~fraction:0.25 ~seed:99 in
+  let golden = Golden.run quick_program in
+  let expected =
+    Sample_run.count_outcomes
+      (Sample_run.run_cases ~fuel golden
+         (Sample_run.draw_uniform (Ftb_util.Rng.create ~seed:99) golden ~fraction:0.25))
+  in
+  check "bit-flip-64 sample job completed" (job.Job.status = Job.Completed);
+  check "bit-flip-64 sample counts = propagation sampler counts" (counts job = expected);
+  (* A kernel exception is a crash, not a failed job. *)
+  let job = run_sample "svc.raise" ~fraction:1.0 ~seed:1 in
+  let oracle = Ground_truth.run ~fuel (Golden.run raise_program) in
+  let m = ref 0 and s = ref 0 and c = ref 0 in
+  Ground_truth.counts oracle ~masked:m ~sdc:s ~crash:c;
+  check "sample job over a raising kernel completed" (job.Job.status = Job.Completed);
+  check "the raising case is one exception crash"
+    ((Ground_truth.crash_counts oracle).Ground_truth.exn = 1);
+  check "raising-kernel sample counts = contained per-case counts"
+    (counts job = (!m, !s, !c));
+  ignore (get_ok "sample: shutdown" (Client.shutdown client));
+  Server.join t;
+  Client.close client;
+  Thread.join conn
+
 let () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   Printf.printf "service smoke: slow=%d sites, quick=%d sites\n%!"
@@ -504,6 +572,7 @@ let () =
   socketpair_test ();
   resilience_test ();
   restart_overflow_test ();
+  sample_test ();
   if !failures > 0 then begin
     Printf.printf "%d smoke check(s) failed\n" !failures;
     exit 1

@@ -74,7 +74,7 @@ let test_infer_uses_only_masked () =
   (* site 0, bit 5 -> masked; site 0, bit 63 -> sdc. *)
   let samples =
     Array.map
-      (fun bit -> Sample_run.run_case g (Fault.to_case (Fault.make ~site:0 ~bit)))
+      (fun bit -> Helpers.run_case g (Fault.to_case (Fault.make ~site:0 ~bit)))
       [| 5; 63 |]
   in
   let b = Boundary.infer ~sites:Helpers.linear_sites samples in
@@ -133,7 +133,7 @@ let prop_threshold_monotone_in_samples =
     QCheck.(list_of_size (Gen.int_range 1 20) (int_bound (Helpers.linear_sites * 64 - 1)))
     (fun cases ->
       let g = Lazy.force golden in
-      let samples = Array.map (Sample_run.run_case g) (Array.of_list cases) in
+      let samples = Array.map (Helpers.run_case g) (Array.of_list cases) in
       let half = Array.sub samples 0 (Array.length samples / 2) in
       let b_half = Boundary.infer ~sites:Helpers.linear_sites half in
       let b_full = Boundary.infer ~sites:Helpers.linear_sites samples in

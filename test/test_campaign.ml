@@ -113,8 +113,10 @@ let test_fuel_terminates_diverging_program () =
   (* Flipping bit 52 of the recorded factor turns 0.5 into 1.0: x never
      drops below 1 and the loop only ends when the watchdog fires. *)
   let g = Lazy.force diverging in
-  let fault = Fault.make ~site:0 ~bit:52 in
-  let r = Runner.run_outcome_contained ~fuel:10_000 g fault in
+  let r =
+    Runner.run_outcome_custom_contained ~fuel:10_000 g ~site:0
+      ~corrupt:(Ftb_util.Bits.flip ~bit:52)
+  in
   Alcotest.(check bool) "outcome is crash" true (r.Runner.outcome = Runner.Crash);
   Alcotest.(check bool) "reason is fuel exhaustion" true
     (r.Runner.crash_reason = Some Ctx.Fuel_exhausted)
@@ -504,10 +506,12 @@ let test_engine_matches_plain_campaign_paths () =
   let g = Lazy.force golden in
   let engine = Engine.run ~config:(engine_config ~shard_size:11 ~domains:2) g in
   let serial = Ground_truth.run g in
-  let parallel = Ftb_inject.Parallel.ground_truth ~domains:2 g in
+  let parallel =
+    Ftb_inject.Executor.ground_truth_model ~domains:2 Ftb_inject.Models.default_spec g
+  in
   Alcotest.(check bytes) "engine = serial Ground_truth.run"
     serial.Ground_truth.outcomes engine.Engine.ground_truth.Ground_truth.outcomes;
-  Alcotest.(check bytes) "engine = Parallel.ground_truth"
+  Alcotest.(check bytes) "engine = pooled Executor.ground_truth_model"
     parallel.Ground_truth.outcomes engine.Engine.ground_truth.Ground_truth.outcomes
 
 (* ------------------------------------------------------------------ *)
@@ -582,7 +586,7 @@ let test_engine_retries_flaky_shard () =
       failed_once := true;
       failwith "transient worker failure"
     end;
-    Ground_truth.case_byte golden case
+    Ground_truth.case_byte_model Ftb_inject.Models.default_spec golden case
   in
   let report =
     Engine.run ~config:(engine_config ~shard_size:6 ~domains:1) ~case_runner g
@@ -602,7 +606,7 @@ let test_engine_gives_up_after_retry_budget () =
       incr attempts;
       failwith "persistent worker failure"
     end;
-    Ground_truth.case_byte golden case
+    Ground_truth.case_byte_model Ftb_inject.Models.default_spec golden case
   in
   let config =
     { (engine_config ~shard_size:6 ~domains:1) with Engine.max_retries = 2 }

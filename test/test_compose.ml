@@ -281,6 +281,22 @@ let test_model_mismatch_never_serves () =
       Alcotest.(check bool) "cold bit-flip-64 bytes = direct" true
         (Bytes.equal r64.Compose.outcomes direct.Ground_truth.outcomes))
 
+let test_empty_sections_are_not_a_hit () =
+  (* ir.cg sectionizes with zero-site sections, which the probe marks as
+     trivially hit; against an empty store that must not count as a
+     (partial) cache hit. *)
+  with_store (fun store ->
+      let ir = Option.get (Ftb_kernels.Suite.find_ir "ir.cg") in
+      let golden = golden_of ir in
+      match Compose.probe store ~ir ~golden ~model:model64 ~fuel with
+      | None -> Alcotest.fail "ir.cg did not sectionize"
+      | Some p ->
+          Alcotest.(check bool) "ir.cg has a zero-site section" true
+            (p.Compose.hit_sections > 0);
+          Alcotest.(check int) "no case comes from the store" 0 p.Compose.hit_cases;
+          Alcotest.(check bool) "empty store: no hit" false (Compose.any_hit p);
+          Alcotest.(check bool) "empty store: not a full hit" false (Compose.full_hit p))
+
 let test_seeded_checkpoint_reduces_engine_work () =
   with_store (fun store ->
       let ir = panel_kernel () in
@@ -438,6 +454,8 @@ let suite =
       test_store_corruption_quarantined;
     Alcotest.test_case "model mismatch never serves" `Quick
       test_model_mismatch_never_serves;
+    Alcotest.test_case "empty sections are not a cache hit" `Quick
+      test_empty_sections_are_not_a_hit;
     Alcotest.test_case "seeded checkpoint reduces engine work" `Quick
       test_seeded_checkpoint_reduces_engine_work;
     Alcotest.test_case "provenance token lattice" `Quick test_provenance_tokens;

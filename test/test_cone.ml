@@ -91,8 +91,8 @@ let test_fuel_forces_fallback_identically () =
 let test_cone_flag_changes_nothing () =
   List.iter
     (fun (name, fast, _) ->
-      let with_cone = Executor.ground_truth ~domains:1 ~cone:true fast in
-      let without = Executor.ground_truth ~domains:1 ~cone:false fast in
+      let with_cone = Executor.ground_truth_model ~domains:1 ~cone:true Models.default_spec fast in
+      let without = Executor.ground_truth_model ~domains:1 ~cone:false Models.default_spec fast in
       Alcotest.(check bool) (name ^ ": cone:false = cone:true") true
         (Bytes.equal with_cone.Ground_truth.outcomes without.Ground_truth.outcomes))
     (Lazy.force fixtures)
@@ -102,8 +102,8 @@ let test_pooled_cone_campaign_identity () =
      campaigns must not interfere. *)
   List.iter
     (fun (name, fast, _) ->
-      let serial = Executor.ground_truth ~domains:1 fast in
-      let pooled = Executor.ground_truth ~domains:4 fast in
+      let serial = Executor.ground_truth_model ~domains:1 Models.default_spec fast in
+      let pooled = Executor.ground_truth_model ~domains:4 Models.default_spec fast in
       Alcotest.(check bool) (name ^ ": pooled = serial") true
         (Bytes.equal serial.Ground_truth.outcomes pooled.Ground_truth.outcomes))
     (Lazy.force fixtures)

@@ -25,7 +25,7 @@ let test_collect_counts_injection_and_propagation () =
      perturbs. *)
   let samples =
     Array.map
-      (fun (site, bit) -> Sample_run.run_case g (Fault.to_case (Fault.make ~site ~bit)))
+      (fun (site, bit) -> Helpers.run_case g (Fault.to_case (Fault.make ~site ~bit)))
       [| (1, 63); (0, 30) |]
   in
   let info = Info.collect g samples in
@@ -40,13 +40,13 @@ let test_collect_counts_injection_and_propagation () =
 let test_insignificant_injection_not_counted () =
   let g = Lazy.force golden in
   (* Bit 0 of x0 = 1.0 injects ~1e-16 relative error: below the cut-off. *)
-  let samples = [| Sample_run.run_case g (Fault.to_case (Fault.make ~site:0 ~bit:0)) |] in
+  let samples = [| Helpers.run_case g (Fault.to_case (Fault.make ~site:0 ~bit:0)) |] in
   let info = Info.collect g samples in
   Helpers.check_close "no significant injection" 0. info.Info.injected.(0)
 
 let test_total_and_alias () =
   let g = Lazy.force golden in
-  let samples = [| Sample_run.run_case g (Fault.to_case (Fault.make ~site:0 ~bit:30)) |] in
+  let samples = [| Helpers.run_case g (Fault.to_case (Fault.make ~site:0 ~bit:30)) |] in
   let info = Info.collect g samples in
   let total = Info.total info in
   Array.iteri

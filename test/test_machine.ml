@@ -117,7 +117,7 @@ let test_ctx_snapshot_position_and_fuel () =
   ignore (Ctx.record ctx ~tag:0 2.0);
   ignore (Ctx.record ctx ~tag:0 3.0);
   let snap = Ctx.snapshot ctx in
-  let resumed = Ctx.resume_outcome snap ~fault:(Fault.make ~site:3 ~bit:0) in
+  let resumed = Ctx.resume_custom snap ~site:3 ~corrupt:(Ftb_util.Bits.flip ~bit:0) in
   Alcotest.(check int) "resumed position" 3 (Ctx.length resumed);
   Alcotest.(check (option int)) "resumed fuel" (Some 2) (Ctx.remaining_fuel resumed);
   ignore (Ctx.record resumed ~tag:0 4.0);
@@ -131,14 +131,14 @@ let test_ctx_resume_before_snapshot_rejected () =
   ignore (Ctx.record ctx ~tag:0 1.0);
   ignore (Ctx.record ctx ~tag:0 2.0);
   let snap = Ctx.snapshot ctx in
-  match Ctx.resume_outcome snap ~fault:(Fault.make ~site:1 ~bit:0) with
+  match Ctx.resume_custom snap ~site:1 ~corrupt:(Ftb_util.Bits.flip ~bit:0) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "fault before the snapshot accepted"
 
 let test_ctx_resume_injects_at_site () =
   let ctx = Ctx.counting () in
   ignore (Ctx.record ctx ~tag:0 1.0);
-  let resumed = Ctx.resume_outcome (Ctx.snapshot ctx) ~fault:(Fault.make ~site:2 ~bit:63) in
+  let resumed = Ctx.resume_custom (Ctx.snapshot ctx) ~site:2 ~corrupt:(Ftb_util.Bits.flip ~bit:63) in
   Alcotest.(check (float 0.)) "site 1 untouched" 5.0 (Ctx.record resumed ~tag:0 5.0);
   let corrupted = Ctx.record resumed ~tag:0 8.0 in
   Alcotest.(check (float 0.)) "site 2 sign-flipped" (-8.0) corrupted;

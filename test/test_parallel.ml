@@ -1,15 +1,19 @@
 module Parallel = Ftb_inject.Parallel
+module Executor = Ftb_inject.Executor
 module Ground_truth = Ftb_inject.Ground_truth
-module Sample_run = Ftb_inject.Sample_run
+module Models = Ftb_inject.Models
 module Golden = Ftb_trace.Golden
 module Runner = Ftb_trace.Runner
+
+(* The pooled campaign under the paper's fault model. *)
+let pooled ?fuel ~domains g = Executor.ground_truth_model ?fuel ~domains Models.default_spec g
 
 let golden = lazy (Golden.run (Helpers.linear_program ~tolerance:0.5 ()))
 
 let test_parallel_ground_truth_matches_serial () =
   let g = Lazy.force golden in
   let serial = Ground_truth.run g in
-  let parallel = Parallel.ground_truth ~domains:4 g in
+  let parallel = pooled ~domains:4 g in
   Alcotest.(check int) "same case count" (Ground_truth.cases serial)
     (Ground_truth.cases parallel);
   for case = 0 to Ground_truth.cases serial - 1 do
@@ -29,7 +33,7 @@ let test_parallel_on_real_kernel () =
   in
   let g = Golden.run program in
   let serial = Ground_truth.run g in
-  let parallel = Parallel.ground_truth ~domains:3 g in
+  let parallel = pooled ~domains:3 g in
   Helpers.check_close ~eps:1e-12 "same sdc ratio" (Ground_truth.sdc_ratio serial)
     (Ground_truth.sdc_ratio parallel);
   Helpers.check_close ~eps:1e-12 "same crash ratio" (Ground_truth.crash_ratio serial)
@@ -37,38 +41,13 @@ let test_parallel_on_real_kernel () =
 
 let test_single_domain_falls_back () =
   let g = Lazy.force golden in
-  let gt = Parallel.ground_truth ~domains:1 g in
+  let gt = pooled ~domains:1 g in
   Alcotest.(check int) "full space" (Golden.cases g) (Ground_truth.cases gt)
 
 let test_domains_validated () =
-  match Parallel.ground_truth ~domains:0 (Lazy.force golden) with
+  match pooled ~domains:0 (Lazy.force golden) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "0 domains accepted"
-
-let test_parallel_run_cases () =
-  let g = Lazy.force golden in
-  let cases = Array.init 100 (fun i -> i * 4) in
-  let serial = Sample_run.run_cases g cases in
-  let parallel = Parallel.run_cases ~domains:4 g cases in
-  Alcotest.(check int) "same length" (Array.length serial) (Array.length parallel);
-  Array.iteri
-    (fun i (s : Sample_run.t) ->
-      let p = parallel.(i) in
-      Alcotest.(check bool) "same fault" true
-        (Ftb_trace.Fault.equal s.Sample_run.fault p.Sample_run.fault);
-      Alcotest.(check bool) "same outcome" true
-        (Runner.outcome_equal s.Sample_run.outcome p.Sample_run.outcome);
-      match (s.Sample_run.propagation, p.Sample_run.propagation) with
-      | None, None -> ()
-      | Some (ss, sd), Some (ps, pd) ->
-          Alcotest.(check int) "same start" ss ps;
-          Alcotest.(check (array (Helpers.close ()))) "same deviations" sd pd
-      | _ -> Alcotest.fail "propagation presence differs")
-    serial
-
-let test_empty_cases () =
-  let g = Lazy.force golden in
-  Alcotest.(check int) "empty input" 0 (Array.length (Parallel.run_cases ~domains:4 g [||]))
 
 let test_default_domains_positive () =
   Alcotest.(check bool) "at least one domain" true (Parallel.default_domains () >= 1)
@@ -95,32 +74,6 @@ let test_ftb_domains_invalid () =
           | exception Invalid_argument _ -> ()
           | d -> Alcotest.fail (Printf.sprintf "FTB_DOMAINS=%S accepted as %d" value d)))
     [ "0"; "-2"; "many"; "3.5" ]
-
-let test_shard_joins_on_caller_exception () =
-  (* The caller's chunk raises; the spawned domains must still be joined
-     and the caller's exception re-raised. Before the fix this leaked the
-     spawned domains. *)
-  let exception Boom in
-  let finished = Atomic.make 0 in
-  (match
-     Parallel.shard ~domains:3 ~total:300 (fun lo _hi ->
-         if lo >= 200 then raise Boom (* the caller runs the last chunk *)
-         else begin
-           Unix.sleepf 0.02;
-           Atomic.incr finished
-         end)
-   with
-  | exception Boom -> ()
-  | () -> Alcotest.fail "caller exception swallowed");
-  Alcotest.(check int) "spawned chunks ran to completion" 2 (Atomic.get finished)
-
-let test_shard_reraises_worker_exception () =
-  let exception Boom in
-  match
-    Parallel.shard ~domains:3 ~total:300 (fun lo _hi -> if lo = 0 then raise Boom)
-  with
-  | exception Boom -> ()
-  | () -> Alcotest.fail "worker exception swallowed"
 
 (* --- the persistent pool --- *)
 
@@ -262,7 +215,7 @@ let prop_pooled_ground_truth_identity =
       let g = Golden.run (Ftb_ir.Ir.to_program ir) in
       let fuel = if fuel = 0 then None else Some fuel in
       let serial = Ground_truth.run ?fuel g in
-      let pooled = Parallel.ground_truth ~domains ?fuel g in
+      let pooled = pooled ~domains ?fuel g in
       Bytes.equal serial.Ground_truth.outcomes pooled.Ground_truth.outcomes)
 
 let suite =
@@ -272,15 +225,9 @@ let suite =
     Alcotest.test_case "parallel on real kernel" `Quick test_parallel_on_real_kernel;
     Alcotest.test_case "single domain falls back" `Quick test_single_domain_falls_back;
     Alcotest.test_case "domains validated" `Quick test_domains_validated;
-    Alcotest.test_case "parallel run_cases = serial" `Quick test_parallel_run_cases;
-    Alcotest.test_case "empty cases" `Quick test_empty_cases;
     Alcotest.test_case "default domains positive" `Quick test_default_domains_positive;
     Alcotest.test_case "FTB_DOMAINS overrides the default" `Quick test_ftb_domains_env;
     Alcotest.test_case "FTB_DOMAINS rejects garbage" `Quick test_ftb_domains_invalid;
-    Alcotest.test_case "shard joins on caller exception" `Quick
-      test_shard_joins_on_caller_exception;
-    Alcotest.test_case "shard re-raises worker exception" `Quick
-      test_shard_reraises_worker_exception;
     Alcotest.test_case "pool covers every item once" `Quick test_pool_covers_every_item_once;
     Alcotest.test_case "pool is reusable" `Quick test_pool_is_reusable;
     Alcotest.test_case "pool propagates exceptions and survives" `Quick

@@ -92,7 +92,7 @@ let test_samples_with_nonfinite_errors () =
   (* Crash samples carry infinity; the format must round-trip it. *)
   let g = Lazy.force golden in
   (* bit 62 of site 0 (value 1.0) -> non-finite injection. *)
-  let samples = [| Sample_run.run_case g ((0 * 64) + 62) |] in
+  let samples = [| Helpers.run_case g ((0 * 64) + 62) |] in
   Helpers.check_close "sanity: infinite injected error" infinity
     samples.(0).Sample_run.injected_error;
   let path = temp_path "samples_inf" in

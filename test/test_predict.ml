@@ -48,7 +48,7 @@ let test_observations () =
   let g = Lazy.force golden in
   let samples =
     Array.map
-      (fun bit -> Sample_run.run_case g (Fault.to_case (Fault.make ~site:0 ~bit)))
+      (fun bit -> Helpers.run_case g (Fault.to_case (Fault.make ~site:0 ~bit)))
       [| 0; 63 |]
   in
   let obs = Predict.observations_of_samples samples in
@@ -65,7 +65,7 @@ let test_policy_observed_all () =
      Observed_all policy must use the sampled outcomes for sampled cases. *)
   let b = Boundary.create ~sites:Helpers.linear_sites in
   let samples =
-    Array.init 64 (fun bit -> Sample_run.run_case g (Fault.to_case (Fault.make ~site:2 ~bit)))
+    Array.init 64 (fun bit -> Helpers.run_case g (Fault.to_case (Fault.make ~site:2 ~bit)))
   in
   let obs = Predict.observations_of_samples samples in
   let boundary_only = Predict.site_sdc_ratio ~policy:Predict.Boundary_only ~observations:obs b g in
@@ -81,14 +81,14 @@ let test_policy_full_sites_only () =
   (* Only 63 of 64 bits sampled at site 2: Observed_full_sites must fall
      back to the boundary for the whole site. *)
   let samples =
-    Array.init 63 (fun bit -> Sample_run.run_case g (Fault.to_case (Fault.make ~site:2 ~bit)))
+    Array.init 63 (fun bit -> Helpers.run_case g (Fault.to_case (Fault.make ~site:2 ~bit)))
   in
   let obs = Predict.observations_of_samples samples in
   let r = Predict.site_sdc_ratio ~policy:Predict.Observed_full_sites ~observations:obs b g in
   Helpers.check_close "incomplete site falls back to boundary" 1. r.(2);
   (* Complete the site: now the true outcomes are used. *)
   let samples =
-    Array.init 64 (fun bit -> Sample_run.run_case g (Fault.to_case (Fault.make ~site:2 ~bit)))
+    Array.init 64 (fun bit -> Helpers.run_case g (Fault.to_case (Fault.make ~site:2 ~bit)))
   in
   let obs = Predict.observations_of_samples samples in
   let r = Predict.site_sdc_ratio ~policy:Predict.Observed_full_sites ~observations:obs b g in

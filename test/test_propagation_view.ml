@@ -39,7 +39,7 @@ let test_phase_matrix_counts () =
   let g = Lazy.force golden in
   (* One masked sample injected at a load site: its significant deviations
      land in the sum phase. *)
-  let samples = [| Sample_run.run_case g (Fault.to_case (Fault.make ~site:0 ~bit:30)) |] in
+  let samples = [| Helpers.run_case g (Fault.to_case (Fault.make ~site:0 ~bit:30)) |] in
   let m = View.phase_matrix g samples in
   Alcotest.(check (array string)) "phases in site order" [| "linear.load"; "linear.sum" |]
     m.View.phases;
@@ -49,7 +49,7 @@ let test_phase_matrix_counts () =
 
 let test_phase_matrix_ignores_sdc_samples () =
   let g = Lazy.force golden in
-  let samples = [| Sample_run.run_case g (Fault.to_case (Fault.make ~site:0 ~bit:63)) |] in
+  let samples = [| Helpers.run_case g (Fault.to_case (Fault.make ~site:0 ~bit:63)) |] in
   let m = View.phase_matrix g samples in
   (* SDC samples carry no propagation data but still count as injections. *)
   Alcotest.(check int) "injection counted" 1 m.View.injections.(0);
@@ -60,7 +60,7 @@ let test_render_matrix () =
   let g = Lazy.force golden in
   let samples =
     Array.map
-      (fun case -> Sample_run.run_case g case)
+      (fun case -> Helpers.run_case g case)
       [| Fault.to_case (Fault.make ~site:0 ~bit:30); Fault.to_case (Fault.make ~site:4 ~bit:30) |]
   in
   let s = View.render_matrix (View.phase_matrix g samples) in

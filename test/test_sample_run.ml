@@ -8,7 +8,7 @@ let golden = lazy (Golden.run (Helpers.linear_program ~tolerance:0.5 ()))
 
 let test_masked_sample_keeps_propagation () =
   (* Low mantissa flip: masked, with propagation data. *)
-  let s = Sample_run.run_case (Lazy.force golden) (Fault.to_case (Fault.make ~site:0 ~bit:5)) in
+  let s = Helpers.run_case (Lazy.force golden) (Fault.to_case (Fault.make ~site:0 ~bit:5)) in
   Alcotest.(check bool) "masked" true (Runner.outcome_equal s.Sample_run.outcome Runner.Masked);
   match s.Sample_run.propagation with
   | Some (start, deviations) ->
@@ -18,7 +18,7 @@ let test_masked_sample_keeps_propagation () =
 
 let test_sdc_sample_drops_propagation () =
   let s =
-    Sample_run.run_case (Lazy.force golden) (Fault.to_case (Fault.make ~site:0 ~bit:63))
+    Helpers.run_case (Lazy.force golden) (Fault.to_case (Fault.make ~site:0 ~bit:63))
   in
   Alcotest.(check bool) "sdc" true (Runner.outcome_equal s.Sample_run.outcome Runner.Sdc);
   Alcotest.(check bool) "no propagation kept" true (s.Sample_run.propagation = None);
@@ -65,6 +65,22 @@ let test_count_outcomes () =
   Alcotest.(check bool) "has masked" true (masked > 0);
   Alcotest.(check bool) "has sdc" true (sdc > 0)
 
+let test_outcome_counts_match_propagation_sampler () =
+  (* Sample jobs classify outcome-only and contained; on a catalogue
+     kernel, under the bit-flip-64 model and the daemon's fuel, that must
+     count exactly what the propagation sampler counts on the same draw. *)
+  let g = Golden.run (Ftb_kernels.Suite.find "jacobi") in
+  let fuel = 10_000_000 and fraction = 0.02 in
+  let drawn = Sample_run.draw_uniform (Rng.create ~seed:7) g ~fraction in
+  let cases =
+    Sample_run.draw_uniform_model (Rng.create ~seed:7) Ftb_inject.Models.default_spec g
+      ~fraction
+  in
+  Alcotest.(check (array int)) "same draw" drawn cases;
+  let expected = Sample_run.count_outcomes (Sample_run.run_cases ~fuel g drawn) in
+  let counted = Sample_run.count_cases_model ~fuel Ftb_inject.Models.default_spec g cases in
+  Alcotest.(check (triple int int int)) "same masked/sdc/crash" expected counted
+
 let suite =
   [
     Alcotest.test_case "masked sample keeps propagation" `Quick
@@ -74,4 +90,6 @@ let suite =
     Alcotest.test_case "draw_uniform" `Quick test_draw_uniform;
     Alcotest.test_case "tiny fraction draws one" `Quick test_tiny_fraction_draws_at_least_one;
     Alcotest.test_case "count_outcomes" `Quick test_count_outcomes;
+    Alcotest.test_case "outcome-only counts = propagation counts (jacobi)" `Quick
+      test_outcome_counts_match_propagation_sampler;
   ]
