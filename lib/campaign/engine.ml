@@ -116,9 +116,8 @@ let run ?(config = default_config) ?checkpoint ?case_runner golden =
     | None ->
         (* Default shard runner: the batched executor — whole sites inside
            the shard run their shared prefix once and replay only the
-           suffix per case; stochastic models and non-resumable programs
-           fall back to per-case full re-execution inside
-           [range_into_model]. *)
+           suffix per case; non-resumable programs fall back to per-case
+           full re-execution inside [range_into_model]. *)
         fun ~lo ~hi ->
           Ftb_inject.Executor.range_into_model ?fuel:config.fuel config.model golden ~lo
             ~hi outcomes ~off:lo

@@ -1,6 +1,5 @@
 module Fault = Ftb_trace.Fault
 module Golden = Ftb_trace.Golden
-module Runner = Ftb_trace.Runner
 module Ground_truth = Ftb_inject.Ground_truth
 module Models = Ftb_inject.Models
 module Sample_run = Ftb_inject.Sample_run
@@ -57,12 +56,13 @@ type state = {
   spec : Models.spec;
   golden : Golden.t;
   total : int;
+  width : int;
   round_size : int;
-  sampled : (int, unit) Hashtbl.t;
-  mutable samples_rev : Sample_run.t list;
-  mutable sample_count : int;
+  errors : float array;  (* injected error per dense case, computed once *)
+  sampled : Bytes.t;  (* bitmap over dense cases *)
+  mutable samples : Sample_run.t array;  (* draw order; replaced, never mutated *)
   mutable boundary : Boundary.t;
-  mutable info : float array;
+  info : float array;  (* S_i, the bias term, updated per folded sample *)
   mutable rounds : int;
 }
 
@@ -78,86 +78,91 @@ let state_create ?(config = default_config) ?(spec = Models.default_spec) golden
     spec;
     golden;
     total;
+    width = Models.spec_width spec;
     round_size;
-    sampled = Hashtbl.create (4 * round_size);
-    samples_rev = [];
-    sample_count = 0;
+    errors = Array.init total (fun case -> Ground_truth.injected_error_model spec golden ~case);
+    sampled = Bytes.make ((total + 7) / 8) '\000';
+    samples = [||];
     boundary = Boundary.create ~sites;
     info = Array.make sites 0.;
     rounds = 0;
   }
 
-(* Rebuild boundary and information from scratch: the filter operation can
-   retroactively disqualify earlier propagation data once a smaller SDC
-   error is known, so incremental updates would drift. The sample set is
-   small by construction. *)
-let refresh state =
-  let sites = Golden.sites state.golden in
-  let all = Array.of_list (List.rev state.samples_rev) in
-  if Array.length all = 0 then begin
-    state.boundary <- Boundary.create ~sites;
-    state.info <- Array.make sites 0.
-  end
-  else begin
-    state.boundary <- Boundary.infer ~filter:state.config.filter ~sites all;
-    state.info <- Info.total (Info.collect state.golden all)
-  end
+let is_sampled state case =
+  Char.code (Bytes.unsafe_get state.sampled (case lsr 3)) land (1 lsl (case land 7)) <> 0
 
-let case_of_sample state (s : Sample_run.t) =
-  let width = Models.spec_width state.spec in
-  (s.Sample_run.fault.Fault.site * width) + s.Sample_run.fault.Fault.bit
+let mark_sampled state case =
+  let i = case lsr 3 in
+  Bytes.set state.sampled i
+    (Char.chr (Char.code (Bytes.get state.sampled i) lor (1 lsl (case land 7))))
+
+(* Add freshly executed samples (their cases already marked): extend the
+   draw-order array and the information. The boundary is then rebuilt
+   from scratch — the filter operation can retroactively disqualify
+   earlier propagation data once a smaller SDC error is known, so an
+   incremental boundary would drift. Information has no such filter and
+   stays incremental. *)
+let absorb state samples =
+  Array.iter (Info.add_total state.golden state.info) samples;
+  state.samples <- Array.append state.samples samples;
+  state.boundary <-
+    Boundary.infer ~filter:state.config.filter ~sites:(Golden.sites state.golden) state.samples
 
 let state_restore ?config ?spec golden ~rounds samples =
   let state = state_create ?config ?spec golden in
   Array.iter
-    (fun s ->
-      Hashtbl.replace state.sampled (case_of_sample state s) ();
-      state.samples_rev <- s :: state.samples_rev;
-      state.sample_count <- state.sample_count + 1)
+    (fun (s : Sample_run.t) ->
+      let fault = s.Sample_run.fault in
+      mark_sampled state ((fault.Fault.site * state.width) + fault.Fault.bit))
     samples;
+  if Array.length samples > 0 then absorb state samples;
   state.rounds <- rounds;
-  refresh state;
   state
 
 let state_rounds state = state.rounds
-let state_sample_count state = state.sample_count
+let state_sample_count state = Array.length state.samples
 let state_total state = state.total
 let state_boundary state = state.boundary
-let state_samples state = Array.of_list (List.rev state.samples_rev)
+let state_samples state = state.samples
 
 let plan_round state rng =
-  (* Candidate pool: unsampled cases the current boundary does not
-     already predict masked — injecting those would teach us nothing
-     new about the boundary's upper side. *)
-  let width = Models.spec_width state.spec in
-  let candidates = ref [] in
-  let candidate_count = ref 0 in
-  for case = state.total - 1 downto 0 do
-    if not (Hashtbl.mem state.sampled case) then begin
-      let err = Ground_truth.injected_error_model state.spec state.golden ~case in
-      if not (err <= Boundary.threshold state.boundary (case / width)) then begin
-        candidates := case :: !candidates;
-        incr candidate_count
+  (* Candidate pool, in ascending case order: unsampled cases the current
+     boundary does not already predict masked — injecting those would
+     teach us nothing new about the boundary's upper side. *)
+  let width = state.width in
+  let pool = Array.make state.total 0 in
+  let count = ref 0 in
+  for site = 0 to (state.total / width) - 1 do
+    let threshold = Boundary.threshold state.boundary site in
+    for case = site * width to ((site + 1) * width) - 1 do
+      if (not (is_sampled state case)) && not (state.errors.(case) <= threshold) then begin
+        pool.(!count) <- case;
+        incr count
       end
-    end
+    done
   done;
-  if !candidate_count = 0 then None
+  if !count = 0 then None
   else begin
-    let pool = Array.of_list !candidates in
-    let k = min state.round_size !candidate_count in
+    let pool = Array.sub pool 0 !count in
+    let k = min state.round_size !count in
     let drawn_indices =
       if state.config.bias then begin
         let weights =
-          Array.map
-            (fun case -> 1. /. Float.max state.info.(case / width) 1.)
-            pool
+          Array.map (fun case -> 1. /. Float.max state.info.(case / width) 1.) pool
         in
         Ftb_util.Sampling.weighted_without_replacement rng ~weights ~k
       end
-      else Ftb_util.Sampling.uniform rng ~n:!candidate_count ~k
+      else Ftb_util.Sampling.uniform rng ~n:!count ~k
     in
     Some (Array.map (fun idx -> pool.(idx)) drawn_indices)
   end
+
+let round_verdict config ~rounds samples =
+  let masked, sdc, _ = Sample_run.count_outcomes samples in
+  let sdc_fraction = float_of_int sdc /. float_of_int (Array.length samples) in
+  if masked = 0 || sdc_fraction >= config.stop_sdc_fraction then `Stop Converged
+  else if rounds >= config.max_rounds then `Stop Round_cap
+  else `Continue
 
 let fold_round ?on_round state ~cases ~samples =
   let k = Array.length cases in
@@ -166,33 +171,22 @@ let fold_round ?on_round state ~cases ~samples =
       (Printf.sprintf "Adaptive.fold_round: %d samples for %d drawn cases"
          (Array.length samples) k);
   if k = 0 then invalid_arg "Adaptive.fold_round: empty round";
-  Array.iter (fun case -> Hashtbl.replace state.sampled case ()) cases;
-  let masked = ref 0 and sdc = ref 0 and crash = ref 0 in
-  Array.iter
-    (fun (s : Sample_run.t) ->
-      (match s.Sample_run.outcome with
-      | Runner.Masked -> incr masked
-      | Runner.Sdc -> incr sdc
-      | Runner.Crash -> incr crash);
-      state.samples_rev <- s :: state.samples_rev;
-      state.sample_count <- state.sample_count + 1)
-    samples;
+  Array.iter (mark_sampled state) cases;
   state.rounds <- state.rounds + 1;
   (match on_round with
-  | Some f -> f ~round:state.rounds ~drawn:k ~masked:!masked ~sdc:!sdc ~crash:!crash
+  | Some f ->
+      let masked, sdc, crash = Sample_run.count_outcomes samples in
+      f ~round:state.rounds ~drawn:k ~masked ~sdc ~crash
   | None -> ());
-  refresh state;
-  let sdc_fraction = float_of_int !sdc /. float_of_int k in
-  if !masked = 0 || sdc_fraction >= state.config.stop_sdc_fraction then `Stop Converged
-  else if state.rounds >= state.config.max_rounds then `Stop Round_cap
-  else `Continue
+  absorb state samples;
+  round_verdict state.config ~rounds:state.rounds samples
 
 let finish state stop_reason =
   {
     boundary = state.boundary;
-    samples = state_samples state;
+    samples = state.samples;
     rounds = state.rounds;
-    sample_fraction = float_of_int state.sample_count /. float_of_int state.total;
+    sample_fraction = float_of_int (Array.length state.samples) /. float_of_int state.total;
     stop_reason;
   }
 

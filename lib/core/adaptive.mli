@@ -73,9 +73,14 @@ val run_model :
     One round is [plan_round] (draw the biased candidate set — the only
     RNG consumer) followed by executing the drawn cases anywhere
     ({!Ftb_inject.Sample_run.run_case_model} is the unit of work) and
-    [fold_round] (tally, rebuild boundary + information, decide whether
-    to stop). Drivers checkpoint between [plan_round] and [fold_round] by
-    saving the RNG state, the accumulated samples and the drawn cases. *)
+    [fold_round] (tally, update information, rebuild the boundary, decide
+    whether to stop). Drivers checkpoint between [plan_round] and
+    [fold_round] by recording the RNG state and the drawn cases, and
+    after [fold_round] by recording the round's samples.
+
+    A round costs its own work plus one boundary rebuild: each case's
+    injected error is computed once, in {!state_create}, and the
+    information is updated per folded sample. *)
 
 type state
 (** Mutable campaign state: sampled set, accumulated samples (draw
@@ -83,7 +88,8 @@ type state
 
 val state_create :
   ?config:config -> ?spec:Ftb_inject.Models.spec -> Ftb_trace.Golden.t -> state
-(** Fresh state before round 1. Raises [Invalid_argument] on a bad
+(** Fresh state before round 1: computes the injected error of every
+    case of the model's space. Raises [Invalid_argument] on a bad
     config. *)
 
 val state_restore :
@@ -116,6 +122,13 @@ val fold_round :
     at the cap, [`Continue] otherwise. Raises [Invalid_argument] on a
     length mismatch or an empty round. *)
 
+val round_verdict :
+  config -> rounds:int -> Ftb_inject.Sample_run.t array -> [ `Stop of stop_reason | `Continue ]
+(** The stop rule {!fold_round} applies to a folded round: [samples] are
+    that round's alone and [rounds] counts it. A checkpoint that recorded
+    a round but lost the stop record after it uses this to close the
+    campaign the way the fold did. *)
+
 val finish : state -> stop_reason -> result
 (** Package the final state. *)
 
@@ -128,5 +141,5 @@ val state_boundary : state -> Boundary.t
 (** The boundary inferred from everything folded so far. *)
 
 val state_samples : state -> Ftb_inject.Sample_run.t array
-(** Accumulated samples in draw order (copies the list; checkpoint-rate
-    usage only). *)
+(** Accumulated samples in draw order. Shared with the state, which
+    never mutates it in place: do not mutate it either. *)

@@ -25,5 +25,11 @@ val collect : Ftb_trace.Golden.t -> Ftb_inject.Sample_run.t array -> t
 val total : t -> float array
 (** [injected + propagated] per site — the [S_i] of the §3.4 bias term. *)
 
+val add_total : Ftb_trace.Golden.t -> float array -> Ftb_inject.Sample_run.t -> unit
+(** [add_total golden s sample] adds one sample's information to the
+    per-site totals [s] in place. Folding every sample of a set this way
+    gives exactly [total (collect golden samples)]: the counts are integer
+    sums, so the order of addition does not matter. *)
+
 val potential_impact : t -> float array
 (** Alias of {!total}: the quantity plotted in Figure 4's second row. *)

@@ -49,25 +49,24 @@ let per_case ?fuel spec golden buf ~pos ~lo ~hi =
    produces its golden value whatever the corruption will be. So instead
    of [width] full runs, run the prefix once under a counting context,
    snapshot the interpreter at the injection point, and replay only the
-   suffix per case. Any *discrete* model's corruption is a pure function
-   of the golden value, so it batches (and takes the cone fast path);
-   stochastic models stay per-case — each case re-derives its RNG from the
-   dense index, so there is no shared suffix state to reuse. Programs
-   without the [resumable] capability (hand-written closure kernels) fall
-   back to full re-execution: same bytes, just without the savings. *)
+   suffix per case. Every model's corruption is a pure function of the
+   golden value and the dense case — a stochastic model re-derives its
+   RNG from (seed, case) — so every model batches and takes the cone
+   fast path. Programs without the [resumable] capability (hand-written
+   closure kernels) fall back to full re-execution: same bytes, just
+   without the savings. *)
 let site_into ?fuel ~cone spec golden ~site buf ~pos =
   let width = Models.spec_width spec in
   let first = site * width in
   let corrupt case = Models.case_corrupt spec ~case:(first + case) in
   let fallback () = per_case ?fuel spec golden buf ~pos ~lo:first ~hi:(first + width) in
-  let discrete = not (Models.is_stochastic spec.Models.model) in
-  match if discrete then cone_runner ?fuel ~cone golden ~site else None with
+  match cone_runner ?fuel ~cone golden ~site with
   | Some run ->
       for case = 0 to width - 1 do
         Bytes.set buf (pos + case) (byte_of_cone_run run (corrupt case))
       done
   | None -> (
-      match if discrete then golden.Golden.program.Program.resumable else None with
+      match golden.Golden.program.Program.resumable with
       | None -> fallback ()
       | Some resumable -> (
           let ctx = Ctx.counting ?fuel () in

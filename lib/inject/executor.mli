@@ -13,18 +13,22 @@
       dataflow. Where the plan is exact (the cone stays off float
       branches and is small), a case is classified by recomputing only
       the cone members against recorded golden operands — no prefix, no
-      suffix, no output materialization. Discrete models and
-      unlimited-fuel campaigns only.
+      suffix, no output materialization. Unlimited-fuel campaigns only.
     + {b prefix-snapshot batching} — the cases of one site share an
       identical injection-free prefix. For programs with the [resumable]
       capability (the compiled IR machine) the executor runs that prefix
       once under a counting context, snapshots the interpreter at the
       injection point, and replays only the suffix per case:
       O(sites × (prefix + width × suffix)) instead of
-      O(width × sites × run). Discrete models only.
+      O(width × sites × run).
     + {b per-case} — one full contained run per case
-      ({!Ground_truth.case_byte_model}): stochastic models, closure
-      kernels, and ragged shard edges.
+      ({!Ground_truth.case_byte_model}): closure kernels and ragged
+      shard edges.
+
+    Every model takes the same tiers: a corruption is a pure function of
+    the golden value and the dense case (the stochastic random-value
+    model derives its draw from (seed, case)), so the cases of a site
+    share the injection-free prefix whatever the model.
 
     [?cone:false] disables the first tier (differential testing,
     benchmarking the tiers against each other).

@@ -74,11 +74,12 @@ let run ?(config = Adaptive.default_config) ?(spec = Models.default_spec) ?fuel 
         | None ->
             (Rng.create ~seed, Adaptive.state_create ~config ~spec golden, None, 0, 0)
       in
-      let save ?pending ?stop () =
-        match checkpoint with
-        | None -> ()
-        | Some path ->
-            Round_checkpoint.save ~path
+      (* The campaign so far is written once; each round then appends its
+         draw and its samples. *)
+      let log =
+        Option.map
+          (fun path ->
+            Round_checkpoint.open_log ~path
               {
                 Round_checkpoint.name;
                 sites;
@@ -90,50 +91,55 @@ let run ?(config = Adaptive.default_config) ?(spec = Models.default_spec) ?fuel 
                 rng_state = Rng.state rng;
                 rounds = Adaptive.state_rounds state;
                 samples = Adaptive.state_samples state;
-                pending;
-                stop;
-              }
+                pending = initial_pending;
+                stop = None;
+              })
+          checkpoint
       in
+      let logged f = Option.iter f log in
       let fresh = ref 0 in
       let pending = ref initial_pending in
       let stop = ref Adaptive.Round_cap in
-      (try
-         while true do
-           if cancel () then begin
-             save ?pending:!pending ();
-             raise Cancelled
-           end;
-           let cases =
-             match !pending with
-             | Some cases ->
-                 (* The killed run already drew this round; re-drawing
-                    would consume fresh RNG output and diverge from the
-                    serial oracle. *)
-                 pending := None;
-                 cases
-             | None -> (
-                 match Adaptive.plan_round state rng with
-                 | None ->
-                     stop := Adaptive.Pool_exhausted;
-                     raise Exit
-                 | Some cases ->
-                     save ~pending:cases ();
-                     cases)
-           in
-           let round = Adaptive.state_rounds state + 1 in
-           let samples = exec ~round ~cases in
-           if Array.length samples <> Array.length cases then
-             invalid_arg
-               (Printf.sprintf
-                  "Adaptive_engine: executor returned %d samples for a %d-case round"
-                  (Array.length samples) (Array.length cases));
-           fresh := !fresh + Array.length samples;
-           match Adaptive.fold_round ?on_round state ~cases ~samples with
-           | `Stop reason ->
-               stop := reason;
-               raise Exit
-           | `Continue -> save ()
-         done
-       with Exit -> ());
-      save ~stop:!stop ();
+      Fun.protect
+        ~finally:(fun () -> logged Round_checkpoint.close_log)
+        (fun () ->
+          try
+            while true do
+              (* Any pending draw is already logged. *)
+              if cancel () then raise Cancelled;
+              let cases =
+                match !pending with
+                | Some cases ->
+                    (* The killed run already drew this round; re-drawing
+                       would consume fresh RNG output and diverge from the
+                       serial oracle. *)
+                    pending := None;
+                    cases
+                | None -> (
+                    match Adaptive.plan_round state rng with
+                    | None ->
+                        stop := Adaptive.Pool_exhausted;
+                        raise Exit
+                    | Some cases ->
+                        logged (fun l ->
+                            Round_checkpoint.append_draw l ~rng_state:(Rng.state rng) cases);
+                        cases)
+              in
+              let round = Adaptive.state_rounds state + 1 in
+              let samples = exec ~round ~cases in
+              if Array.length samples <> Array.length cases then
+                invalid_arg
+                  (Printf.sprintf
+                     "Adaptive_engine: executor returned %d samples for a %d-case round"
+                     (Array.length samples) (Array.length cases));
+              fresh := !fresh + Array.length samples;
+              let verdict = Adaptive.fold_round ?on_round state ~cases ~samples in
+              logged (fun l -> Round_checkpoint.append_round l samples);
+              match verdict with
+              | `Stop reason ->
+                  stop := reason;
+                  raise Exit
+              | `Continue -> ()
+            done
+          with Exit -> logged (fun l -> Round_checkpoint.append_stop l !stop));
       (Adaptive.finish state !stop, { fresh_samples = !fresh; resumed_samples; resumed_rounds })

@@ -7,10 +7,12 @@
     of (golden, model, case), and the RNG is consumed only by the planner.
 
     With a [checkpoint] path the driver is kill-safe at round
-    granularity: it persists after every draw (the pending round) and
-    after every fold, so a SIGKILL resumes at the same round with the
+    granularity: it keeps a {!Round_checkpoint} log, writing the campaign
+    so far once and then appending every draw (the pending round) and
+    every folded round, so a SIGKILL resumes at the same round with the
     same drawn cases and the campaign finishes bit-identical to an
-    undisturbed run. A checkpoint from a different campaign identity
+    undisturbed run. A round's appends cost that round's samples, not
+    the campaign's. A checkpoint from a different campaign identity
     (kernel, fingerprint, model, config, fuel or seed differ) is ignored;
     a corrupt one is quarantined; a finished one short-circuits the whole
     run. *)

@@ -1,18 +1,29 @@
-(** Per-round durable state of an adaptive campaign.
+(** Durable state of an adaptive campaign: an append-only round log.
 
-    The distributed planner checkpoints twice per round: right after
-    drawing the round's cases (the [pending] line carries the draw, and
-    [rng_state] is the generator *after* the draw) and right after folding
-    the executed round ([pending] absent, [rounds] incremented, samples
-    extended). A SIGKILL at any point therefore resumes at the same round
-    with the same drawn cases — the draws are never re-made, which is what
-    keeps a killed-and-restarted campaign bit-identical to an undisturbed
-    one. A finished campaign writes a final checkpoint with [stop] set, so
-    re-submitting a completed job replays the result without sampling.
+    The distributed planner writes the campaign header once, then appends
+    two CRC-framed records per round: right after drawing the round's
+    cases, a draw record (the cases, and the RNG state *after* the draw);
+    right after folding the executed round, a round record holding that
+    round's samples alone (the bit-exact {!Ftb_inject.Sample_codec} blob).
+    A finished campaign appends a stop record, so re-submitting a
+    completed job replays the result without sampling. What a round
+    writes is proportional to that round's work, never to the campaign so
+    far.
 
-    The envelope, atomic-write and quarantine conventions are
-    {!Ftb_inject.Persist}'s; samples travel as hex of the bit-exact
-    {!Ftb_inject.Sample_codec} blob. *)
+    Crash semantics. A SIGKILL mid-append leaves a torn final record,
+    which {!load} drops: a lost draw is re-drawn from the RNG state before
+    it, a lost round is re-executed from its logged draw, and a lost stop
+    record is re-derived from the last round by the stop rule
+    ({!Ftb_core.Adaptive.round_verdict}). All three are deterministic, so
+    a killed-and-restarted campaign stays bit-identical to an undisturbed
+    one. Any other defect (a checksum mismatch, records out of order)
+    raises {!Ftb_inject.Persist.Format_error}, and callers quarantine and
+    restart cold.
+
+    {!save} writes a whole campaign state as a compacted log, atomically
+    (temp + rename, as everywhere in {!Ftb_inject.Persist}). {!load} also
+    reads the v1 format, one enveloped text snapshot with the samples in
+    hex. *)
 
 type t = {
   name : string;  (** program name (space-free token) *)
@@ -30,9 +41,33 @@ type t = {
 }
 
 val save : path:string -> t -> unit
-(** Atomic enveloped write. Raises [Invalid_argument] when [name] is not a
+(** Atomically write [t] as a log: header, then the pending draw and the
+    stop record when set. Raises [Invalid_argument] when [name] is not a
     space-free token. *)
 
 val load : path:string -> t
-(** Raises {!Ftb_inject.Persist.Format_error} on corruption or any
-    structural defect (callers quarantine and restart cold). *)
+(** Replay a log (or read a v1 snapshot). Raises
+    {!Ftb_inject.Persist.Format_error} on corruption or any structural
+    defect (callers quarantine and restart cold). *)
+
+(** {1 Appending} *)
+
+type log
+(** A log open for appending. Each append is one framed record, flushed
+    before it returns. *)
+
+val open_log : path:string -> t -> log
+(** {!save} [t] (compacting whatever the file held), then open it for
+    appending. *)
+
+val append_draw : log -> rng_state:int64 -> int array -> unit
+(** Record a drawn round: its cases, and the RNG state after the draw. *)
+
+val append_round : log -> Ftb_inject.Sample_run.t array -> unit
+(** Record the folded round: the samples of the pending draw, aligned
+    with its cases. *)
+
+val append_stop : log -> Ftb_core.Adaptive.stop_reason -> unit
+(** Close the campaign; nothing may be appended after it. *)
+
+val close_log : log -> unit

@@ -4,6 +4,10 @@ module Predict = Ftb_core.Predict
 module Ground_truth = Ftb_inject.Ground_truth
 module Golden = Ftb_trace.Golden
 module Rng = Ftb_util.Rng
+module Info = Ftb_core.Info
+module Models = Ftb_inject.Models
+module Sample_run = Ftb_inject.Sample_run
+module Fault = Ftb_trace.Fault
 
 let golden = lazy (Golden.run (Helpers.linear_program ~tolerance:0.5 ()))
 
@@ -101,6 +105,113 @@ let test_deterministic_given_seed () =
     (Array.length b.Adaptive.samples);
   Alcotest.(check int) "same rounds" a.Adaptive.rounds b.Adaptive.rounds
 
+(* The planner as it was before errors were precomputed: a full scan that
+   recomputes every case's injected error, a hash set of sampled cases,
+   information re-collected from every sample, and a weighted draw that
+   sorts all keys. The test-local oracle the planner must match draw for
+   draw. *)
+let full_sort_weighted rng ~weights ~k =
+  let keys =
+    Array.mapi
+      (fun i w ->
+        if w = 0. then (infinity, i)
+        else
+          let u = 1. -. Rng.float rng 1. in
+          (-.log u /. w, i))
+      weights
+  in
+  Array.sort compare keys;
+  Array.init k (fun j -> snd keys.(j))
+
+let full_scan_plan ~config ~spec golden state rng =
+  let width = Models.spec_width spec in
+  let total = Adaptive.state_total state in
+  let samples = Adaptive.state_samples state in
+  let sampled = Hashtbl.create 64 in
+  Array.iter
+    (fun (s : Sample_run.t) ->
+      let fault = s.Sample_run.fault in
+      Hashtbl.replace sampled ((fault.Fault.site * width) + fault.Fault.bit) ())
+    samples;
+  let boundary = Adaptive.state_boundary state in
+  let info =
+    if samples = [||] then Array.make (Golden.sites golden) 0.
+    else Info.total (Info.collect golden samples)
+  in
+  let candidates = ref [] and count = ref 0 in
+  for case = total - 1 downto 0 do
+    if not (Hashtbl.mem sampled case) then begin
+      let err = Ground_truth.injected_error_model spec golden ~case in
+      if not (err <= Boundary.threshold boundary (case / width)) then begin
+        candidates := case :: !candidates;
+        incr count
+      end
+    end
+  done;
+  if !count = 0 then None
+  else begin
+    let pool = Array.of_list !candidates in
+    let round_size =
+      max 1
+        (int_of_float (Float.ceil (config.Adaptive.round_fraction *. float_of_int total)))
+    in
+    let k = min round_size !count in
+    let drawn =
+      if config.Adaptive.bias then
+        full_sort_weighted rng
+          ~weights:(Array.map (fun case -> 1. /. Float.max info.(case / width) 1.) pool)
+          ~k
+      else Ftb_util.Sampling.uniform rng ~n:!count ~k
+    in
+    Some (Array.map (fun i -> pool.(i)) drawn)
+  end
+
+let test_draws_match_full_scan_planner () =
+  let programs =
+    [ ("linear", Lazy.force golden); ("ir.dot", Golden.run (Ftb_kernels.Suite.find "ir.dot")) ]
+  in
+  let specs =
+    List.map (fun model -> { Models.model; seed = 0 }) Models.all_discrete
+    @ [ { Models.model = Models.Random_value { lo = -10.; hi = 10. }; seed = 5 } ]
+  in
+  let runs = ref 0 and rounds = ref 0 in
+  List.iter
+    (fun (name, g) ->
+      List.iter
+        (fun spec ->
+          List.iter
+            (fun bias ->
+              let config = { small_config with Adaptive.bias } in
+              let what =
+                Printf.sprintf "%s %s bias=%b" name (Models.spec_to_string spec) bias
+              in
+              let state = Adaptive.state_create ~config ~spec g in
+              let rng = Rng.create ~seed:23 in
+              let rec round r =
+                let old_rng = Rng.copy rng in
+                let expected = full_scan_plan ~config ~spec g state old_rng in
+                let drawn = Adaptive.plan_round state rng in
+                Alcotest.(check (option (array int)))
+                  (Printf.sprintf "%s: round %d draw" what r)
+                  expected drawn;
+                Alcotest.(check int64)
+                  (Printf.sprintf "%s: round %d rng" what r)
+                  (Rng.state old_rng) (Rng.state rng);
+                match drawn with
+                | None -> r
+                | Some cases -> (
+                    let samples = Array.map (Sample_run.run_case_model spec g) cases in
+                    match Adaptive.fold_round state ~cases ~samples with
+                    | `Continue -> round (r + 1)
+                    | `Stop _ -> r)
+              in
+              incr runs;
+              rounds := !rounds + round 1)
+            [ true; false ])
+        specs)
+    programs;
+  Alcotest.(check bool) "most campaigns run several rounds" true (!rounds > 2 * !runs)
+
 let suite =
   [
     Alcotest.test_case "runs and terminates" `Quick test_runs_and_terminates;
@@ -114,4 +225,6 @@ let suite =
     Alcotest.test_case "on_round callback" `Quick test_on_round_callback;
     Alcotest.test_case "unbiased variant" `Quick test_unbiased_variant_runs;
     Alcotest.test_case "deterministic given seed" `Quick test_deterministic_given_seed;
+    Alcotest.test_case "draws match the full-scan planner" `Quick
+      test_draws_match_full_scan_planner;
   ]

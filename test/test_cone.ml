@@ -1,8 +1,8 @@
 (* Dependent-cone replay: campaign outcome bytes through the optimized,
    cone-enabled fast path must be bit-identical to the reference — the
-   structured tree-walking interpreter run per-case — for every discrete
-   fault model, and the fallbacks (fuel, stochastic models, cone:false)
-   must change nothing. This is the acceptance bar of the specializer:
+   structured tree-walking interpreter run per-case — for every fault
+   model, the stochastic random-value model included, and the fallbacks
+   (fuel, cone:false) must change nothing. This is the acceptance bar of the specializer:
    same bytes, only faster. *)
 
 module Ir = Ftb_ir.Ir
@@ -73,8 +73,9 @@ let test_discrete_models_byte_identity () =
     (Lazy.force fixtures)
 
 let test_stochastic_model_byte_identity () =
-  (* Stochastic models never take the cone path; bytes must still match
-     the interpreted reference through the per-case fallback. *)
+  (* A stochastic model's corruption is a pure function of (seed, case),
+     so it takes the cone and snapshot tiers like a discrete one; bytes
+     must still match the per-case interpreted reference. *)
   List.iter
     (fun (name, fast, interp) -> check_model name stochastic_spec fast interp)
     (Lazy.force fixtures)

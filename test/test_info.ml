@@ -58,6 +58,28 @@ let test_total_and_alias () =
   Alcotest.(check (array (Helpers.close ()))) "potential_impact aliases total" total
     (Info.potential_impact info)
 
+let test_add_total_matches_collect () =
+  (* Folding samples one at a time, in any order, gives the bits of
+     [total (collect ...)]: every count is an exact integer sum. *)
+  let g = Lazy.force golden in
+  let samples =
+    Array.init 64 (fun bit ->
+        Helpers.run_case g (Fault.to_case (Fault.make ~site:(bit mod 3) ~bit)))
+  in
+  let expected = Info.total (Info.collect g samples) in
+  List.iter
+    (fun order ->
+      let total = Array.make (Array.length expected) 0. in
+      Array.iter (Info.add_total g total) order;
+      Array.iteri
+        (fun i e ->
+          Alcotest.(check int64)
+            (Printf.sprintf "site %d bits" i)
+            (Int64.bits_of_float e)
+            (Int64.bits_of_float total.(i)))
+        expected)
+    [ samples; Array.of_list (List.rev (Array.to_list samples)) ]
+
 let test_significant_rel_value () =
   Helpers.check_close "cut-off is 1e-8" 1e-8 Info.significant_rel
 
@@ -70,4 +92,5 @@ let suite =
       test_insignificant_injection_not_counted;
     Alcotest.test_case "total and potential_impact" `Quick test_total_and_alias;
     Alcotest.test_case "significant_rel" `Quick test_significant_rel_value;
+    Alcotest.test_case "add_total folds to total" `Quick test_add_total_matches_collect;
   ]

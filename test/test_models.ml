@@ -111,18 +111,41 @@ let prop_bit_flip_involution =
       let corrupt = Models.case_corrupt spec ~case:bit in
       Int64.equal (bits_of (corrupt (corrupt v))) (bits_of v))
 
+(* flip32 rounds through single precision, so the involution holds
+   exactly on values already representable in float32 — unless the first
+   flip makes a NaN. A flipped exponent bit can give a signalling NaN;
+   the round trip through double quiets it (sets float32 bit 22), so the
+   second flip restores the value with that one bit set. *)
+let float32_of m e = Int32.float_of_bits (Int32.bits_of_float (Float.ldexp m e))
+
+let flip32_involution_holds v bit =
+  let spec = { Models.model = Models.Bit_flip_32; seed = 0 } in
+  let corrupt = Models.case_corrupt spec ~case:bit in
+  let once = corrupt v in
+  let twice = corrupt once in
+  if Float.is_nan once then
+    Int32.equal (Int32.bits_of_float twice) (Int32.logor (Int32.bits_of_float v) 0x0040_0000l)
+  else Int64.equal (bits_of twice) (bits_of v)
+
+let test_bit_flip32_signalling_nan () =
+  (* The QCheck counterexample: float32 bit 30 of ~1.2 gives a signalling
+     NaN, and the second flip gives 0x3FDAA116, not the 0x3F9AA116 the
+     value started from. *)
+  let v = float32_of 0x1.35422c4fee0cp-4 4 in
+  let spec = { Models.model = Models.Bit_flip_32; seed = 0 } in
+  let corrupt = Models.case_corrupt spec ~case:30 in
+  Alcotest.(check bool) "first flip is a NaN" true (Float.is_nan (corrupt v));
+  Alcotest.(check int32) "second flip sets only the quiet bit" 0x3FDA_A116l
+    (Int32.bits_of_float (corrupt (corrupt v)));
+  Alcotest.(check bool) "involution property accepts it" true (flip32_involution_holds v 30)
+
 let prop_bit_flip32_involution =
   QCheck.Test.make
     ~name:"bit-flip-32: involution on float32-representable values" ~count:500
     arb_finite
     (fun (m, e, bit) ->
-      (* flip32 rounds through single precision, so the involution holds
-         exactly on values already representable in float32. *)
-      let v = Int32.float_of_bits (Int32.bits_of_float (Float.ldexp m e)) in
       let bit = bit land 31 in
-      let spec = { Models.model = Models.Bit_flip_32; seed = 0 } in
-      let corrupt = Models.case_corrupt spec ~case:bit in
-      Int64.equal (bits_of (corrupt (corrupt v))) (bits_of v))
+      flip32_involution_holds (float32_of m e) bit)
 
 let prop_burst_is_two_flips =
   QCheck.Test.make ~name:"adjacent-burst-2 = two single bit flips" ~count:500 arb_finite
@@ -246,6 +269,8 @@ let suite =
     Alcotest.test_case "custom runner injects" `Quick test_custom_runner_injects;
     Helpers.qcheck_to_alcotest prop_bit_flip_involution;
     Helpers.qcheck_to_alcotest prop_bit_flip32_involution;
+    Alcotest.test_case "bit-flip-32: signalling NaN counterexample" `Quick
+      test_bit_flip32_signalling_nan;
     Helpers.qcheck_to_alcotest prop_burst_is_two_flips;
     Helpers.qcheck_to_alcotest prop_random_value_in_range;
     Helpers.qcheck_to_alcotest prop_random_value_deterministic;

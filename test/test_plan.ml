@@ -213,6 +213,167 @@ let test_round_checkpoint_roundtrip () =
   Sys.remove path
 
 (* ------------------------------------------------------------------ *)
+(* The append-only round log                                           *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path data =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data)
+
+(* Frame start offsets of a round log (after its magic line), and the
+   offset one past the last frame. *)
+let frames data =
+  let first = String.length "ftb-adaptive-log-v2\n" in
+  let rec go pos acc =
+    if pos >= String.length data then (List.rev acc, pos)
+    else
+      let len = Int32.to_int (String.get_int32_be data (pos + 1)) in
+      go (pos + 13 + len) (pos :: acc)
+  in
+  go first []
+
+(* A finished campaign's log, and the undisturbed result it records. *)
+let finished_log name ~seed =
+  let g = Lazy.force golden in
+  let path = tmp name in
+  let result, _ = AE.run ~config:small_config ~checkpoint:path ~name:"lin" ~seed g in
+  (result, read_file path)
+
+let test_round_log_torn_tail () =
+  (* A crash mid-append leaves the last record cut short at any byte.
+     Cut every record of a finished log at every offset inside it: the
+     loader drops the torn record, and the resumed campaign is still
+     bit-identical to the serial oracle. *)
+  let g = Lazy.force golden in
+  let oracle = Adaptive.run_model ~config:small_config (Rng.create ~seed:19) g in
+  let _, data = finished_log "torn_src.ckpt" ~seed:19 in
+  let starts, eof = frames data in
+  let path = tmp "torn.ckpt" in
+  let ends = List.tl starts @ [ eof ] in
+  List.iteri
+    (fun i (start, stop) ->
+      if i > 0 then begin
+        write_file path (String.sub data 0 start);
+        let before = RC.load ~path in
+        for cut = start + 1 to stop - 1 do
+          write_file path (String.sub data 0 cut);
+          let loaded = RC.load ~path in
+          Alcotest.(check int)
+            (Printf.sprintf "cut at %d: torn record dropped" cut)
+            before.RC.rounds loaded.RC.rounds;
+          let result, stats =
+            AE.run ~config:small_config ~checkpoint:path ~name:"lin" ~seed:19 g
+          in
+          check_same_result (Printf.sprintf "cut at %d" cut) oracle result;
+          Alcotest.(check int)
+            (Printf.sprintf "cut at %d: resumed, not restarted" cut)
+            (Array.length before.RC.samples) stats.AE.resumed_samples
+        done
+      end)
+    (List.combine starts ends);
+  Sys.remove path
+
+let test_round_log_mid_corruption () =
+  (* A flipped byte anywhere before the last record is corruption, not a
+     torn tail: a typed Format_error, whichever byte it is. *)
+  let _, data = finished_log "flip_src.ckpt" ~seed:20 in
+  let starts, _ = frames data in
+  let last = List.nth starts (List.length starts - 1) in
+  let path = tmp "flip.ckpt" in
+  for pos = 0 to last - 1 do
+    List.iter
+      (fun mask ->
+        let b = Bytes.of_string data in
+        Bytes.set b pos (Char.chr (Char.code data.[pos] lxor mask));
+        write_file path (Bytes.to_string b);
+        match RC.load ~path with
+        | _ -> Alcotest.failf "flip 0x%02x at byte %d of %d loaded" mask pos last
+        | exception Ftb_inject.Persist.Format_error _ -> ())
+      [ 0x01; 0x80 ]
+  done;
+  Sys.remove path
+
+let test_round_log_write_size () =
+  (* Counted in bytes: between two draws the log grows by one round's
+     samples blob and the next draw's cases plus fixed framing — never
+     by the campaign so far. *)
+  let g = Lazy.force golden in
+  let path = tmp "size.ckpt" in
+  let spec = Models.default_spec in
+  let sizes = ref [] and rounds = ref [] in
+  let exec ~round:_ ~cases =
+    sizes := (Unix.stat path).Unix.st_size :: !sizes;
+    let samples = Array.map (Sample_run.run_case_model spec g) cases in
+    rounds := samples :: !rounds;
+    samples
+  in
+  let result, _ = AE.run ~config:small_config ~checkpoint:path ~exec ~name:"lin" ~seed:21 g in
+  let sizes = Array.of_list (List.rev !sizes) and rounds = Array.of_list (List.rev !rounds) in
+  Alcotest.(check bool) "several rounds" true (Array.length rounds >= 3);
+  let framing = 2 * 13 in
+  for r = 0 to Array.length rounds - 2 do
+    let blob = String.length (Ftb_inject.Sample_codec.encode rounds.(r)) in
+    let draw = 8 * (1 + Array.length rounds.(r + 1)) in
+    Alcotest.(check int)
+      (Printf.sprintf "round %d appends its samples and the next draw" (r + 1))
+      (blob + draw + framing)
+      (sizes.(r + 1) - sizes.(r))
+  done;
+  Alcotest.(check int) "every round executed" (Array.length rounds) result.Adaptive.rounds;
+  Sys.remove path
+
+(* The v1 writer: one enveloped text snapshot, samples as hex. *)
+let save_v1 ~path (t : RC.t) =
+  let hex s = String.concat "" (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (String.to_seq s))) in
+  Ftb_inject.Persist.save_enveloped ~path (fun buf ->
+      Printf.bprintf buf "ftb-adaptive-v1 %s %d %s %s %s %h %h %d %d %d %d %Lx %d %s\n" t.RC.name
+        t.RC.sites
+        (Models.spec_to_string t.RC.spec)
+        (match t.RC.fuel with None -> "none" | Some n -> string_of_int n)
+        t.RC.fingerprint t.RC.config.Adaptive.round_fraction
+        t.RC.config.Adaptive.stop_sdc_fraction t.RC.config.Adaptive.max_rounds
+        (if t.RC.config.Adaptive.filter then 1 else 0)
+        (if t.RC.config.Adaptive.bias then 1 else 0)
+        t.RC.seed t.RC.rng_state t.RC.rounds
+        (match t.RC.stop with None -> "-" | Some r -> Adaptive.stop_reason_to_string r);
+      Printf.bprintf buf "samples %s\n" (hex (Ftb_inject.Sample_codec.encode t.RC.samples));
+      Option.iter
+        (fun cases ->
+          Printf.bprintf buf "pending %d%s\n" (Array.length cases)
+            (String.concat "" (Array.to_list (Array.map (Printf.sprintf " %d") cases))))
+        t.RC.pending)
+
+let test_round_log_v1_snapshot_resumes () =
+  (* A daemon upgraded mid-campaign finds a v1 snapshot on disk: it loads
+     field for field and the campaign resumes bit-identically. *)
+  let g = Lazy.force golden in
+  let oracle = Adaptive.run_model ~config:small_config (Rng.create ~seed:22) g in
+  let log = tmp "v1_src.ckpt" in
+  let folded = ref 0 in
+  (match
+     AE.run ~config:small_config ~checkpoint:log
+       ~on_round:(fun ~round:_ ~drawn:_ ~masked:_ ~sdc:_ ~crash:_ -> incr folded)
+       ~cancel:(fun () -> !folded >= 2)
+       ~name:"lin" ~seed:22 g
+   with
+  | exception AE.Cancelled -> ()
+  | _ -> Alcotest.fail "cancel ignored");
+  let state = RC.load ~path:log in
+  let path = tmp "v1.ckpt" in
+  save_v1 ~path state;
+  let back = RC.load ~path in
+  Alcotest.(check int) "rounds" state.RC.rounds back.RC.rounds;
+  Alcotest.(check int64) "rng state" state.RC.rng_state back.RC.rng_state;
+  Alcotest.(check int) "samples" (Array.length state.RC.samples) (Array.length back.RC.samples);
+  Alcotest.(check (option (array int))) "pending" state.RC.pending back.RC.pending;
+  let result, stats = AE.run ~config:small_config ~checkpoint:path ~name:"lin" ~seed:22 g in
+  check_same_result "resumed from v1" oracle result;
+  Alcotest.(check int) "v1 samples inherited" (Array.length state.RC.samples)
+    stats.AE.resumed_samples;
+  Sys.remove log;
+  Sys.remove path
+
+(* ------------------------------------------------------------------ *)
 (* Boundary store                                                      *)
 
 let entry_of ?(seed = 21) ?(created = 1000.) ?(prov = BS.prov_local) g =
@@ -402,6 +563,14 @@ let suite =
       test_mismatched_checkpoint_ignored;
     Alcotest.test_case "corrupt checkpoint quarantined" `Quick
       test_corrupt_checkpoint_quarantined;
+    Alcotest.test_case "round log: torn tail resumes bit-identical" `Quick
+      test_round_log_torn_tail;
+    Alcotest.test_case "round log: mid-log corruption is a Format_error" `Quick
+      test_round_log_mid_corruption;
+    Alcotest.test_case "round log: a round appends only its own bytes" `Quick
+      test_round_log_write_size;
+    Alcotest.test_case "round log: v1 snapshot resumes bit-identical" `Quick
+      test_round_log_v1_snapshot_resumes;
     Alcotest.test_case "round checkpoint round-trip" `Quick
       test_round_checkpoint_roundtrip;
     Alcotest.test_case "store put/find round-trip" `Quick test_store_put_find_roundtrip;

@@ -135,6 +135,31 @@ let prop_weighted_edge_cases =
       && S.for_all (fun i -> weights.(i) > 0.) full_set
       && over_n_raises && over_positive_raises)
 
+(* The weighted draw sorted every (key, index) pair before the bounded
+   heap replaced the sort; the heap must pick the same indices in the same
+   order and consume the same random numbers. *)
+let prop_weighted_matches_full_sort =
+  QCheck.Test.make ~name:"weighted draw = full sort of the keys" ~count:300
+    QCheck.(triple (list_of_size (Gen.int_range 1 60) (int_range 0 4)) small_int small_int)
+    (fun (raw, seed, kraw) ->
+      let weights = Array.of_list (List.map (fun w -> float_of_int w /. 2.) raw) in
+      let positive = Array.fold_left (fun acc w -> if w > 0. then acc + 1 else acc) 0 weights in
+      let k = if positive = 0 then 0 else kraw mod (positive + 1) in
+      let reference = Rng.create ~seed and rng = Rng.create ~seed in
+      let keys =
+        Array.mapi
+          (fun i w ->
+            if w = 0. then (infinity, i)
+            else
+              let u = 1. -. Rng.float reference 1. in
+              (-.log u /. w, i))
+          weights
+      in
+      Array.sort compare keys;
+      let expected = Array.init k (fun j -> snd keys.(j)) in
+      Sampling.weighted_without_replacement rng ~weights ~k = expected
+      && Rng.state rng = Rng.state reference)
+
 let suite =
   [
     Alcotest.test_case "uniform delegates" `Quick test_uniform_delegates;
@@ -146,4 +171,5 @@ let suite =
     Helpers.qcheck_to_alcotest prop_stratified_covers;
     Helpers.qcheck_to_alcotest prop_uniform_edge_cases;
     Helpers.qcheck_to_alcotest prop_weighted_edge_cases;
+    Helpers.qcheck_to_alcotest prop_weighted_matches_full_sort;
   ]
