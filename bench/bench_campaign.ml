@@ -451,7 +451,8 @@ let bench_cone ~opts =
    budget included, which keeps the fueled (no cone replay) executor on
    the cold path exactly as `ftb submit gemm` would pay it.
 
-   Guards: a full hit must beat the cold campaign by the floor below (it
+   Guards, each on the median over interleaved pairs of the per-pair
+   ratio: a full hit must beat the cold campaign by the floor below (it
    is one hash, one store read and one checkpoint write), and the
    partial rerun must cost no more than the invalidated section's share
    of the case space plus fixed overhead (sectionize's replay
@@ -474,6 +475,7 @@ type cache_guard = {
   hg_full_floor : float;  (* minimum tolerated full-hit speedup *)
   hg_partial_ratio : float;  (* partial / cold *)
   hg_partial_budget : float;  (* maximum tolerated partial / cold *)
+  hg_pairs : int;  (* interleaved pairs the medians are over *)
 }
 
 let bench_cache ~opts =
@@ -522,33 +524,10 @@ let bench_cache ~opts =
         (try Unix.rmdir path with Unix.Unix_error _ -> ())
     | _ -> ( try Sys.remove path with Sys_error _ -> ())
   in
-  let reps = max opts.reps 3 in
-  (* Cold: a fresh (empty) store per repetition; the timed region is the
-     composed campaign itself, harvest included. *)
-  let cold_s = ref infinity in
-  let store = ref None in
-  let last = ref None in
-  for _ = 1 to reps do
-    rm_rf root;
-    let s = Store.open_ ~root in
-    store := Some s;
-    let t0 = Unix.gettimeofday () in
-    let r = Compose.run ?fuel s ~ir golden in
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !cold_s then cold_s := dt;
-    last := Some r
-  done;
-  let store = Option.get !store in
-  let cold_report : Compose.report = Option.get !last in
-  check "cold composed campaign" cold_report.Compose.outcomes;
-  if cold_report.Compose.provenance <> Compose.Cold then begin
-    Printf.eprintf "FATAL: the empty-store campaign was not cold\n";
-    exit 1
-  end;
-  (* Full hit: the populated store now holds the boundary profile. *)
   let ckpt_path = Filename.temp_file "ftb_bench_cache" ".ckpt" in
   let program = golden.Golden.program.Ftb_trace.Program.name in
-  let serve () =
+  (* Full hit: the daemon's serve path against a populated store. *)
+  let serve store =
     match Compose.probe_boundary store ~ir ~model:Models.default_spec ~fuel with
     | None ->
         Printf.eprintf "FATAL: the populated store missed the boundary probe\n";
@@ -558,57 +537,82 @@ let bench_cache ~opts =
           (Compose.checkpoint_of_boundary b ~program ~shard_size:4096);
         b
   in
-  let boundary, full_s = time ~reps:(max (10 * reps) 20) serve in
-  check "boundary-profile serve"
-    (Bytes.of_string boundary.Ftb_compose.Profile.boutcomes);
-  (try Sys.remove ckpt_path with Sys_error _ -> ());
-  (* Partial: each repetition re-invalidates the victim (the rerun's
-     harvest restores its profile, and its boundary write restores the
-     whole-boundary profile). *)
+  (* Partial: the victim section's profile and the whole-boundary profile
+     are invalidated before each rerun (the rerun's harvest restores
+     both). *)
   let victim = plan.Section.sections.(0) in
   let bkey = Section.boundary_key ~ir ~model:Models.default_spec ~fuel in
   let share =
     float_of_int (victim.Section.site_hi - victim.Section.site_lo)
     /. float_of_int plan.Section.sites
   in
-  let partial_s = ref infinity in
-  let last = ref None in
-  for _ = 1 to reps do
+  let timed f =
+    let t0 = Unix.gettimeofday () in
+    let r = f () in
+    (r, Unix.gettimeofday () -. t0)
+  in
+  (* Interleaved pairs: each pair runs a cold campaign on an empty store,
+     a batch of full-hit serves, and a one-section rerun, back to back,
+     so a drift in host speed scales all three alike and cancels in the
+     pair's ratios. The guards read the median ratio over pairs; single
+     best-of blocks timed apart let one slow block decide. *)
+  let pairs = if opts.quick then 15 else max opts.reps 9 in
+  let serves = 10 in
+  let cold_t = Array.make pairs 0. in
+  let full_t = Array.make pairs 0. in
+  let partial_t = Array.make pairs 0. in
+  for i = 0 to pairs - 1 do
+    rm_rf root;
+    let store = Store.open_ ~root in
+    let cold, dt = timed (fun () -> Compose.run ?fuel store ~ir golden) in
+    cold_t.(i) <- dt;
+    check "cold composed campaign" cold.Compose.outcomes;
+    if cold.Compose.provenance <> Compose.Cold then begin
+      Printf.eprintf "FATAL: the empty-store campaign was not cold\n";
+      exit 1
+    end;
+    let boundary, dt =
+      timed (fun () ->
+          for _ = 2 to serves do
+            ignore (serve store : Ftb_compose.Profile.boundary)
+          done;
+          serve store)
+    in
+    full_t.(i) <- dt /. float_of_int serves;
+    check "boundary-profile serve" (Bytes.of_string boundary.Ftb_compose.Profile.boutcomes);
     if Store.invalidate store ~prefix:victim.Section.key < 1 then begin
       Printf.eprintf "FATAL: invalidating the victim section removed nothing\n";
       exit 1
     end;
-    ignore (Store.invalidate store ~prefix:bkey);
-    let t0 = Unix.gettimeofday () in
-    let r = Compose.run ?fuel store ~ir golden in
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !partial_s then partial_s := dt;
-    last := Some r
+    ignore (Store.invalidate store ~prefix:bkey : int);
+    let partial, dt = timed (fun () -> Compose.run ?fuel store ~ir golden) in
+    partial_t.(i) <- dt;
+    check "partial composed rerun" partial.Compose.outcomes;
+    if
+      partial.Compose.provenance <> Compose.Partial
+      || partial.Compose.sections_hit <> sections - 1
+    then begin
+      Printf.eprintf "FATAL: the one-section rerun was not a %d-of-%d partial hit\n"
+        (sections - 1) sections;
+      exit 1
+    end
   done;
-  let partial_report : Compose.report = Option.get !last in
-  check "partial composed rerun" partial_report.Compose.outcomes;
-  if
-    partial_report.Compose.provenance <> Compose.Partial
-    || partial_report.Compose.sections_hit <> sections - 1
-  then begin
-    Printf.eprintf "FATAL: the one-section rerun was not a %d-of-%d partial hit\n"
-      (sections - 1) sections;
-    exit 1
-  end;
+  (try Sys.remove ckpt_path with Sys_error _ -> ());
   rm_rf root;
-  let cold_s = !cold_s and partial_s = !partial_s in
-  let hg_full_speedup = cold_s /. full_s in
+  let median = Ftb_util.Stats.median in
+  let cold_s = median cold_t and full_s = median full_t and partial_s = median partial_t in
+  let hg_full_speedup = median (Array.map2 ( /. ) cold_t full_t) in
   (* Quick inputs are tiny, so the full hit's fixed costs (one file read,
      one checkpoint write) weigh proportionally more; the headline floor
      holds on the full-size kernel. *)
   let hg_full_floor = if opts.quick then 10. else 100. in
-  let hg_partial_ratio = partial_s /. cold_s in
+  let hg_partial_ratio = median (Array.map2 ( /. ) partial_t cold_t) in
   let hg_partial_budget = Float.min 0.95 (share +. 0.5) in
   Printf.printf
-    "  cold %8.3f s | full hit %.6f s (%.0fx, floor %.0fx)\n%!" cold_s full_s
-    hg_full_speedup hg_full_floor;
+    "  cold %8.3f s | full hit %.6f s (median pair %.0fx, floor %.0fx; %d pairs)\n%!"
+    cold_s full_s hg_full_speedup hg_full_floor pairs;
   Printf.printf
-    "  partial %8.3f s — %.2fx of cold (invalidated share %.2f, budget %.2f)\n%!"
+    "  partial %8.3f s — median pair %.2fx of cold (invalidated share %.2f, budget %.2f)\n%!"
     partial_s hg_partial_ratio share hg_partial_budget;
   if hg_full_speedup < hg_full_floor then begin
     Printf.eprintf
@@ -636,6 +640,7 @@ let bench_cache ~opts =
     hg_full_floor;
     hg_partial_ratio;
     hg_partial_budget;
+    hg_pairs = pairs;
   }
 
 let json_escape s =
@@ -700,6 +705,7 @@ let write_json ~opts ~guard ~models ~cone ~cache rows =
   bpf "    \"full_hit_floor\": %.1f,\n" cache.hg_full_floor;
   bpf "    \"partial_ratio\": %.4f,\n" cache.hg_partial_ratio;
   bpf "    \"partial_budget\": %.4f,\n" cache.hg_partial_budget;
+  bpf "    \"pairs\": %d,\n" cache.hg_pairs;
   bpf "    \"within_budget\": true\n";
   bpf "  },\n";
   bpf "  \"programs\": [\n";

@@ -69,16 +69,9 @@ let ground_truth golden t =
      <manifest: one '0'/'1' per shard>
      <raw outcome bytes, full length; incomplete shards are padding>
    The model field is the single-token [Models.spec_to_string] encoding.
-   v2 files — the same layout minus the model field — still load and mean
-   [Bit_flip_64] (the only model any v2 campaign could have run). Files
-   written before the envelope existed carry the payload bare and still
-   load (unverified). A complete ground-truth file (Persist v1/v2) is
-   accepted as a fully completed *default-model* checkpoint, so finished
-   campaigns saved before the resumable engine existed can seed a resume
-   directly. *)
+   Any other magic is an unsupported format. *)
 
 let magic = "ftb-campaign-v3"
-let magic_v2 = "ftb-campaign-v2"
 
 let save ~path t =
   Persist.save_enveloped ~path (fun b ->
@@ -107,99 +100,65 @@ let validate_bytes ~path t =
       end)
     t.completed
 
-(* [payload] is the envelope-verified (or legacy raw) file content; parse
-   it as header line, manifest line, then raw outcome bytes. *)
-let load_campaign ~path ~model:requested golden payload header_end =
+(* Parse an envelope-verified payload: header line, manifest line, then
+   raw outcome bytes. *)
+let load ?(model = Models.default_spec) ~path ~shard_size:_ golden =
+  let requested = model in
+  let payload = Persist.load_enveloped ~path in
+  let header_end =
+    match String.index_opt payload '\n' with
+    | Some nl -> nl
+    | None -> fail "%s:1: malformed checkpoint header" path
+  in
   let header = String.sub payload 0 header_end in
-  let fields =
+  let program, sites, shard_size, model, fingerprint =
     match String.split_on_char ' ' header with
-    | [ m; program; sites; shard_size; fingerprint ] when m = magic_v2 ->
-        (* v2 predates pluggable models: it is a Bit_flip_64 campaign. *)
-        Some (program, sites, shard_size, Models.default_spec, fingerprint)
     | [ m; program; sites; shard_size; model; fingerprint ] when m = magic -> (
         match Models.spec_of_string model with
-        | Ok model -> Some (program, sites, shard_size, model, fingerprint)
+        | Ok model -> (program, sites, shard_size, model, fingerprint)
         | Error msg -> fail "%s:1: %s" path msg)
-    | m :: _ when m = magic || m = magic_v2 ->
-        fail "%s:1: malformed checkpoint header %S" path header
-    | _ -> fail "%s:1: bad magic in %S (expected %s)" path header magic
+    | m :: _ when m = magic -> fail "%s:1: malformed checkpoint header %S" path header
+    | _ ->
+        fail "%s:1: unsupported checkpoint format %S (expected %s)" path
+          (Persist.format_token payload) magic
   in
-  match fields with
-  | None -> assert false
-  | Some (program, sites, shard_size, model, fingerprint) ->
-      let int_field what s =
-        match int_of_string_opt s with
-        | Some v -> v
-        | None -> fail "%s:1: bad %s %S" path what s
-      in
-      let sites = int_field "site count" sites in
-      let shard_size = int_field "shard size" shard_size in
-      if shard_size <= 0 then fail "%s:1: shard size must be positive" path;
-      if program <> golden.Golden.program.Ftb_trace.Program.name then
-        fail "%s:1: checkpoint is for program %S, golden run is %S" path program
-          golden.Golden.program.Ftb_trace.Program.name;
-      if sites <> Golden.sites golden then
-        fail "%s:1: checkpoint has %d sites, golden run has %d" path sites
-          (Golden.sites golden);
-      if not (Models.spec_equal model requested) then
-        fail "%s:1: checkpoint is for fault model %s, campaign wants %s" path
-          (Models.spec_name model) (Models.spec_name requested);
-      let expected = fingerprint_of_golden golden in
-      if fingerprint <> expected then
-        fail "%s:1: golden-run fingerprint mismatch (%s stored, %s computed)" path
-          fingerprint expected;
-      let total = Models.total_cases model ~sites in
-      let n_shards = Shard.count ~total ~shard_size in
-      let manifest_end =
-        match String.index_from_opt payload (header_end + 1) '\n' with
-        | Some nl -> nl
-        | None -> fail "%s:2: missing shard manifest" path
-      in
-      let manifest =
-        String.sub payload (header_end + 1) (manifest_end - header_end - 1)
-      in
-      if String.length manifest <> n_shards then
-        fail "%s:2: manifest has %d entries, expected %d shards" path
-          (String.length manifest) n_shards;
-      let completed =
-        Array.init n_shards (fun i ->
-            match manifest.[i] with
-            | '1' -> true
-            | '0' -> false
-            | c -> fail "%s:2: bad manifest flag %C for shard %d" path c i)
-      in
-      if String.length payload - manifest_end - 1 < total then
-        fail "%s: truncated outcome data" path;
-      let outcomes = Bytes.of_string (String.sub payload (manifest_end + 1) total) in
-      let t = { program; sites; shard_size; model; fingerprint; completed; outcomes } in
-      validate_bytes ~path t;
-      t
-
-let load ?(model = Models.default_spec) ~path ~shard_size golden =
-  let payload = Persist.load_enveloped ~path in
-  if payload = "" then fail "%s:1: empty checkpoint" path;
-  let has_magic m =
-    String.length payload >= String.length m && String.sub payload 0 (String.length m) = m
+  let sites = Persist.int_field ~path:(path ^ ":1") "site count" sites in
+  let shard_size = Persist.int_field ~path:(path ^ ":1") "shard size" shard_size in
+  if shard_size <= 0 then fail "%s:1: shard size must be positive" path;
+  if program <> golden.Golden.program.Ftb_trace.Program.name then
+    fail "%s:1: checkpoint is for program %S, golden run is %S" path program
+      golden.Golden.program.Ftb_trace.Program.name;
+  if sites <> Golden.sites golden then
+    fail "%s:1: checkpoint has %d sites, golden run has %d" path sites
+      (Golden.sites golden);
+  if not (Models.spec_equal model requested) then
+    fail "%s:1: checkpoint is for fault model %s, campaign wants %s" path
+      (Models.spec_name model) (Models.spec_name requested);
+  let expected = fingerprint_of_golden golden in
+  if fingerprint <> expected then
+    fail "%s:1: golden-run fingerprint mismatch (%s stored, %s computed)" path
+      fingerprint expected;
+  let total = Models.total_cases model ~sites in
+  let n_shards = Shard.count ~total ~shard_size in
+  let manifest_end =
+    match String.index_from_opt payload (header_end + 1) '\n' with
+    | Some nl -> nl
+    | None -> fail "%s:2: missing shard manifest" path
   in
-  if has_magic magic || has_magic magic_v2 then begin
-    let header_end =
-      match String.index_opt payload '\n' with
-      | Some nl -> nl
-      | None -> fail "%s:1: malformed checkpoint header" path
-    in
-    load_campaign ~path ~model golden payload header_end
-  end
-  else begin
-    (* Fall back to a complete ground-truth file (Persist v1/v2). Those
-       files predate pluggable models and hold exactly the 64 bit-flip
-       bytes, so they can only seed a default-model campaign. *)
-    if not (Models.spec_equal model Models.default_spec) then
-      fail "%s: ground-truth files carry only the %s model, campaign wants %s" path
-        (Models.spec_name Models.default_spec)
-        (Models.spec_name model);
-    let gt = Persist.load_ground_truth ~path golden in
-    let t = create ~model golden ~shard_size in
-    Bytes.blit gt.Ground_truth.outcomes 0 t.outcomes 0 (Bytes.length t.outcomes);
-    Array.fill t.completed 0 (Array.length t.completed) true;
-    t
-  end
+  let manifest = String.sub payload (header_end + 1) (manifest_end - header_end - 1) in
+  if String.length manifest <> n_shards then
+    fail "%s:2: manifest has %d entries, expected %d shards" path
+      (String.length manifest) n_shards;
+  let completed =
+    Array.init n_shards (fun i ->
+        match manifest.[i] with
+        | '1' -> true
+        | '0' -> false
+        | c -> fail "%s:2: bad manifest flag %C for shard %d" path c i)
+  in
+  if String.length payload - manifest_end - 1 < total then
+    fail "%s: truncated outcome data" path;
+  let outcomes = Bytes.of_string (String.sub payload (manifest_end + 1) total) in
+  let t = { program; sites; shard_size; model; fingerprint; completed; outcomes } in
+  validate_bytes ~path t;
+  t

@@ -18,12 +18,12 @@
     v}
 
     [<model>] is the single-token {!Ftb_inject.Models.spec_to_string}
-    encoding of the campaign's fault model. Format v2 — the same layout
-    without the model field — still loads and means [Bit_flip_64], the
-    only model a v2 campaign could have run. Pre-envelope files carry the
-    payload bare and still load (unverified). Loading also accepts a
-    complete ground-truth file ({!Ftb_inject.Persist}, v1 or v2) as a
-    fully-completed default-model checkpoint. *)
+    encoding of the campaign's fault model. A complete checkpoint is the
+    durable form of a finished exhaustive campaign ({!ground_truth}
+    seals it). Any other format — the v2 header without a model field,
+    bytes without the envelope, a bare ground-truth file — is a
+    {!Ftb_inject.Persist.Format_error} naming the unsupported magic, and
+    {!Engine}'s [Restart] policy then quarantines it and rebuilds. *)
 
 type t = {
   program : string;
@@ -71,5 +71,4 @@ val load :
     model, golden fingerprint and outcome bytes of completed shards are
     all checked. Raises {!Ftb_inject.Persist.Format_error} (messages
     carry the offending path and line) on any mismatch or corruption.
-    [shard_size] is only used when adapting a complete ground-truth file,
-    which carries no sharding of its own. *)
+    [shard_size] is unused: a checkpoint records its own sharding. *)

@@ -79,14 +79,8 @@ let prov_valid p =
       names <> "" && List.for_all name_valid (String.split_on_char ',' names)
   | _ -> false
 
-(* v2 appends the provenance token; v1 artifacts (pre-provenance stores)
-   still parse, as [local] — they were written before fleet harvests
-   recorded origin, and an operator who distrusts such a store clears
-   it wholesale. *)
 let section_magic = "ftb-section-profile-v2"
 let boundary_magic = "ftb-boundary-profile-v2"
-let section_magic_v1 = "ftb-section-profile-v1"
-let boundary_magic_v1 = "ftb-boundary-profile-v1"
 
 (* Outcome bytes use the ground-truth taxonomy encoding '\000'..'\005'
    (Ftb_inject.Ground_truth.byte_of_result); anything else in a decoded
@@ -115,9 +109,9 @@ let fail path fmt =
   Printf.ksprintf (fun msg -> raise (Persist.Format_error (path ^ ": " ^ msg))) fmt
 
 let int_field path what s =
-  match int_of_string_opt s with
-  | Some n when n >= 0 -> n
-  | _ -> fail path "bad %s field %S" what s
+  let n = Persist.int_field ~path what s in
+  if n < 0 then fail path "bad %s field %S" what s;
+  n
 
 let fp_field path what s =
   if Fingerprint.is_hex s then s else fail path "bad %s fingerprint %S" what s
@@ -183,18 +177,12 @@ let parse ~path contents =
       | [ magic; key; model; width; site_lo; sites; entry_fp; exit_fp; prov ]
         when magic = section_magic ->
           section_of ~key ~model ~width ~site_lo ~sites ~entry_fp ~exit_fp ~prov
-      | [ magic; key; model; width; site_lo; sites; entry_fp; exit_fp ]
-        when magic = section_magic_v1 ->
-          section_of ~key ~model ~width ~site_lo ~sites ~entry_fp ~exit_fp
-            ~prov:prov_local
       | [ magic; key; model; width; sites; golden_fp; masked; sdc; crash; prov ]
         when magic = boundary_magic ->
           boundary_of ~key ~model ~width ~sites ~golden_fp ~masked ~sdc ~crash ~prov
-      | [ magic; key; model; width; sites; golden_fp; masked; sdc; crash ]
-        when magic = boundary_magic_v1 ->
-          boundary_of ~key ~model ~width ~sites ~golden_fp ~masked ~sdc ~crash
-            ~prov:prov_local
-      | magic :: _ -> fail path "unknown profile magic %S" magic
+      | magic :: _ when magic = section_magic || magic = boundary_magic ->
+          fail path "malformed %s header" magic
+      | magic :: _ -> fail path "unsupported profile format %S" magic
       | [] -> fail path "empty profile header")
 
 let count_outcomes s =

@@ -19,7 +19,10 @@
     ftb-section-profile-v2 <key> <model> <width> <site_lo> <sites> <entry-fp> <exit-fp> <prov>
     ftb-boundary-profile-v2 <key> <model> <width> <sites> <golden-fp> <masked> <sdc> <crash> <prov>
     v}
-    The v1 headers (no provenance token) still parse, as [local]. *)
+    Any other header, the v1 forms without a provenance token included,
+    is a {!Ftb_inject.Persist.Format_error} naming the unsupported
+    magic; the store quarantines such an entry and the section is
+    re-executed. *)
 
 type section = {
   key : string;

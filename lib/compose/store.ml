@@ -1,90 +1,14 @@
-module Persist = Ftb_inject.Persist
-module Fingerprint = Ftb_util.Fingerprint
+module Cas = Ftb_inject.Cas
 
-type t = { root : string }
+(* A typed view over the content-addressed substrate: this module keeps
+   only the Profile codec and the provenance counters. *)
+type t = Cas.t
 
-let rec mkdir_p path =
-  if not (Sys.file_exists path) then begin
-    mkdir_p (Filename.dirname path);
-    try Unix.mkdir path 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-let open_ ~root =
-  mkdir_p root;
-  { root }
-
-let root t = t.root
-
-(* Entries shard by the key's first two hex chars: <root>/ab/<key>. Keeps
-   directories small under heavy traffic and gives Persist.quarantine a
-   natural sibling (<root>/ab/quarantine/) that the scan below can
-   count. *)
-let shard_dir t key = Filename.concat t.root (String.sub key 0 2)
-let path_of_key t key = Filename.concat (shard_dir t key) key
-
-let entries_of_dir dir =
-  match Sys.readdir dir with
-  | exception Sys_error _ -> []
-  | names ->
-      Array.to_list names
-      |> List.filter (fun name -> Fingerprint.is_hex name)
-      |> List.map (Filename.concat dir)
-
-let shard_dirs t =
-  match Sys.readdir t.root with
-  | exception Sys_error _ -> []
-  | names ->
-      Array.to_list names
-      |> List.filter (fun name ->
-             String.length name = 2
-             && String.for_all
-                  (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false)
-                  name)
-      |> List.map (Filename.concat t.root)
-
-let all_entries t = List.concat_map entries_of_dir (shard_dirs t)
-
-let find t ~key =
-  if not (Fingerprint.is_hex key) then None
-  else
-    let path = path_of_key t key in
-    if not (Sys.file_exists path) then None
-    else
-      (* Any failure between here and a fully-validated profile means the
-         artifact cannot be trusted: quarantine it as evidence (the next
-         campaign rebuilds it) and report a miss. A corrupt cache entry
-         costs a re-execution, never a wrong byte. *)
-      match Persist.load_enveloped ~path with
-      | exception (Persist.Format_error _ | Sys_error _) ->
-          ignore (Persist.quarantine ~path : string option);
-          None
-      | contents -> (
-          match Profile.parse ~path contents with
-          | exception Persist.Format_error _ ->
-              ignore (Persist.quarantine ~path : string option);
-              None
-          | profile ->
-              if Profile.key profile = key then Some profile
-              else begin
-                ignore (Persist.quarantine ~path : string option);
-                None
-              end)
-
-let put t profile =
-  let key = Profile.key profile in
-  mkdir_p (shard_dir t key);
-  Persist.save_enveloped ~path:(path_of_key t key) (Profile.write profile)
-
-(* Read-only decode used by stats and the provenance purge: never
-   quarantines (these are bulk scans, not serving paths — [find] owns the
-   quarantine policy). *)
-let profile_of_path path =
-  match Persist.load_enveloped ~path with
-  | exception (Persist.Format_error _ | Sys_error _) -> None
-  | contents -> (
-      match Profile.parse ~path contents with
-      | exception Persist.Format_error _ -> None
-      | profile -> Some profile)
+let open_ = Cas.open_
+let root = Cas.root
+let path_of_key = Cas.path_of_key
+let find t ~key = Cas.find t ~key ~decode:Profile.parse ~key_of:Profile.key
+let put t profile = Cas.put t ~key:(Profile.key profile) (Profile.write profile)
 
 type stats = {
   entries : int;
@@ -96,53 +20,31 @@ type stats = {
 }
 
 let stats t =
-  let entries = ref 0 and bytes = ref 0 in
+  let base = Cas.stats t in
   let sections = ref 0 and boundaries = ref 0 and unaudited = ref 0 in
+  (* A file that no longer decodes counts as an entry (it occupies the
+     namespace) but as neither kind. *)
   List.iter
-    (fun path ->
-      match Unix.stat path with
-      | exception Unix.Unix_error _ -> ()
-      | st -> (
-          incr entries;
-          bytes := !bytes + st.Unix.st_size;
-          (* A file that no longer decodes counts as an entry (it occupies
-             the namespace) but as neither kind. *)
-          match profile_of_path path with
-          | None -> ()
-          | Some profile ->
-              (match profile with
-              | Profile.Section _ -> incr sections
-              | Profile.Boundary _ -> incr boundaries);
-              if not (Profile.prov_trusted (Profile.prov_of profile)) then
-                incr unaudited))
-    (all_entries t);
-  let quarantined =
-    List.fold_left
-      (fun acc dir ->
-        match Sys.readdir (Filename.concat dir "quarantine") with
-        | exception Sys_error _ -> acc
-        | names -> acc + Array.length names)
-      0 (shard_dirs t)
-  in
+    (fun (_, profile) ->
+      Option.iter
+        (fun profile ->
+          (match profile with
+          | Profile.Section _ -> incr sections
+          | Profile.Boundary _ -> incr boundaries);
+          if not (Profile.prov_trusted (Profile.prov_of profile)) then incr unaudited)
+        profile)
+    (Cas.scan t ~decode:Profile.parse);
   {
-    entries = !entries;
-    bytes = !bytes;
+    entries = base.Cas.entries;
+    bytes = base.Cas.bytes;
     sections = !sections;
     boundaries = !boundaries;
-    quarantined;
+    quarantined = base.Cas.quarantined;
     unaudited = !unaudited;
   }
 
-let remove path = try Sys.remove path with Sys_error _ -> ()
-
 let invalidate t ~prefix =
-  let victims =
-    List.filter
-      (fun path -> String.starts_with ~prefix (Filename.basename path))
-      (all_entries t)
-  in
-  List.iter remove victims;
-  List.length victims
+  Cas.remove_if t (fun path -> String.starts_with ~prefix (Filename.basename path))
 
 (* Provenance purge: everything a (typically later-quarantined) worker
    contributed to goes, trusted-or-not — its audited shards may have been
@@ -150,29 +52,9 @@ let invalidate t ~prefix =
    always safe. Entries that no longer decode are left for [find]'s
    quarantine policy. *)
 let invalidate_worker t ~worker =
-  let victims =
-    List.filter
-      (fun path ->
-        match profile_of_path path with
-        | Some profile ->
-            List.mem worker (Profile.prov_workers (Profile.prov_of profile))
-        | None -> false)
-      (all_entries t)
-  in
-  List.iter remove victims;
-  List.length victims
+  Cas.remove_if t (fun path ->
+      match Cas.read ~decode:Profile.parse path with
+      | Some profile -> List.mem worker (Profile.prov_workers (Profile.prov_of profile))
+      | None -> false)
 
-let gc t ~keep =
-  if keep < 0 then invalid_arg "Store.gc: keep must be non-negative";
-  let dated =
-    List.filter_map
-      (fun path ->
-        match Unix.stat path with
-        | exception Unix.Unix_error _ -> None
-        | st -> Some (st.Unix.st_mtime, path))
-      (all_entries t)
-    |> List.sort (fun (a, _) (b, _) -> compare b a)  (* newest first *)
-  in
-  let victims = List.filteri (fun i _ -> i >= keep) dated in
-  List.iter (fun (_, path) -> remove path) victims;
-  List.length victims
+let gc t ~keep = Cas.gc t ~keep

@@ -1,16 +1,16 @@
-(** Content-addressed on-disk profile store.
+(** Content-addressed on-disk profile store: a typed view over
+    {!Ftb_inject.Cas} with the {!Profile} codec.
 
-    Layout: [<root>/<k0k1>/<key>] — entries shard by the key's first two
-    hex characters so directories stay small under heavy traffic. Every
-    entry is a {!Profile} payload wrapped in the CRC32 integrity envelope
-    ({!Ftb_inject.Persist.save_enveloped}) and written atomically.
-
-    Corruption policy is quarantine-and-rebuild: an entry that fails the
-    envelope check, no longer parses, or does not carry the key it is
-    filed under is moved to the shard's [quarantine/] sibling (preserved
-    as evidence) and reported as a miss — the next campaign re-executes
-    the section and {!put} rebuilds the entry. A corrupt cache entry can
-    cost a re-execution, never a wrong byte. *)
+    Entries live at [<root>/<k0k1>/<key>], each a {!Profile} payload in
+    the CRC32 integrity envelope, written atomically. The substrate owns
+    the layout, the entry scan, gc and the quarantine policy: an entry
+    that fails the envelope check, no longer parses, or does not carry
+    the key it is filed under is moved to the shard's [quarantine/]
+    sibling and reported as a miss. The next campaign re-executes the
+    section and {!put} rebuilds the entry, so a corrupt cache entry can
+    cost a re-execution, never a wrong byte. What this module adds is the
+    per-kind and provenance counters of {!stats} and the provenance
+    purge {!invalidate_worker}. *)
 
 type t
 

@@ -7,10 +7,9 @@ type t = { golden : Golden.t; outcomes : Bytes.t }
 
 type reason_counts = { nan : int; inf : int; exn : int; fuel : int }
 
-(* Dense outcome-byte encoding (persistence format v2). v1 campaigns only
-   ever stored '\000'..'\002'; the crash taxonomy refines '\002' into four
-   reason-carrying bytes, so every v1 byte is still a valid v2 byte (a v1
-   crash loads as a generic exception crash). *)
+(* Dense outcome-byte encoding, shared by checkpoints, profiles and
+   sample blobs: '\000' masked, '\001' SDC, and the crash taxonomy's four
+   reason-carrying bytes '\002'..'\005'. *)
 let crash_byte = function
   | Ctx.Exception_raised -> '\002'
   | Ctx.Nan_value -> '\003'

@@ -64,8 +64,7 @@ val outcome : t -> int -> Ftb_trace.Runner.outcome
 
 val crash_reason : t -> int -> Ftb_trace.Ctx.crash_reason option
 (** Crash-taxonomy reason of a dense case index; [None] unless the case
-    crashed. Campaigns recorded before the taxonomy (format v1) report
-    every crash as {!Ftb_trace.Ctx.Exception_raised}. *)
+    crashed. *)
 
 val outcome_of_fault : t -> Ftb_trace.Fault.t -> Ftb_trace.Runner.outcome
 

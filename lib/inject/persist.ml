@@ -1,8 +1,3 @@
-module Ctx = Ftb_trace.Ctx
-module Golden = Ftb_trace.Golden
-module Runner = Ftb_trace.Runner
-module Fault = Ftb_trace.Fault
-
 exception Format_error of string
 
 let fail fmt = Printf.ksprintf (fun msg -> raise (Format_error msg)) fmt
@@ -53,14 +48,19 @@ let with_out_atomic path f =
           raise e);
       Sys.rename tmp path)
 
+let rec mkdir_p path =
+  if not (Sys.file_exists path) then begin
+    mkdir_p (Filename.dirname path);
+    try Unix.mkdir path 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Integrity envelope: a checksummed, versioned wrapper around a whole
    durable artifact. The first line declares the payload length and its
    CRC32, so a torn write (rename survived, data did not), a truncation,
    or any flipped byte is detected before a single payload byte is
-   trusted. Files written before the envelope existed do not start with
-   the envelope magic and are returned as-is — legacy artifacts keep
-   loading, they just carry no integrity evidence. *)
+   trusted. Bytes without the header are refused, naming the format they
+   announce instead. *)
 
 let envelope_magic = "ftb-envelope-v1"
 
@@ -81,44 +81,54 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let is_enveloped contents =
-  String.length contents > String.length envelope_magic
-  && String.sub contents 0 (String.length envelope_magic) = envelope_magic
+let first_word s ~from =
+  let stop = ref from in
+  while !stop < String.length s && !stop - from < 64 && s.[!stop] <> ' ' && s.[!stop] <> '\n' do
+    incr stop
+  done;
+  String.sub s from (!stop - from)
+
+let format_token contents =
+  let token = first_word contents ~from:0 in
+  match String.index_opt contents '\n' with
+  | Some nl when token = envelope_magic -> first_word contents ~from:(nl + 1)
+  | Some _ | None -> token
 
 let load_enveloped ~path =
   let contents = read_file path in
-  if not (is_enveloped contents) then contents
-  else begin
-    let nl =
-      match String.index_opt contents '\n' with
-      | Some nl -> nl
-      | None -> fail "%s:1: truncated envelope header" path
-    in
-    let header = String.sub contents 0 nl in
-    (match String.split_on_char ' ' header with
-    | [ _magic; length; crc ] ->
-        let declared_length =
-          match int_of_string_opt length with
-          | Some n when n >= 0 -> n
-          | Some _ | None -> fail "%s:1: bad envelope payload length %S" path length
-        in
-        let declared_crc =
-          match int_of_string_opt ("0x" ^ crc) with
-          | Some c -> c
-          | None -> fail "%s:1: bad envelope checksum %S" path crc
-        in
-        let payload_length = String.length contents - nl - 1 in
-        if payload_length <> declared_length then
-          fail "%s: torn or truncated artifact (%d payload bytes, envelope declares %d)"
-            path payload_length declared_length;
-        let payload = String.sub contents (nl + 1) payload_length in
-        let actual = crc32 payload in
-        if actual <> declared_crc then
-          fail "%s: checksum mismatch (stored %08x, computed %08x) — artifact is corrupt"
-            path declared_crc actual;
-        payload
-    | _ -> fail "%s:1: malformed envelope header %S" path header)
-  end
+  let nl =
+    match String.index_opt contents '\n' with
+    | Some nl -> nl
+    | None -> String.length contents
+  in
+  let header = String.sub contents 0 nl in
+  match String.split_on_char ' ' header with
+  | [ magic; length; crc ] when magic = envelope_magic ->
+      let declared_length =
+        match int_of_string_opt length with
+        | Some n when n >= 0 -> n
+        | Some _ | None -> fail "%s:1: bad envelope payload length %S" path length
+      in
+      let declared_crc =
+        match int_of_string_opt ("0x" ^ crc) with
+        | Some c -> c
+        | None -> fail "%s:1: bad envelope checksum %S" path crc
+      in
+      let payload_length = String.length contents - nl - 1 in
+      if payload_length <> declared_length then
+        fail "%s: torn or truncated artifact (%d payload bytes, envelope declares %d)"
+          path payload_length declared_length;
+      let payload = String.sub contents (nl + 1) payload_length in
+      let actual = crc32 payload in
+      if actual <> declared_crc then
+        fail "%s: checksum mismatch (stored %08x, computed %08x) — artifact is corrupt"
+          path declared_crc actual;
+      payload
+  | magic :: _ when magic = envelope_magic ->
+      fail "%s:1: malformed envelope header %S" path header
+  | _ ->
+      fail "%s: unsupported format %S (no %s header)" path (format_token contents)
+        envelope_magic
 
 (* Corrupt artifacts are preserved for post-mortem instead of deleted:
    they move into a [quarantine/] sibling directory, freeing the original
@@ -143,156 +153,22 @@ let quarantine ~path =
     | exception Sys_error _ -> None
   end
 
-(* Readers carry the source path and a running line counter so every parse
-   error is attributed as "path:line: message". *)
-type reader = { path : string; ic : in_channel; mutable line : int }
 
-let fail_at r fmt =
-  Printf.ksprintf
-    (fun msg -> raise (Format_error (Printf.sprintf "%s:%d: %s" r.path r.line msg)))
-    fmt
+let load_or_quarantine ~path load =
+  if not (Sys.file_exists path) then None
+  else
+    match load path with
+    | v -> Some v
+    | exception (Format_error _ | Sys_error _) ->
+        ignore (quarantine ~path : string option);
+        None
 
-let with_reader path f =
-  let ic =
-    try open_in_bin path with Sys_error msg -> fail "%s: cannot open: %s" path msg
-  in
-  let r = { path; ic; line = 0 } in
-  Fun.protect ~finally:(fun () -> close_in r.ic) (fun () -> f r)
+let int_field ~path what s =
+  match int_of_string_opt s with
+  | Some n -> n
+  | None -> fail "%s: bad %s field %S" path what s
 
-let input_line_exn r what =
-  match input_line r.ic with
-  | line ->
-      r.line <- r.line + 1;
-      line
-  | exception End_of_file -> fail_at r "unexpected end of file while reading %s" what
-
-(* ------------------------------------------------------------------ *)
-(* Ground truth: header + raw outcome bytes.                           *)
-
-let gt_magic_v1 = "ftb-ground-truth-v1"
-let gt_magic = "ftb-ground-truth-v2"
-
-let save_ground_truth ~path gt =
-  let golden = gt.Ground_truth.golden in
-  with_out_atomic path (fun oc ->
-      Printf.fprintf oc "%s %s %d\n" gt_magic
-        golden.Golden.program.Ftb_trace.Program.name (Golden.sites golden);
-      output_bytes oc gt.Ground_truth.outcomes)
-
-let load_ground_truth ~path golden =
-  with_reader path (fun r ->
-      let header = input_line_exn r "ground-truth header" in
-      (match String.split_on_char ' ' header with
-      | [ magic; name; sites ] ->
-          if magic <> gt_magic && magic <> gt_magic_v1 then
-            fail_at r "bad magic %S (expected %s or %s)" magic gt_magic gt_magic_v1;
-          if name <> golden.Golden.program.Ftb_trace.Program.name then
-            fail_at r "campaign is for program %S, golden run is %S" name
-              golden.Golden.program.Ftb_trace.Program.name;
-          let stored_sites =
-            match int_of_string_opt sites with
-            | Some n -> n
-            | None -> fail_at r "bad site count %S" sites
-          in
-          if stored_sites <> Golden.sites golden then
-            fail_at r "campaign has %d sites, golden run has %d" stored_sites
-              (Golden.sites golden)
-      | _ -> fail_at r "malformed header %S" header);
-      let total = Golden.cases golden in
-      let outcomes = Bytes.create total in
-      (try really_input r.ic outcomes 0 total
-       with End_of_file -> fail_at r "truncated outcome data");
-      (try Ground_truth.of_outcomes golden outcomes
-       with Invalid_argument msg -> fail_at r "%s" msg))
-
-(* ------------------------------------------------------------------ *)
-(* Samples: header + one line per experiment.                          *)
-
-let samples_magic_v1 = "ftb-samples-v1"
-let samples_magic = "ftb-samples-v2"
-
-(* v2 refines the v1 "crash" tag with the taxonomy reason; v1 files load
-   with every crash reported as a generic exception crash. *)
-let outcome_tag (outcome : Runner.outcome) reason =
-  match (outcome, reason) with
-  | Runner.Masked, _ -> "masked"
-  | Runner.Sdc, _ -> "sdc"
-  | Runner.Crash, Some Ctx.Nan_value -> "crash-nan"
-  | Runner.Crash, Some Ctx.Inf_value -> "crash-inf"
-  | Runner.Crash, Some Ctx.Fuel_exhausted -> "crash-fuel"
-  | Runner.Crash, (Some Ctx.Exception_raised | None) -> "crash-exn"
-
-let outcome_of_tag r = function
-  | "masked" -> (Runner.Masked, None)
-  | "sdc" -> (Runner.Sdc, None)
-  | "crash" (* v1 *) | "crash-exn" -> (Runner.Crash, Some Ctx.Exception_raised)
-  | "crash-nan" -> (Runner.Crash, Some Ctx.Nan_value)
-  | "crash-inf" -> (Runner.Crash, Some Ctx.Inf_value)
-  | "crash-fuel" -> (Runner.Crash, Some Ctx.Fuel_exhausted)
-  | tag -> fail_at r "unknown outcome tag %S" tag
-
-let save_samples ~path ~name samples =
-  with_out_atomic path (fun oc ->
-      Printf.fprintf oc "%s %s %d\n" samples_magic name (Array.length samples);
-      Array.iter
-        (fun (s : Sample_run.t) ->
-          Printf.fprintf oc "%d %d %s %h" s.Sample_run.fault.Fault.site
-            s.Sample_run.fault.Fault.bit
-            (outcome_tag s.Sample_run.outcome s.Sample_run.crash_reason)
-            s.Sample_run.injected_error;
-          (match s.Sample_run.propagation with
-          | None -> Printf.fprintf oc " -"
-          | Some (start, deviations) ->
-              Printf.fprintf oc " %d %d" start (Array.length deviations);
-              Array.iter (fun d -> Printf.fprintf oc " %h" d) deviations);
-          output_char oc '\n')
-        samples)
-
-let float_of_field r field =
-  (* %h prints "inf"/"nan" for non-finite values; float_of_string accepts
-     both plus the 0x... hexadecimal forms. *)
-  match float_of_string_opt field with
-  | Some v -> v
-  | None -> fail_at r "bad float field %S" field
-
-let parse_sample r line =
-  match String.split_on_char ' ' line with
-  | site :: bit :: tag :: injected :: rest ->
-      let int_field what s =
-        match int_of_string_opt s with Some v -> v | None -> fail_at r "bad %s %S" what s
-      in
-      let fault = Fault.make ~site:(int_field "site" site) ~bit:(int_field "bit" bit) in
-      let outcome, crash_reason = outcome_of_tag r tag in
-      let injected_error = float_of_field r injected in
-      let propagation =
-        match rest with
-        | [ "-" ] -> None
-        | start :: count :: deviations ->
-            let start = int_field "start" start in
-            let count = int_field "deviation count" count in
-            if List.length deviations <> count then
-              fail_at r "expected %d deviations, found %d" count (List.length deviations);
-            Some (start, Array.of_list (List.map (float_of_field r) deviations))
-        | _ -> fail_at r "malformed propagation in %S" line
-      in
-      { Sample_run.fault; outcome; crash_reason; injected_error; propagation }
-  | _ -> fail_at r "malformed sample line %S" line
-
-let load_samples ~path ~name =
-  with_reader path (fun r ->
-      let header = input_line_exn r "samples header" in
-      let count =
-        match String.split_on_char ' ' header with
-        | [ magic; stored_name; count ] ->
-            if magic <> samples_magic && magic <> samples_magic_v1 then
-              fail_at r "bad magic %S (expected %s or %s)" magic samples_magic
-                samples_magic_v1;
-            if stored_name <> name then
-              fail_at r "samples are for program %S, expected %S" stored_name name;
-            (match int_of_string_opt count with
-            | Some n when n >= 0 -> n
-            | Some _ | None -> fail_at r "bad sample count %S" count)
-        | _ -> fail_at r "malformed header %S" header
-      in
-      Array.init count (fun i ->
-          parse_sample r (input_line_exn r (Printf.sprintf "sample %d" i))))
+let float_field ~path what s =
+  match float_of_string_opt s with
+  | Some f -> f
+  | None -> fail "%s: bad %s field %S" path what s

@@ -1,34 +1,32 @@
-(** Campaign persistence.
+(** Durable bytes: atomic writes, the integrity envelope, quarantine.
 
-    Exhaustive campaigns are the expensive artifact of a study — minutes to
-    hours of compute — while everything downstream (boundaries, metrics,
-    studies) is seconds. This module saves campaign results and sampled
-    experiments to disk so analyses can be re-run, shared and resumed
-    without re-injection.
+    Every durable artifact of a study — campaign checkpoints, cached
+    profiles, converged boundaries, job descriptors — is written through
+    this module, atomically (temp file + rename), so an interrupted writer
+    never leaves a half-written file behind. Each artifact's own codec
+    lives with its owner ({!Ftb_campaign.Checkpoint},
+    [Ftb_compose.Profile], [Ftb_plan.Boundary_store],
+    [Ftb_plan.Round_checkpoint], [Ftb_service.Job]); this module holds
+    what they share: the envelope, the verify-or-quarantine load, and the
+    field parsers their text headers use.
 
-    Formats are versioned, self-describing text headers followed by data;
-    floats are serialised in hexadecimal notation ([%h]) so round-trips are
-    bit-exact. The current format is v2, which records the crash taxonomy
-    (outcome bytes '\003'..'\005' for NaN / Inf / fuel crashes and
-    reason-carrying sample tags); v1 files are still loadable — their
-    crashes decode as generic exception crashes. Loading validates the
-    stored program name and site count against the golden run it is paired
-    with — a mismatch means the program or its inputs changed and the
-    cached campaign is stale.
-
-    All writes are atomic (temp file + rename): an interrupted writer can
-    never leave a truncated file behind. *)
+    There is one readable envelope format, [ftb-envelope-v1]. Bytes
+    without its header are a {!Format_error} that names the format token
+    they do carry, never unverified payload. *)
 
 exception Format_error of string
-(** Raised on parse errors, version mismatches, or metadata that does not
-    match the paired golden run. Messages are prefixed with the offending
-    [path:line]. *)
+(** Raised on corruption, an unsupported format, or metadata that does
+    not match what the caller pairs the artifact with. Messages are
+    prefixed with the offending path (and line, where there is one). *)
 
 val with_out_atomic : string -> (out_channel -> unit) -> unit
 (** [with_out_atomic path f] runs [f] on a channel to [path ^ ".tmp"], then
     atomically renames it over [path]. On exception the temp file is
-    removed and [path] is untouched. Exposed for other persistence layers
-    (the campaign checkpoint writer). *)
+    removed and [path] is untouched. *)
+
+val mkdir_p : string -> unit
+(** Create a directory and its missing parents (an existing directory is
+    fine, including one a concurrent writer just made). *)
 
 (** {1 Integrity envelope}
 
@@ -46,16 +44,21 @@ val crc32 : string -> int
 
 val save_enveloped : path:string -> (Buffer.t -> unit) -> unit
 (** [save_enveloped ~path f] collects [f]'s payload in a buffer, then
-    atomically writes header + payload. Composes the envelope with
-    {!with_out_atomic}: readers see the old artifact, or the complete new
-    one, never a mix. *)
+    atomically writes header + payload. *)
 
 val load_enveloped : path:string -> string
 (** Read a file written by {!save_enveloped}, verify length and checksum,
-    and return the payload. A file that does not start with the envelope
-    magic is a pre-envelope legacy artifact and is returned whole,
-    unverified. Raises {!Format_error} on length or checksum mismatch —
-    the caller decides whether to {!quarantine} and rebuild. *)
+    and return the payload. Raises {!Format_error} on a length or
+    checksum mismatch, or when the file does not start with the envelope
+    header (the message names the format token it starts with). *)
+
+val format_token : string -> string
+(** The format token a file's bytes announce: the first space- or
+    newline-delimited word, looked for inside the payload when the bytes
+    are enveloped. At most 64 bytes long. Used to name an unsupported
+    format in an error. *)
+
+(** {1 Verify or quarantine} *)
 
 val quarantine : path:string -> string option
 (** Move a corrupt artifact into a [quarantine/] directory next to it
@@ -64,18 +67,18 @@ val quarantine : path:string -> string option
     not exist or the move failed — quarantine never raises, because
     failing to preserve evidence must not block recovery. *)
 
-val save_ground_truth : path:string -> Ground_truth.t -> unit
-(** Write a campaign's outcomes (format v2, atomic). *)
+val load_or_quarantine : path:string -> (string -> 'a) -> 'a option
+(** [load_or_quarantine ~path load] is [Some (load path)]. When [load]
+    raises {!Format_error} or [Sys_error], the artifact cannot be trusted:
+    it is {!quarantine}d and the result is [None], so the caller rebuilds
+    it. A missing [path] is [None] with nothing to quarantine. *)
 
-val load_ground_truth : path:string -> Ftb_trace.Golden.t -> Ground_truth.t
-(** Read a campaign saved by {!save_ground_truth} (v2, or a legacy v1
-    file) and bind it to the given golden run. *)
+(** {1 Header fields} *)
 
-val save_samples : path:string -> name:string -> Sample_run.t array -> unit
-(** Write sampled experiments, including their propagation data and crash
-    reasons (format v2, atomic). [name] is the program name recorded in
-    the header. *)
+val int_field : path:string -> string -> string -> int
+(** [int_field ~path what s] parses a decimal integer field, raising
+    [Format_error "path: bad <what> field \"s\""] otherwise. *)
 
-val load_samples : path:string -> name:string -> Sample_run.t array
-(** Read experiments saved by {!save_samples} (v2, or a legacy v1 file);
-    [name] must match the header. *)
+val float_field : path:string -> string -> string -> float
+(** As {!int_field}, for a float (decimal, hexadecimal [%h], [inf] or
+    [nan]). *)

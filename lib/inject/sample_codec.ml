@@ -24,6 +24,7 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Format_error s)) fmt
    must fold into the exact boundary the serial oracle infers. *)
 
 let magic = "ftbS1"
+let min_record = 15
 
 let outcome_byte (s : Sample_run.t) =
   match (s.Sample_run.outcome, s.Sample_run.crash_reason) with
@@ -84,6 +85,10 @@ let decode blob =
   pos := String.length magic;
   let count = int32 "count" in
   if count < 0 then fail "negative sample count %d" count;
+  (* Bound the count by the bytes left before allocating for it: a sample
+     without propagation is the smallest record. *)
+  if count > (len - !pos) / min_record then
+    fail "sample count %d exceeds what %d remaining bytes can hold" count (len - !pos);
   let samples =
     Array.init count (fun _ ->
         let site = int32 "site" in

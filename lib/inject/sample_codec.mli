@@ -7,7 +7,8 @@
     that fold into the *exact* boundary the serial oracle infers —
     byte-identity is the contract, not an optimization. The outcome byte
     reuses the {!Ground_truth} encoding ('\000'..'\005', crash taxonomy
-    included). *)
+    included). Framed in the adaptive round log, these blobs are also the
+    durable form of samples. *)
 
 exception Format_error of string
 (** Structural corruption: bad magic, truncation, out-of-range fields,
@@ -19,7 +20,9 @@ val encode : Sample_run.t array -> string
     bit-identical floats. *)
 
 val decode : string -> Sample_run.t array
-(** Parse a blob; raises {!Format_error} on any structural defect. *)
+(** Parse a blob; raises {!Format_error} on any structural defect,
+    including a sample count the remaining bytes cannot hold (checked
+    before anything is allocated for it). *)
 
 val encoded_size_upper_bound : sites:int -> int
 (** Worst-case encoded bytes of one sample of a program with [sites]

@@ -29,10 +29,9 @@ let run ?(config = Adaptive.default_config) ?(spec = Models.default_spec) ?fuel 
      (it is valid, just not ours); structural corruption is quarantined
      and the campaign restarts cold. *)
   let resume =
-    match checkpoint with
-    | Some path when Sys.file_exists path -> (
-        match Round_checkpoint.load ~path with
-        | cp ->
+    Option.bind checkpoint (fun path ->
+        Option.bind (Persist.load_or_quarantine ~path (fun path -> Round_checkpoint.load ~path))
+          (fun cp ->
             if
               cp.Round_checkpoint.name = name
               && cp.Round_checkpoint.sites = sites
@@ -42,11 +41,7 @@ let run ?(config = Adaptive.default_config) ?(spec = Models.default_spec) ?fuel 
               && cp.Round_checkpoint.fuel = fuel
               && cp.Round_checkpoint.seed = seed
             then Some cp
-            else None
-        | exception Persist.Format_error _ ->
-            ignore (Persist.quarantine ~path : string option);
-            None)
-    | Some _ | None -> None
+            else None))
   in
   match resume with
   | Some ({ Round_checkpoint.stop = Some reason; _ } as cp) ->

@@ -139,16 +139,6 @@ let write entry buf =
       entry.golden_values.(site)
   done
 
-let int_field path what s =
-  match int_of_string_opt s with
-  | Some n -> n
-  | None -> fail path "bad %s field %S" what s
-
-let float_field path what s =
-  match float_of_string_opt s with
-  | Some f -> f
-  | None -> fail path "bad %s field %S" what s
-
 let parse ~path contents =
   match String.split_on_char '\n' contents with
   | header :: site_lines -> (
@@ -165,18 +155,18 @@ let parse ~path contents =
             | Error msg -> fail path "%s" msg
           in
           let fuel =
-            if fuel = "none" then None else Some (int_field path "fuel" fuel)
+            if fuel = "none" then None else Some (Persist.int_field ~path "fuel" fuel)
           in
           let config =
             {
-              Adaptive.round_fraction = float_field path "round_fraction" rf;
-              stop_sdc_fraction = float_field path "stop_sdc_fraction" stop_frac;
-              max_rounds = int_field path "max_rounds" max_rounds;
-              filter = int_field path "filter" filter <> 0;
-              bias = int_field path "bias" bias <> 0;
+              Adaptive.round_fraction = Persist.float_field ~path "round_fraction" rf;
+              stop_sdc_fraction = Persist.float_field ~path "stop_sdc_fraction" stop_frac;
+              max_rounds = Persist.int_field ~path "max_rounds" max_rounds;
+              filter = Persist.int_field ~path "filter" filter <> 0;
+              bias = Persist.int_field ~path "bias" bias <> 0;
             }
           in
-          let sites = int_field path "sites" sites in
+          let sites = Persist.int_field ~path "sites" sites in
           if sites <= 0 then fail path "sites must be positive";
           if not (Fingerprint.is_hex key) then fail path "bad key %S" key;
           if not (Fingerprint.is_hex fp) then fail path "bad fingerprint %S" fp;
@@ -187,24 +177,23 @@ let parse ~path contents =
             | Some reason -> reason
             | None -> fail path "bad stop reason %S" stop
           in
+          (* Count the site lines before sizing anything by [sites]: the
+             header is untrusted until the body agrees with it. *)
+          let site_lines = Array.of_list (List.filter (fun l -> l <> "") site_lines) in
+          if Array.length site_lines <> sites then
+            fail path "%d site lines for %d sites" (Array.length site_lines) sites;
           let thresholds = Array.make sites 0. in
           let support = Array.make sites 0 in
           let golden_values = Array.make sites 0. in
-          let filled = ref 0 in
-          List.iter
-            (fun line ->
-              if line <> "" then begin
-                if !filled >= sites then fail path "more site lines than %d sites" sites;
-                (match String.split_on_char ' ' line with
-                | [ threshold; supp; value ] ->
-                    thresholds.(!filled) <- float_field path "threshold" threshold;
-                    support.(!filled) <- int_field path "support" supp;
-                    golden_values.(!filled) <- float_field path "golden value" value
-                | _ -> fail path "malformed site line %S" line);
-                incr filled
-              end)
+          Array.iteri
+            (fun i line ->
+              match String.split_on_char ' ' line with
+              | [ threshold; supp; value ] ->
+                  thresholds.(i) <- Persist.float_field ~path "threshold" threshold;
+                  support.(i) <- Persist.int_field ~path "support" supp;
+                  golden_values.(i) <- Persist.float_field ~path "golden value" value
+              | _ -> fail path "malformed site line %S" line)
             site_lines;
-          if !filled <> sites then fail path "%d site lines for %d sites" !filled sites;
           {
             key;
             bench;
@@ -212,104 +201,40 @@ let parse ~path contents =
             spec;
             fuel;
             config;
-            seed = int_field path "seed" seed;
+            seed = Persist.int_field ~path "seed" seed;
             sites;
             thresholds;
             support;
             golden_values;
-            uncertainty = float_field path "uncertainty" uncertainty;
-            rounds = int_field path "rounds" rounds;
-            samples = int_field path "samples" samples;
-            masked = int_field path "masked" masked;
-            sdc = int_field path "sdc" sdc;
-            crash = int_field path "crash" crash;
-            sample_fraction = float_field path "sample_fraction" fraction;
+            uncertainty = Persist.float_field ~path "uncertainty" uncertainty;
+            rounds = Persist.int_field ~path "rounds" rounds;
+            samples = Persist.int_field ~path "samples" samples;
+            masked = Persist.int_field ~path "masked" masked;
+            sdc = Persist.int_field ~path "sdc" sdc;
+            crash = Persist.int_field ~path "crash" crash;
+            sample_fraction = Persist.float_field ~path "sample_fraction" fraction;
             stop;
             prov;
-            created = float_field path "created" created;
+            created = Persist.float_field ~path "created" created;
           }
       | m :: _ when m <> magic -> fail path "unknown boundary-store magic %S" m
       | _ -> fail path "malformed boundary-store header")
   | [] -> fail path "empty boundary-store entry"
 
 (* ------------------------------------------------------------------ *)
-(* The store: content-addressed entries sharded like the compose cache
+(* The store: a typed view over the content-addressed substrate
    (<root>/<k0k1>/<key>, quarantine/ siblings), plus a sorted index for
    O(log n) by-kernel lookup. *)
 
-type t = { root : string }
+module Cas = Ftb_inject.Cas
 
-let rec mkdir_p path =
-  if not (Sys.file_exists path) then begin
-    mkdir_p (Filename.dirname path);
-    try Unix.mkdir path 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
+type t = Cas.t
 
-let open_ ~root =
-  mkdir_p root;
-  { root }
-
-let root t = t.root
-let shard_dir t key = Filename.concat t.root (String.sub key 0 2)
-let path_of_key t key = Filename.concat (shard_dir t key) key
-let index_path t = Filename.concat t.root "index"
-
-let entries_of_dir dir =
-  match Sys.readdir dir with
-  | exception Sys_error _ -> []
-  | names ->
-      Array.to_list names
-      |> List.filter (fun name -> Fingerprint.is_hex name)
-      |> List.map (Filename.concat dir)
-
-let shard_dirs t =
-  match Sys.readdir t.root with
-  | exception Sys_error _ -> []
-  | names ->
-      Array.to_list names
-      |> List.filter (fun name ->
-             String.length name = 2
-             && String.for_all
-                  (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false)
-                  name)
-      |> List.map (Filename.concat t.root)
-
-let all_entries t = List.concat_map entries_of_dir (shard_dirs t)
-
-let find t ~key =
-  if not (Fingerprint.is_hex key) then None
-  else
-    let path = path_of_key t key in
-    if not (Sys.file_exists path) then None
-    else
-      (* Store convention: anything between here and a fully-validated
-         entry means the artifact cannot be trusted — quarantine it as
-         evidence and report a miss. A corrupt entry costs a re-campaign,
-         never a wrong prediction. *)
-      match Persist.load_enveloped ~path with
-      | exception (Persist.Format_error _ | Sys_error _) ->
-          ignore (Persist.quarantine ~path : string option);
-          None
-      | contents -> (
-          match parse ~path contents with
-          | exception Persist.Format_error _ ->
-              ignore (Persist.quarantine ~path : string option);
-              None
-          | entry ->
-              if entry.key = key then Some entry
-              else begin
-                ignore (Persist.quarantine ~path : string option);
-                None
-              end)
-
-(* Read-only decode for bulk scans; [find] owns the quarantine policy. *)
-let entry_of_path path =
-  match Persist.load_enveloped ~path with
-  | exception (Persist.Format_error _ | Sys_error _) -> None
-  | contents -> (
-      match parse ~path contents with
-      | exception Persist.Format_error _ -> None
-      | entry -> Some entry)
+let open_ = Cas.open_
+let root = Cas.root
+let path_of_key = Cas.path_of_key
+let index_path t = Filename.concat (Cas.root t) "index"
+let find t ~key = Cas.find t ~key ~decode:parse ~key_of:(fun entry -> entry.key)
 
 (* ------------------------------------------------------------------ *)
 (* Index: one line per entry, "<bench> <model> <created %h> <key>",
@@ -337,11 +262,9 @@ let row_of_entry entry =
 
 let index_rebuild t =
   let rows =
-    List.filter_map
-      (fun path -> Option.map row_of_entry (entry_of_path path))
-      (all_entries t)
+    Array.of_list
+      (List.filter_map (fun (_, entry) -> Option.map row_of_entry entry) (Cas.scan t ~decode:parse))
   in
-  let rows = Array.of_list rows in
   Array.sort row_compare rows;
   rows
 
@@ -398,8 +321,7 @@ let index_load t =
         rows
 
 let put t entry =
-  mkdir_p (shard_dir t entry.key);
-  Persist.save_enveloped ~path:(path_of_key t entry.key) (write entry);
+  Cas.put t ~key:entry.key (write entry);
   let rows = index_load t in
   let rows = Array.of_list (List.filter (fun r -> r.ix_key <> entry.key) (Array.to_list rows)) in
   let rows = Array.append rows [| row_of_entry entry |] in
@@ -415,9 +337,8 @@ let lower_bound rows bench =
   done;
   !lo
 
-let find_latest t ~bench ?spec () =
-  let rows = index_load t in
-  let model = Option.map Models.spec_to_string spec in
+(* The newest row of a kernel (and model, when given). *)
+let newest rows ~bench ~model =
   let best = ref None in
   let i = ref (lower_bound rows bench) in
   while !i < Array.length rows && rows.(!i).ix_bench = bench do
@@ -430,64 +351,41 @@ let find_latest t ~bench ?spec () =
         | Some _ | None -> best := Some row));
     incr i
   done;
-  match !best with
+  !best
+
+let find_latest t ~bench ?spec () =
+  let model = Option.map Models.spec_to_string spec in
+  match newest (index_load t) ~bench ~model with
   | None -> None
   | Some row -> (
       match find t ~key:row.ix_key with
       | Some entry -> Some entry
       | None ->
           (* The entry behind the index row was quarantined: the index is
-             stale — rebuild it so the next lookup is honest. *)
-          index_write t (index_rebuild t);
-          None)
+             stale. Rebuild it and answer from the honest one, so an older
+             valid entry still serves. *)
+          let rows = index_rebuild t in
+          index_write t rows;
+          Option.bind (newest rows ~bench ~model) (fun row -> find t ~key:row.ix_key))
 
 let list t =
-  List.filter_map entry_of_path (all_entries t)
+  List.filter_map snd (Cas.scan t ~decode:parse)
   |> List.sort (fun a b ->
          match compare a.bench b.bench with 0 -> compare b.created a.created | c -> c)
 
-let remove path = try Sys.remove path with Sys_error _ -> ()
-
 let gc t ~keep =
-  if keep < 0 then invalid_arg "Boundary_store.gc: keep must be non-negative";
-  let dated =
-    List.filter_map
-      (fun path ->
-        match entry_of_path path with
-        | Some entry -> Some (entry.created, path)
-        | None -> (
-            match Unix.stat path with
-            | exception Unix.Unix_error _ -> None
-            | st -> Some (st.Unix.st_mtime, path)))
-      (all_entries t)
-    |> List.sort (fun (a, _) (b, _) -> compare b a) (* newest first *)
+  let date path =
+    match Cas.read ~decode:parse path with
+    | Some entry -> Some entry.created
+    | None -> Cas.mtime path
   in
-  let victims = List.filteri (fun i _ -> i >= keep) dated in
-  List.iter (fun (_, path) -> remove path) victims;
+  let removed = Cas.gc t ~keep ~date in
   index_write t (index_rebuild t);
-  List.length victims
+  removed
 
-type stats = { entries : int; bytes : int; quarantined : int }
+type stats = Cas.stats = { entries : int; bytes : int; quarantined : int }
 
-let stats t =
-  let entries = ref 0 and bytes = ref 0 in
-  List.iter
-    (fun path ->
-      match Unix.stat path with
-      | exception Unix.Unix_error _ -> ()
-      | st ->
-          incr entries;
-          bytes := !bytes + st.Unix.st_size)
-    (all_entries t);
-  let quarantined =
-    List.fold_left
-      (fun acc dir ->
-        match Sys.readdir (Filename.concat dir "quarantine") with
-        | exception Sys_error _ -> acc
-        | names -> acc + Array.length names)
-      0 (shard_dirs t)
-  in
-  { entries = !entries; bytes = !bytes; quarantined }
+let stats = Cas.stats
 
 (* ------------------------------------------------------------------ *)
 (* Queries: zero kernel execution — the injected error is a pure function

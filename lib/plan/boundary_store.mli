@@ -4,12 +4,14 @@
     becomes a reusable artifact: this store persists each converged
     boundary — with per-site support, the §3.6 uncertainty, the fault
     model, the kernel identity, the sample fraction and a provenance
-    token — as a CRC-enveloped, content-addressed entry next to the
-    compose cache, sharded and quarantined under the same conventions.
-    The key hashes the complete campaign identity (kernel name, golden
-    fingerprint, model, fuel, adaptive config, seed), so an exact-key hit
-    is the *same* campaign: serving the stored entry, or warm-starting a
-    repeat submission from it, cannot change a single byte of the answer.
+    token — as an entry of the content-addressed substrate
+    {!Ftb_inject.Cas}, next to the compose cache. The substrate owns the
+    layout, the CRC envelope, quarantine, gc and stats; this module keeps
+    the entry codec, the sorted index and {!query}. The key hashes the
+    complete campaign identity (kernel name, golden fingerprint, model,
+    fuel, adaptive config, seed), so an exact-key hit is the *same*
+    campaign: serving the stored entry, or warm-starting a repeat
+    submission from it, cannot change a single byte of the answer.
 
     A sorted index file (a pure accelerator, rebuilt from a scan whenever
     missing, corrupt or stale) gives O(log n) by-kernel lookup; queries
@@ -90,7 +92,9 @@ val find_latest : t -> bench:string -> ?spec:Ftb_inject.Models.spec -> unit -> e
 (** Most recently created entry for a kernel (optionally restricted to
     one fault model), via the sorted index — O(log n) to locate the
     kernel's range. Rebuilds the index when it is missing, corrupt or
-    points at an entry that no longer validates. *)
+    points at an entry that no longer validates; in the last case the
+    lookup is retried once on the rebuilt index, so an older valid entry
+    still answers. *)
 
 val list : t -> entry list
 (** Every valid entry, sorted by kernel then newest first. *)
@@ -99,7 +103,7 @@ val gc : t -> keep:int -> int
 (** Drop all but the [keep] most recently created entries; returns the
     number removed. Raises [Invalid_argument] on negative [keep]. *)
 
-type stats = { entries : int; bytes : int; quarantined : int }
+type stats = Ftb_inject.Cas.stats = { entries : int; bytes : int; quarantined : int }
 
 val stats : t -> stats
 

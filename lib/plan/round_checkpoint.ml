@@ -21,7 +21,6 @@ type t = {
   stop : Adaptive.stop_reason option;
 }
 
-let v1_magic = "ftb-adaptive-v1"
 let log_magic = "ftb-adaptive-log-v2\n"
 
 let fail path fmt =
@@ -118,17 +117,7 @@ let append_stop log reason = append log 'E' (Adaptive.stop_reason_to_string reas
 let close_log log = close_out log.oc
 
 (* ------------------------------------------------------------------ *)
-(* Reading: the log, or a v1 snapshot                                  *)
-
-let int_field path what s =
-  match int_of_string_opt s with
-  | Some n -> n
-  | None -> fail path "bad %s field %S" what s
-
-let float_field path what s =
-  match float_of_string_opt s with
-  | Some f -> f
-  | None -> fail path "bad %s field %S" what s
+(* Reading: the log                                                   *)
 
 let bool_field path what s =
   match s with
@@ -136,8 +125,7 @@ let bool_field path what s =
   | "1" -> true
   | _ -> fail path "bad %s flag %S" what s
 
-(* The header fields both versions share, space-split, without the v1
-   magic and stop fields. *)
+(* The campaign identity of the header frame, space-split. *)
 let parse_identity path = function
   | [
       name; sites; model; fuel; fp; rf; stop_frac; max_rounds; filter; bias; seed; rng_state;
@@ -151,17 +139,17 @@ let parse_identity path = function
       let fuel =
         if fuel = "none" then None
         else
-          let n = int_field path "fuel" fuel in
+          let n = Persist.int_field ~path "fuel" fuel in
           if n <= 0 then fail path "fuel must be positive" else Some n
       in
-      let sites = int_field path "sites" sites in
+      let sites = Persist.int_field ~path "sites" sites in
       if sites <= 0 then fail path "sites must be positive";
       if not (Fingerprint.is_hex fp) then fail path "bad golden fingerprint %S" fp;
       let config =
         {
-          Adaptive.round_fraction = float_field path "round_fraction" rf;
-          stop_sdc_fraction = float_field path "stop_sdc_fraction" stop_frac;
-          max_rounds = int_field path "max_rounds" max_rounds;
+          Adaptive.round_fraction = Persist.float_field ~path "round_fraction" rf;
+          stop_sdc_fraction = Persist.float_field ~path "stop_sdc_fraction" stop_frac;
+          max_rounds = Persist.int_field ~path "max_rounds" max_rounds;
           filter = bool_field path "filter" filter;
           bias = bool_field path "bias" bias;
         }
@@ -174,7 +162,7 @@ let parse_identity path = function
         | Some v -> v
         | None -> fail path "bad rng state %S" rng_state
       in
-      let rounds = int_field path "rounds" rounds in
+      let rounds = Persist.int_field ~path "rounds" rounds in
       if rounds < 0 then fail path "negative round count";
       {
         name;
@@ -183,7 +171,7 @@ let parse_identity path = function
         fuel;
         fingerprint = fp;
         config;
-        seed = int_field path "seed" seed;
+        seed = Persist.int_field ~path "seed" seed;
         rng_state;
         rounds;
         samples = [||];
@@ -191,13 +179,6 @@ let parse_identity path = function
         stop = None;
       }
   | _ -> fail path "malformed checkpoint header"
-
-let stop_field path = function
-  | "-" -> None
-  | s -> (
-      match Adaptive.stop_reason_of_string s with
-      | Some reason -> Some reason
-      | None -> fail path "bad stop reason %S" s)
 
 let case_of_sample t (s : Sample_run.t) =
   (s.Sample_run.fault.Fault.site * Models.spec_width t.spec) + s.Sample_run.fault.Fault.bit
@@ -309,64 +290,12 @@ let load_log path data =
   in
   { t with samples = Array.concat (t.samples :: List.rev rounds_rev); stop }
 
-(* v1: one enveloped text snapshot, samples as hex. *)
-let string_of_hex path hex =
-  let n = String.length hex in
-  if n land 1 <> 0 then fail path "odd-length hex payload";
-  let nibble i =
-    match hex.[i] with
-    | '0' .. '9' as c -> Char.code c - Char.code '0'
-    | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
-    | c -> fail path "bad hex digit %C" c
-  in
-  String.init (n / 2) (fun i -> Char.chr ((nibble (2 * i) lsl 4) lor nibble ((2 * i) + 1)))
-
-let load_v1 path =
-  let contents = Persist.load_enveloped ~path in
-  let t, rest =
-    match String.split_on_char '\n' contents with
-    | header :: rest -> (
-        match String.split_on_char ' ' header with
-        | m :: fields when m = v1_magic -> (
-            match List.rev fields with
-            | stop :: rev_identity ->
-                let t = parse_identity path (List.rev rev_identity) in
-                ({ t with stop = stop_field path stop }, rest)
-            | [] -> fail path "malformed checkpoint header")
-        | m :: _ -> fail path "unknown checkpoint magic %S" m
-        | [] -> fail path "malformed checkpoint header")
-    | [] -> fail path "empty checkpoint"
-  in
-  let samples = ref None in
-  let pending = ref None in
-  List.iter
-    (fun line ->
-      if line <> "" then
-        match String.split_on_char ' ' line with
-        | [ "samples"; hex ] ->
-            if !samples <> None then fail path "duplicate samples line";
-            samples := Some (decode_samples path t "samples" (string_of_hex path hex))
-        | "pending" :: count :: cases ->
-            if !pending <> None then fail path "duplicate pending line";
-            let count = int_field path "pending count" count in
-            if count <> List.length cases then
-              fail path "pending count %d does not match %d listed cases" count
-                (List.length cases);
-            let cases = Array.of_list (List.map (int_field path "pending case") cases) in
-            check_pending path t cases;
-            pending := Some cases
-        | _ -> fail path "unrecognized checkpoint line %S" line)
-    rest;
-  let samples =
-    match !samples with Some s -> s | None -> fail path "missing samples line"
-  in
-  if t.stop <> None && !pending <> None then
-    fail path "finished checkpoint still has a pending round";
-  { t with samples; pending = !pending }
-
 let load ~path =
   let data =
     try In_channel.with_open_bin path In_channel.input_all
     with Sys_error msg -> fail path "cannot read: %s" msg
   in
-  if String.starts_with ~prefix:log_magic data then load_log path data else load_v1 path
+  if String.starts_with ~prefix:log_magic data then load_log path data
+  else
+    fail path "unsupported adaptive checkpoint format %S (expected %s)"
+      (Persist.format_token data) (String.trim log_magic)

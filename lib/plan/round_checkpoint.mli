@@ -21,9 +21,11 @@
     restart cold.
 
     {!save} writes a whole campaign state as a compacted log, atomically
-    (temp + rename, as everywhere in {!Ftb_inject.Persist}). {!load} also
-    reads the v1 format, one enveloped text snapshot with the samples in
-    hex. *)
+    (temp + rename, as everywhere in {!Ftb_inject.Persist}). The log is
+    the only format {!load} reads: the v1 enveloped text snapshot
+    ([ftb-adaptive-v1]) and anything else is a
+    {!Ftb_inject.Persist.Format_error} naming the unsupported magic, on
+    which {!Adaptive_engine} quarantines the file and restarts cold. *)
 
 type t = {
   name : string;  (** program name (space-free token) *)
@@ -46,7 +48,7 @@ val save : path:string -> t -> unit
     space-free token. *)
 
 val load : path:string -> t
-(** Replay a log (or read a v1 snapshot). Raises
+(** Replay a log. Raises
     {!Ftb_inject.Persist.Format_error} on corruption or any structural
     defect (callers quarantine and restart cold). *)
 

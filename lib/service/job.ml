@@ -282,15 +282,8 @@ let dir ~state_dir id = Filename.concat (jobs_root ~state_dir) (string_of_int id
 let json_path ~state_dir id = Filename.concat (dir ~state_dir id) "job.json"
 let checkpoint_path ~state_dir id = Filename.concat (dir ~state_dir id) "checkpoint"
 
-let rec mkdir_p path =
-  if not (Sys.file_exists path) then begin
-    mkdir_p (Filename.dirname path);
-    try Unix.mkdir path 0o755
-    with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let save ~state_dir info =
-  mkdir_p (dir ~state_dir info.id);
+  Ftb_inject.Persist.mkdir_p (dir ~state_dir info.id);
   Ftb_inject.Persist.save_enveloped ~path:(json_path ~state_dir info.id) (fun b ->
       Buffer.add_string b (Json.to_string (info_to_json info));
       Buffer.add_char b '\n')
@@ -302,22 +295,15 @@ let load_all ~state_dir =
   |> List.filter_map (fun entry ->
          match int_of_string_opt entry with
          | None -> None
-         | Some id -> (
-             let path = json_path ~state_dir id in
+         | Some id ->
              (* A descriptor that fails envelope verification or no longer
                 decodes is quarantined as evidence and skipped — a corrupt
                 job must not brick the daemon, and must never resume from
-                lying state. Legacy (pre-envelope) files load unverified. *)
-             match Ftb_inject.Persist.load_enveloped ~path with
-             | exception
-                 (Ftb_inject.Persist.Format_error _ | Sys_error _) ->
-                 ignore (Ftb_inject.Persist.quarantine ~path : string option);
-                 None
-             | contents -> (
-                 match info_of_json (Json.of_string contents) with
-                 | info -> Some info
-                 | exception (Decode_error _ | Json.Parse_error _) ->
-                     ignore
-                       (Ftb_inject.Persist.quarantine ~path : string option);
-                     None)))
+                lying state. *)
+             Ftb_inject.Persist.load_or_quarantine ~path:(json_path ~state_dir id)
+               (fun path ->
+                 let contents = Ftb_inject.Persist.load_enveloped ~path in
+                 try info_of_json (Json.of_string contents)
+                 with Decode_error msg | Json.Parse_error msg ->
+                   raise (Ftb_inject.Persist.Format_error (path ^ ": " ^ msg))))
   |> List.sort (fun a b -> compare a.id b.id)

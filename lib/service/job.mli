@@ -139,4 +139,4 @@ val load_all : state_dir:string -> info list
     id. Corrupt descriptors (failed envelope check or decode) are moved to
     [quarantine/] and skipped; foreign entries are skipped — a
     half-created or corrupted job directory must not brick the daemon.
-    Pre-envelope descriptors still load. *)
+    A descriptor without the envelope header counts as corrupt. *)

@@ -126,18 +126,12 @@ let set_job t job =
   Hashtbl.replace t.jobs job.Job.id job;
   Job.save ~state_dir:t.config.state_dir job
 
-let rec mkdir_p path =
-  if not (Sys.file_exists path) then begin
-    mkdir_p (Filename.dirname path);
-    try Unix.mkdir path 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let create config =
   if config.capacity <= 0 then invalid_arg "Server.create: capacity must be positive";
   if config.domains <= 0 then invalid_arg "Server.create: domains must be positive";
   if config.checkpoint_every <= 0 then
     invalid_arg "Server.create: checkpoint_every must be positive";
-  mkdir_p config.state_dir;
+  Ftb_inject.Persist.mkdir_p config.state_dir;
   let loaded = Job.load_all ~state_dir:config.state_dir in
   let queue = Job_queue.create ~capacity:config.capacity in
   let jobs = Hashtbl.create 64 in
@@ -1267,7 +1261,7 @@ let serve_connection t fd =
 (* Listener                                                            *)
 
 let bind_unix path =
-  mkdir_p (Filename.dirname path);
+  Ftb_inject.Persist.mkdir_p (Filename.dirname path);
   if Sys.file_exists path then Sys.remove path;
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind fd (Unix.ADDR_UNIX path);

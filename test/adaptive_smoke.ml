@@ -222,6 +222,10 @@ let restart_drill (model : Models.spec) =
   | exception Unix.Unix_error _ -> ());
   (try Client.close client with _ -> ());
   check (what ^ ": daemon SIGKILLed mid-round") !killed;
+  (* A job that finished before the watch attached streams no round: the
+     check above fails, and the daemon must still die, or the wait below
+     never returns. *)
+  if not !killed then (try Unix.kill !daemon Sys.sigkill with Unix.Unix_error _ -> ());
   (match Unix.waitpid [] !daemon with
   | _, Unix.WSIGNALED s when s = Sys.sigkill -> ()
   | _, _ -> check (what ^ ": daemon died by SIGKILL") false);

@@ -450,9 +450,17 @@ let tamper_outcomes ~bench:_ ~shard:_ b =
      oracle can tell. *)
   Bytes.map (fun c -> if c = '\000' then '\001' else '\000') b
 
-let spawn_fleet_worker ?tamper ~name sock ready_w =
+(* [gate]: the child waits (up to 30 s) for a byte on it before it
+   attaches, so the schedule decides who is in the fleet when. *)
+let spawn_fleet_worker ?tamper ?gate ~name sock ready_w =
   match Unix.fork () with
   | 0 ->
+      Option.iter
+        (fun gate ->
+          match Unix.select [ gate ] [] [] 30.0 with
+          | [ _ ], _, _ -> ignore (Unix.read gate (Bytes.create 1) 0 1)
+          | _ -> ())
+        gate;
       let signalled = ref false in
       let log _msg =
         if not !signalled then begin
@@ -481,9 +489,9 @@ let lying_fleet_drill () =
       spawn_fleet_worker ~tamper:tamper_outcomes ~name:"liar" sock ready_w;
     ]
   in
-  let await_crew what =
+  let await_crew ?(workers = 3) what =
     let ok = ref true in
-    for _ = 1 to 3 do
+    for _ = 1 to workers do
       match Unix.select [ ready_r ] [] [] 30.0 with
       | [ _ ], _, _ -> ignore (Unix.read ready_r (Bytes.create 1) 0 1)
       | _ -> ok := false
@@ -492,8 +500,28 @@ let lying_fleet_drill () =
   in
   let quarantined = ref [] in
   let daemon = ref (spawn_audit_daemon ~state_dir sock) in
-  let crew1 = spawn_crew 1 in
-  await_crew "fleet-liar: first crew attached";
+  (* The first crew attaches in order: the liar alone, so it holds the
+     first wave's first lease, and the honest pair only once the liar is
+     producing its first (tampered) shard — the gate opens from inside
+     the liar's tamper hook. The wave-end audit of that commit convicts
+     the liar whatever the host's load. *)
+  let gate_r, gate_w = Unix.pipe () in
+  let opened = ref false in
+  let liar_opening_gate ~bench ~shard b =
+    if not !opened then begin
+      opened := true;
+      ignore (Unix.write gate_w (Bytes.make 2 'g') 0 2 : int)
+    end;
+    tamper_outcomes ~bench ~shard b
+  in
+  let liar = spawn_fleet_worker ~tamper:liar_opening_gate ~name:"liar" sock ready_w in
+  await_crew ~workers:1 "fleet-liar: first crew attached";
+  let crew1 =
+    liar
+    :: List.map
+         (fun name -> spawn_fleet_worker ~gate:gate_r ~name sock ready_w)
+         [ "honest-a1"; "honest-b1" ]
+  in
 
   let client = connect_with_retry sock in
   let spec =
@@ -516,6 +544,9 @@ let lying_fleet_drill () =
        | Client.Progress { shards_done; cases_done; cases_total; _ } ->
            if (not !killed) && shards_done >= 2 && (cases_total = 0 || cases_done < cases_total)
            then begin
+             (* Never kill the daemon under an honest worker that has
+                not attached yet: it would fail to connect. *)
+             await_crew ~workers:2 "fleet-liar: honest pair attached after the liar's first shard";
              killed := true;
              Unix.kill !daemon Sys.sigkill
            end
@@ -590,8 +621,7 @@ let lying_fleet_drill () =
       | _, Unix.WEXITED 0 -> ()
       | _, _ -> check "fleet-liar: second-crew worker exited cleanly" false)
     crew2;
-  Unix.close ready_r;
-  Unix.close ready_w
+  List.iter Unix.close [ ready_r; ready_w; gate_r; gate_w ]
 
 let () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;

@@ -106,3 +106,42 @@ let qcheck_to_alcotest = QCheck_alcotest.to_alcotest
 (* One bit-flip-64 propagation experiment (dense case index). *)
 let run_case golden case =
   Ftb_inject.Sample_run.run_case_model Ftb_inject.Models.default_spec golden case
+
+let contains haystack needle =
+  let nh = String.length haystack and nn = String.length needle in
+  let rec scan i = i + nn <= nh && (String.sub haystack i nn = needle || scan (i + 1)) in
+  scan 0
+
+(* Two samples agree bit for bit: fault, outcome, crash reason, and the
+   IEEE images of the injected error and every propagated deviation. *)
+let sample_bits_equal (a : Ftb_inject.Sample_run.t) (b : Ftb_inject.Sample_run.t) =
+  let bits f = Int64.bits_of_float f in
+  Ftb_trace.Fault.equal a.Ftb_inject.Sample_run.fault b.Ftb_inject.Sample_run.fault
+  && Ftb_trace.Runner.outcome_equal a.Ftb_inject.Sample_run.outcome
+       b.Ftb_inject.Sample_run.outcome
+  && a.Ftb_inject.Sample_run.crash_reason = b.Ftb_inject.Sample_run.crash_reason
+  && Int64.equal
+       (bits a.Ftb_inject.Sample_run.injected_error)
+       (bits b.Ftb_inject.Sample_run.injected_error)
+  &&
+  match (a.Ftb_inject.Sample_run.propagation, b.Ftb_inject.Sample_run.propagation) with
+  | None, None -> true
+  | Some (sa, da), Some (sb, db) ->
+      sa = sb
+      && Array.length da = Array.length db
+      && Array.for_all2 (fun x y -> Int64.equal (bits x) (bits y)) da db
+  | Some _, None | None, Some _ -> false
+
+(* A finished exhaustive campaign through its durable form: a complete
+   checkpoint, saved and loaded back as a campaign result. *)
+let save_complete ~path (gt : Ftb_inject.Ground_truth.t) =
+  let module Checkpoint = Ftb_campaign.Checkpoint in
+  let cp = Checkpoint.create gt.Ftb_inject.Ground_truth.golden ~shard_size:4096 in
+  Bytes.blit gt.Ftb_inject.Ground_truth.outcomes 0 cp.Checkpoint.outcomes 0
+    (Bytes.length cp.Checkpoint.outcomes);
+  Array.fill cp.Checkpoint.completed 0 (Array.length cp.Checkpoint.completed) true;
+  Checkpoint.save ~path cp
+
+let load_complete ~path golden =
+  let module Checkpoint = Ftb_campaign.Checkpoint in
+  Checkpoint.ground_truth golden (Checkpoint.load ~path ~shard_size:4096 golden)

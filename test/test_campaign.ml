@@ -200,35 +200,57 @@ let test_checkpoint_rejects_stale_fingerprint () =
         (contains ~needle:(path ^ ":1") msg));
   Sys.remove path
 
-let test_legacy_ground_truth_loads_as_complete () =
+(* A format nothing writes any more is a typed error naming its magic;
+   the engine's Restart policy then quarantines it and rebuilds the
+   campaign bit-identically. [write path] lays the old bytes down. *)
+let check_unsupported_then_rebuilt ~name ~magic write =
   let g = Lazy.force golden in
-  let path = tmp "legacy" in
-  let gt = Ground_truth.run g in
-  Persist.save_ground_truth ~path gt;
-  let state = Checkpoint.load ~path ~shard_size:5 g in
-  Alcotest.(check bool) "complete" true (Checkpoint.is_complete state);
-  Alcotest.(check bytes) "bytes preserved" gt.Ground_truth.outcomes
-    state.Checkpoint.outcomes;
-  Sys.remove path
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "ftb_campaign_%s_%d" name (Unix.getpid ()))
+  in
+  Persist.mkdir_p dir;
+  let path = Filename.concat dir "checkpoint" in
+  write g path;
+  (match Checkpoint.load ~path ~shard_size:5 g with
+  | _ -> Alcotest.fail (magic ^ " accepted")
+  | exception Persist.Format_error msg ->
+      Alcotest.(check bool) "error names the unsupported magic" true
+        (contains ~needle:magic msg));
+  let config =
+    { Engine.default_config with Engine.shard_size = 5; on_invalid_checkpoint = Engine.Restart }
+  in
+  let report = Engine.run ~config ~checkpoint:path g in
+  Alcotest.(check bool) "old file quarantined" true (report.Engine.quarantined <> None);
+  Alcotest.(check int) "nothing resumed from it" 0 report.Engine.resumed_shards;
+  Alcotest.(check bytes) "rebuilt campaign is bit-identical"
+    (Ground_truth.run g).Ground_truth.outcomes
+    report.Engine.ground_truth.Ground_truth.outcomes;
+  Sys.remove path;
+  Option.iter Sys.remove report.Engine.quarantined;
+  Unix.rmdir (Filename.concat dir "quarantine");
+  Unix.rmdir dir
 
-let test_legacy_bare_checkpoint_loads () =
-  (* A pre-envelope checkpoint carries the v2 payload with no wrapper;
-     it must still load, bit-identically. *)
-  let g = Lazy.force golden in
-  let path = tmp "legacy_bare" in
-  let state = Checkpoint.create g ~shard_size:5 in
-  Array.fill state.Checkpoint.completed 0 1 true;
-  Checkpoint.save ~path state;
-  let payload = Persist.load_enveloped ~path in
+let write_bytes path contents =
   let oc = open_out_bin path in
-  output_string oc payload;
-  close_out oc;
-  let loaded = Checkpoint.load ~path ~shard_size:5 g in
-  Alcotest.(check int) "completed shards preserved" 1
-    (Checkpoint.completed_count loaded);
-  Alcotest.(check bytes) "outcome bytes preserved" state.Checkpoint.outcomes
-    loaded.Checkpoint.outcomes;
-  Sys.remove path
+  output_string oc contents;
+  close_out oc
+
+let test_ground_truth_file_unsupported () =
+  (* The text ground-truth format: header, then the raw outcome bytes. *)
+  check_unsupported_then_rebuilt ~name:"gt_file" ~magic:"ftb-ground-truth-v2" (fun g path ->
+      write_bytes path
+        (Printf.sprintf "ftb-ground-truth-v2 %s %d\n%s"
+           g.Golden.program.Ftb_trace.Program.name (Golden.sites g)
+           (Bytes.to_string (Ground_truth.run g).Ground_truth.outcomes)))
+
+let test_bare_checkpoint_unsupported () =
+  (* A checkpoint payload without its envelope. *)
+  check_unsupported_then_rebuilt ~name:"bare" ~magic:"ftb-campaign-v3" (fun g path ->
+      let state = Checkpoint.create g ~shard_size:5 in
+      Array.fill state.Checkpoint.completed 0 1 true;
+      Checkpoint.save ~path state;
+      write_bytes path (Persist.load_enveloped ~path))
 
 let test_corrupt_checkpoint_quarantined_and_rebuilt () =
   (* A byte flip inside a checkpoint must be detected on load; under
@@ -339,7 +361,7 @@ let test_resume_parallel () =
   check_resume_bit_identical ~after:1 ~shard_size:13 ~domains:3 ()
 
 (* ------------------------------------------------------------------ *)
-(* Persist-format v3: the fault model in the header, v2 compatibility  *)
+(* Persist-format v3: the fault model in the header; v2 is unsupported *)
 
 module Models = Ftb_inject.Models
 
@@ -364,35 +386,14 @@ let rewrap_as_v2 path =
       Buffer.add_string b header;
       Buffer.add_string b rest)
 
-let test_v2_checkpoint_resumes_as_bit_flip_64 () =
-  let g = Lazy.force golden in
-  let path = tmp "v2_compat" in
-  let reference = Ground_truth.run g in
-  Alcotest.(check bool) "interrupt fired" true
-    (run_interrupted ~after:2 ~shard_size:5 g path);
-  rewrap_as_v2 path;
-  let loaded = Checkpoint.load ~path ~shard_size:5 g in
-  Alcotest.(check bool) "v2 loads as the default model" true
-    (Models.spec_equal Models.default_spec loaded.Checkpoint.model);
-  Alcotest.(check bool) "partial campaign preserved" true
-    (Checkpoint.completed_count loaded > 0 && not (Checkpoint.is_complete loaded));
-  let report =
-    Engine.run ~config:(engine_config ~shard_size:5 ~domains:1) ~checkpoint:path g
-  in
-  Alcotest.(check bool) "resume skipped completed shards" true
-    (report.Engine.resumed_shards > 0);
-  Alcotest.(check bytes) "v2 resume is bit-identical"
-    reference.Ground_truth.outcomes
-    report.Engine.ground_truth.Ground_truth.outcomes;
-  (* The resumed campaign re-saved the file; it must now be v3 and still
-     reload as the same (default) model. *)
-  let resaved = Checkpoint.load ~path ~shard_size:5 g in
-  Alcotest.(check bool) "resave reloads" true (Checkpoint.is_complete resaved);
-  Sys.remove path
+let test_v2_checkpoint_unsupported () =
+  check_unsupported_then_rebuilt ~name:"v2" ~magic:"ftb-campaign-v2" (fun g path ->
+      Checkpoint.save ~path (Checkpoint.create g ~shard_size:5);
+      rewrap_as_v2 path)
 
 let test_v2_checkpoint_rejected_for_other_model () =
-  (* A v2 file can only ever be a Bit_flip_64 campaign; resuming it under
-     another model must be a typed error naming both models. *)
+  (* Resuming a v2 file under any model, here bit-flip-32, is a typed
+     error naming the unsupported format. *)
   let g = Lazy.force golden in
   let path = tmp "v2_mismatch" in
   Checkpoint.save ~path (Checkpoint.create g ~shard_size:5);
@@ -401,8 +402,8 @@ let test_v2_checkpoint_rejected_for_other_model () =
   (match Checkpoint.load ~model:requested ~path ~shard_size:5 g with
   | _ -> Alcotest.fail "v2 checkpoint accepted for bit-flip-32"
   | exception Persist.Format_error msg ->
-      Alcotest.(check bool) "error names both models" true
-        (contains ~needle:"bit-flip-64" msg && contains ~needle:"bit-flip-32" msg));
+      Alcotest.(check bool) "error names the v2 magic" true
+        (contains ~needle:"ftb-campaign-v2" msg));
   Sys.remove path
 
 let test_v3_nondefault_model_roundtrip () =
@@ -656,16 +657,16 @@ let suite =
       test_checkpoint_rejects_other_program;
     Alcotest.test_case "checkpoint rejects stale fingerprint" `Quick
       test_checkpoint_rejects_stale_fingerprint;
-    Alcotest.test_case "legacy ground truth loads as complete" `Quick
-      test_legacy_ground_truth_loads_as_complete;
-    Alcotest.test_case "legacy bare checkpoint loads" `Quick
-      test_legacy_bare_checkpoint_loads;
+    Alcotest.test_case "ground-truth file is a typed error, then rebuilt" `Quick
+      test_ground_truth_file_unsupported;
+    Alcotest.test_case "bare checkpoint is a typed error, then rebuilt" `Quick
+      test_bare_checkpoint_unsupported;
     Alcotest.test_case "corrupt checkpoint quarantined and rebuilt" `Quick
       test_corrupt_checkpoint_quarantined_and_rebuilt;
     Alcotest.test_case "resume serial" `Quick test_resume_serial;
     Alcotest.test_case "resume parallel" `Quick test_resume_parallel;
-    Alcotest.test_case "v2 checkpoint resumes as bit-flip-64" `Quick
-      test_v2_checkpoint_resumes_as_bit_flip_64;
+    Alcotest.test_case "v2 checkpoint is a typed error, then rebuilt" `Quick
+      test_v2_checkpoint_unsupported;
     Alcotest.test_case "v2 checkpoint rejected for other model" `Quick
       test_v2_checkpoint_rejected_for_other_model;
     Alcotest.test_case "v3 non-default model round-trip" `Quick

@@ -349,7 +349,7 @@ let test_seeded_checkpoint_reduces_engine_work () =
                direct.Ground_truth.outcomes)))
 
 (* ------------------------------------------------------------------ *)
-(* Provenance: token lattice, v2 round-trip, v1 back-compat, purge.    *)
+(* Provenance: token lattice, round-trip, purge; v1 is unsupported.    *)
 
 let test_provenance_tokens () =
   Alcotest.(check string) "local token" "local" Profile.prov_local;
@@ -414,30 +414,32 @@ let test_provenance_roundtrip_and_purge () =
       Alcotest.(check int) "purge of an unknown worker is a no-op" 0
         (Store.invalidate_worker store ~worker:"w1"))
 
-let test_legacy_v1_parses_as_local () =
+let test_v1_profile_unsupported () =
+  (* A pre-provenance (v1) profile is an unsupported format: parsing it
+     names the magic, the store quarantines it as a miss, and the rebuilt
+     entry then serves. *)
   let body = String.make 64 '\001' in
-  let header =
-    Printf.sprintf "ftb-section-profile-v1 %s %s 64 0 1 %s %s"
-      (Fingerprint.of_string "legacy")
+  let section = fleet_section ~key:"legacy" ~prov:Profile.prov_local in
+  let key = Profile.key section in
+  let v1 =
+    Printf.sprintf "ftb-section-profile-v1 %s %s 64 0 1 %s %s\n%s" key
       (Models.spec_to_string model64)
-      (Fingerprint.of_string "entry") (Fingerprint.of_string "exit")
+      (Fingerprint.of_string "entry") (Fingerprint.of_string "exit") body
   in
-  (match Profile.parse ~path:"legacy-section" (header ^ "\n" ^ body) with
-  | Profile.Section s ->
-      Alcotest.(check string) "v1 section parses with local provenance"
-        Profile.prov_local s.Profile.prov
-  | Profile.Boundary _ -> Alcotest.fail "v1 section parsed as a boundary");
-  let bheader =
-    Printf.sprintf "ftb-boundary-profile-v1 %s %s 64 1 %s 0 64 0"
-      (Fingerprint.of_string "legacyb")
-      (Models.spec_to_string model64)
-      (Fingerprint.of_string "golden")
-  in
-  match Profile.parse ~path:"legacy-boundary" (bheader ^ "\n" ^ body) with
-  | Profile.Boundary b ->
-      Alcotest.(check string) "v1 boundary parses with local provenance"
-        Profile.prov_local b.Profile.bprov
-  | Profile.Section _ -> Alcotest.fail "v1 boundary parsed as a section"
+  (match Profile.parse ~path:"legacy-section" v1 with
+  | _ -> Alcotest.fail "v1 section profile accepted"
+  | exception Ftb_inject.Persist.Format_error msg ->
+      Alcotest.(check bool) "error names the v1 magic" true
+        (Helpers.contains msg "ftb-section-profile-v1"));
+  with_store (fun store ->
+      let path = Store.path_of_key store key in
+      Ftb_inject.Persist.mkdir_p (Filename.dirname path);
+      Ftb_inject.Persist.save_enveloped ~path (fun b -> Buffer.add_string b v1);
+      Alcotest.(check bool) "v1 entry reads as a miss" true (Store.find store ~key = None);
+      Alcotest.(check int) "v1 entry was quarantined" 1 (Store.stats store).Store.quarantined;
+      Store.put store section;
+      Alcotest.(check bool) "rebuilt entry serves" true
+        (Store.find store ~key = Some section))
 
 let suite =
   [
@@ -461,6 +463,6 @@ let suite =
     Alcotest.test_case "provenance token lattice" `Quick test_provenance_tokens;
     Alcotest.test_case "provenance round-trip and purge" `Quick
       test_provenance_roundtrip_and_purge;
-    Alcotest.test_case "v1 profiles parse with local provenance" `Quick
-      test_legacy_v1_parses_as_local;
+    Alcotest.test_case "v1 profile is a typed error, then rebuilt" `Quick
+      test_v1_profile_unsupported;
   ]

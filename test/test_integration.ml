@@ -33,8 +33,8 @@ let test_seeded_studies_are_deterministic () =
 let test_persisted_campaign_reproduces_study () =
   let c = Lazy.force context in
   let path = Filename.concat (Filename.get_temp_dir_name ()) "ftb_integration_gt" in
-  Ftb_inject.Persist.save_ground_truth ~path c.Context.ground_truth;
-  let reloaded = Ftb_inject.Persist.load_ground_truth ~path c.Context.golden in
+  Helpers.save_complete ~path c.Context.ground_truth;
+  let reloaded = Helpers.load_complete ~path c.Context.golden in
   let from_fresh = Ftb_core.Study_exhaustive.run c in
   let from_disk =
     Ftb_core.Study_exhaustive.run

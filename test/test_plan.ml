@@ -322,7 +322,8 @@ let test_round_log_write_size () =
   Alcotest.(check int) "every round executed" (Array.length rounds) result.Adaptive.rounds;
   Sys.remove path
 
-(* The v1 writer: one enveloped text snapshot, samples as hex. *)
+(* The old v1 writer, kept to lay down its bytes: one enveloped text
+   snapshot, samples as hex. *)
 let save_v1 ~path (t : RC.t) =
   let hex s = String.concat "" (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (String.to_seq s))) in
   Ftb_inject.Persist.save_enveloped ~path (fun buf ->
@@ -343,9 +344,10 @@ let save_v1 ~path (t : RC.t) =
             (String.concat "" (Array.to_list (Array.map (Printf.sprintf " %d") cases))))
         t.RC.pending)
 
-let test_round_log_v1_snapshot_resumes () =
-  (* A daemon upgraded mid-campaign finds a v1 snapshot on disk: it loads
-     field for field and the campaign resumes bit-identically. *)
+let test_round_log_v1_snapshot_unsupported () =
+  (* A v1 snapshot is an unsupported format: loading it is a typed error
+     naming its magic, and the engine quarantines it and restarts cold,
+     still bit-identical to the serial oracle. *)
   let g = Lazy.force golden in
   let oracle = Adaptive.run_model ~config:small_config (Rng.create ~seed:22) g in
   let log = tmp "v1_src.ckpt" in
@@ -358,20 +360,23 @@ let test_round_log_v1_snapshot_resumes () =
    with
   | exception AE.Cancelled -> ()
   | _ -> Alcotest.fail "cancel ignored");
-  let state = RC.load ~path:log in
-  let path = tmp "v1.ckpt" in
-  save_v1 ~path state;
-  let back = RC.load ~path in
-  Alcotest.(check int) "rounds" state.RC.rounds back.RC.rounds;
-  Alcotest.(check int64) "rng state" state.RC.rng_state back.RC.rng_state;
-  Alcotest.(check int) "samples" (Array.length state.RC.samples) (Array.length back.RC.samples);
-  Alcotest.(check (option (array int))) "pending" state.RC.pending back.RC.pending;
+  let dir = tmp (Printf.sprintf "v1_%d" (Unix.getpid ())) in
+  Ftb_inject.Persist.mkdir_p dir;
+  let path = Filename.concat dir "v1.ckpt" in
+  save_v1 ~path (RC.load ~path:log);
+  (match RC.load ~path with
+  | _ -> Alcotest.fail "v1 snapshot accepted"
+  | exception Ftb_inject.Persist.Format_error msg ->
+      Alcotest.(check bool) "error names the v1 magic" true
+        (Helpers.contains msg "ftb-adaptive-v1"));
   let result, stats = AE.run ~config:small_config ~checkpoint:path ~name:"lin" ~seed:22 g in
-  check_same_result "resumed from v1" oracle result;
-  Alcotest.(check int) "v1 samples inherited" (Array.length state.RC.samples)
-    stats.AE.resumed_samples;
-  Sys.remove log;
-  Sys.remove path
+  check_same_result "restarted cold" oracle result;
+  Alcotest.(check int) "nothing resumed from the v1 snapshot" 0 stats.AE.resumed_samples;
+  let quarantined = Filename.concat (Filename.concat dir "quarantine") "v1.ckpt" in
+  Alcotest.(check bool) "v1 snapshot quarantined" true (Sys.file_exists quarantined);
+  List.iter Sys.remove [ log; path; quarantined ];
+  Unix.rmdir (Filename.concat dir "quarantine");
+  Unix.rmdir dir
 
 (* ------------------------------------------------------------------ *)
 (* Boundary store                                                      *)
@@ -463,6 +468,55 @@ let test_store_corrupt_entry_quarantined () =
   BS.put store entry;
   Alcotest.(check bool) "re-put heals the store" true
     (BS.find store ~key:entry.BS.key <> None)
+
+let test_store_find_latest_skips_corrupt_newest () =
+  (* The newest entry of a kernel is corrupt, an older one is valid: the
+     first lookup already answers with the older one. *)
+  let g = Lazy.force golden in
+  let _, store = tmp_store "latest_corrupt" in
+  let older = entry_of ~seed:41 ~created:10. g in
+  let newer = entry_of ~seed:42 ~created:20. g in
+  BS.put store older;
+  BS.put store newer;
+  let path = BS.path_of_key store newer.BS.key in
+  let oc = open_out_bin path in
+  output_string oc "garbage overwriting the envelope\n";
+  close_out oc;
+  (match BS.find_latest store ~bench:"lin" () with
+  | Some e -> Alcotest.(check int) "the older valid entry answers" 41 e.BS.seed
+  | None -> Alcotest.fail "find_latest gave up on a kernel with a valid entry");
+  Alcotest.(check int) "the corrupt one was quarantined" 1 (BS.stats store).BS.quarantined;
+  match BS.find_latest store ~bench:"lin" () with
+  | Some e -> Alcotest.(check int) "and keeps answering" 41 e.BS.seed
+  | None -> Alcotest.fail "second lookup missed"
+
+let test_store_site_count_bounded () =
+  (* A header announcing far more sites than the entry has lines is
+     refused before anything is sized by it. *)
+  let g = Lazy.force golden in
+  let _, store = tmp_store "site_bound" in
+  let entry = entry_of g in
+  BS.put store entry;
+  let path = BS.path_of_key store entry.BS.key in
+  let payload = Ftb_inject.Persist.load_enveloped ~path in
+  let nl = String.index payload '\n' in
+  (* Header field 12 is the site count. *)
+  let header =
+    String.split_on_char ' ' (String.sub payload 0 nl)
+    |> List.mapi (fun i field -> if i = 12 then "400000000" else field)
+    |> String.concat " "
+  in
+  Ftb_inject.Persist.save_enveloped ~path (fun b ->
+      Buffer.add_string b header;
+      Buffer.add_string b (String.sub payload nl (String.length payload - nl)));
+  let words () = Gc.minor_words () +. (Gc.quick_stat ()).Gc.major_words in
+  let before = words () in
+  Alcotest.(check bool) "inflated site count refused" true
+    (BS.find store ~key:entry.BS.key = None);
+  let allocated = words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "refused without a large allocation (%.0f words)" allocated)
+    true (allocated < 1e6)
 
 let test_warm_start_never_changes_boundary () =
   (* The warm-start contract: serving a stored entry for the exact
@@ -569,8 +623,8 @@ let suite =
       test_round_log_mid_corruption;
     Alcotest.test_case "round log: a round appends only its own bytes" `Quick
       test_round_log_write_size;
-    Alcotest.test_case "round log: v1 snapshot resumes bit-identical" `Quick
-      test_round_log_v1_snapshot_resumes;
+    Alcotest.test_case "round log: v1 snapshot is a typed error, restarts cold" `Quick
+      test_round_log_v1_snapshot_unsupported;
     Alcotest.test_case "round checkpoint round-trip" `Quick
       test_round_checkpoint_roundtrip;
     Alcotest.test_case "store put/find round-trip" `Quick test_store_put_find_roundtrip;
@@ -579,6 +633,10 @@ let suite =
     Alcotest.test_case "find_latest and gc" `Quick test_store_find_latest_and_gc;
     Alcotest.test_case "corrupt entry quarantined" `Quick
       test_store_corrupt_entry_quarantined;
+    Alcotest.test_case "find_latest skips a corrupt newest entry" `Quick
+      test_store_find_latest_skips_corrupt_newest;
+    Alcotest.test_case "entry site count bounded by its lines" `Quick
+      test_store_site_count_bounded;
     Alcotest.test_case "warm start never changes the boundary" `Quick
       test_warm_start_never_changes_boundary;
     Helpers.qcheck_to_alcotest prop_store_query_agrees_with_model;

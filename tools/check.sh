@@ -28,7 +28,7 @@ echo "== dune runtest"
 dune runtest
 
 echo "== smoke aliases"
-dune build @campaign-smoke @bench-smoke @service-smoke @chaos-smoke @fleet-smoke @model-smoke @ir-smoke @compose-smoke @audit-smoke @adaptive-smoke --force
+dune build @campaign-smoke @bench-smoke @service-smoke @chaos-smoke @fleet-smoke @model-smoke @ir-smoke @compose-smoke @audit-smoke @adaptive-smoke @decode-fuzz --force
 
 echo "all checks passed"
 
