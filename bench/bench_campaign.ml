@@ -203,9 +203,14 @@ let bench_program ~opts (name, program, baseline_program) =
    take real compute time. Two assertions, because the honest measurement
    and the stable measurement differ:
 
-   - budget (2%): [saves-per-campaign x measured save cost / campaign
-     time]. Both factors are individually stable, so this tight bound
-     does not flake on a noisy machine.
+   - budget (2%): [saves-per-campaign x save cost / campaign time], the
+     median over interleaved pairs of each pair's ratio: a pair times a
+     batch of saves right beside a plain campaign, so a spell of disk
+     traffic from other processes, or a slow spell of the host, lands on
+     few pairs and the median drops them. (Timed as two separate best-of
+     blocks, the two factors met different machine states, and a run
+     beside other tests' disk writes read 2.3-2.8 % against a true cost
+     under 1 %.)
    - tripwire (10%): end-to-end wall clock of the engine with vs without
      a checkpoint path: the median, over interleaved pairs, of each
      pair's time ratio. The true difference is a fraction of a percent,
@@ -220,11 +225,11 @@ let bench_program ~opts (name, program, baseline_program) =
 type persistence_guard = {
   guard_cases : int;
   guard_waves : int;
-  save_s : float;  (* one Checkpoint.save, measured over many *)
+  save_s : float;  (* one Checkpoint.save: median over the pairs' batches *)
   plain_s : float;
   ckpt_s : float;
   pairs : int;
-  amortized : float;  (* (waves + 1) * save_s / plain_s *)
+  amortized : float;  (* median over pairs of (waves + 1) * save / plain *)
   wall_overhead : float;  (* median over pairs of ckpt / plain, minus 1 *)
   budget : float;
   tripwire : float;
@@ -267,16 +272,30 @@ let bench_persistence ~opts =
   in
   let run_plain () = timed (fun () -> Engine.run ~config golden) in
   let run_ckpt () = timed (fun () -> Engine.run ~config ~checkpoint:ckpt_path golden) in
+  (* One enveloped checkpoint write, averaged over a batch. *)
+  let save_state = Checkpoint.create golden ~shard_size in
+  let per_batch = 10 in
+  let save_batch () =
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to per_batch do
+      Checkpoint.save ~path:ckpt_path save_state
+    done;
+    (Unix.gettimeofday () -. t0) /. float_of_int per_batch
+  in
   let plain_times = Array.make pairs 0. and ckpt_times = Array.make pairs 0. in
+  let save_times = Array.make pairs 0. in
   for i = 0 to pairs - 1 do
     (* Alternate which variant goes first so neither systematically runs
-       on a warmer (or GC-dirtier) machine state. *)
+       on a warmer (or GC-dirtier) machine state; the save batch always
+       sits right beside the plain campaign it is divided by. *)
     if i land 1 = 0 then begin
       plain_times.(i) <- snd (run_plain ());
+      save_times.(i) <- save_batch ();
       ckpt_times.(i) <- snd (run_ckpt ())
     end
     else begin
       ckpt_times.(i) <- snd (run_ckpt ());
+      save_times.(i) <- save_batch ();
       plain_times.(i) <- snd (run_plain ())
     end
   done;
@@ -284,29 +303,19 @@ let bench_persistence ~opts =
   check "engine (enveloped checkpoints)" (fst (run_ckpt ()));
   let plain_s = Array.fold_left Float.min infinity plain_times
   and ckpt_s = Array.fold_left Float.min infinity ckpt_times in
-  (* The stable factor: one enveloped checkpoint write, best-of over many. *)
-  let save_s =
-    let state = Checkpoint.create golden ~shard_size in
-    let rounds = 20 and per_round = 10 in
-    let best = ref infinity in
-    for _ = 1 to rounds do
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to per_round do
-        Checkpoint.save ~path:ckpt_path state
-      done;
-      let dt = (Unix.gettimeofday () -. t0) /. float_of_int per_round in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
   (try Sys.remove ckpt_path with Sys_error _ -> ());
-  let amortized = float_of_int (waves + 1) *. save_s /. plain_s in
-  let wall_overhead =
-    Ftb_util.Stats.median (Array.map2 ( /. ) ckpt_times plain_times) -. 1.
+  let median = Ftb_util.Stats.median in
+  let save_s = median save_times in
+  let amortized =
+    median
+      (Array.map2 (fun save plain -> float_of_int (waves + 1) *. save /. plain) save_times
+         plain_times)
   in
+  let wall_overhead = median (Array.map2 ( /. ) ckpt_times plain_times) -. 1. in
   let budget = 0.02 and tripwire = 0.10 in
   Printf.printf
-    "  checkpoint save %.3f ms x %d saves over %.3f s — amortized %.2f%% (budget %.0f%%)\n%!"
+    "  checkpoint save %.3f ms x %d saves over %.3f s — amortized %.2f%% (median pair; \
+     budget %.0f%%)\n%!"
     (1000. *. save_s) (waves + 1) plain_s (100. *. amortized) (100. *. budget);
   Printf.printf
     "  wall clock: enveloped %8.3f s vs plain %8.3f s (best of %d) — median pair %+.2f%% \

@@ -3,7 +3,9 @@
    Subcommands:
      list                         list available benchmark programs
      campaign  BENCH              run a fault-injection campaign
-     boundary  BENCH              infer a boundary from a random sample
+     boundary  infer BENCH        infer a boundary from a random sample
+     boundary  query|list|export|gc
+                                  read the daemon's boundary store
      adaptive  BENCH              run the progressive/adaptive sampler
      report    BENCH              exhaustive-campaign study of one benchmark
      serve                        run the campaign daemon
@@ -724,9 +726,13 @@ let serve_run () state socket tcp capacity domains checkpoint_every stuck_after
     exit 2
   end;
   (* Every daemon is fleet-capable: remote `ftb worker` processes may
-     attach at any time and exhaustive jobs submitted while workers are
-     live run on the fleet instead of the local pool. *)
-  let fleet = Ftb_dist.Fleet.create ~lease_ttl ~audit_rate ~quarantine_after () in
+     attach at any time and jobs submitted while workers are live run on
+     the fleet. The fleet's own shard executions (adaptive rounds with no
+     worker attached, the local fallback, audits) share the daemon's pool. *)
+  let pool =
+    if domains > 1 then Some (Ftb_inject.Parallel.Pool.global ~domains ()) else None
+  in
+  let fleet = Ftb_dist.Fleet.create ?pool ~lease_ttl ~audit_rate ~quarantine_after () in
   let config =
     {
       (Service.Server.default_config ~state_dir:state) with
@@ -1664,7 +1670,6 @@ let boundary_infer_cmd =
 
 let boundary_cmd =
   Cmd.group
-    ~default:boundary_infer_term
     (Cmd.info "boundary"
        ~doc:
          "Infer a boundary from a random sample, or query the daemon's servable \

@@ -16,32 +16,30 @@ type worker_info = {
 }
 
 (* One committed remote shard, recorded for audit re-execution and cache
-   provenance. [r_digest] is the attestation digest recomputed server-side
-   over the decoded bytes (so it reflects what actually landed in the
-   campaign buffer, not what the frame claimed); [r_attested] is whether
-   the frame itself carried a digest — legacy frames without one are
-   always audited. [r_overwritten] marks a disputed shard whose bytes the
+   provenance. [r_digest] is the attestation digest, checked server-side
+   against the blob that committed. [r_commit] writes an oracle blob over the
+   shard in the wave it committed to; a round that has already returned
+   ignores it. [r_overwritten] marks a disputed shard whose blob the
    local oracle replaced. *)
 type audit_record = {
   r_shard : int;
   r_lo : int;
   r_hi : int;
+  r_work : Shard.t;
   r_wid : int;
   r_name : string;
   r_digest : string;
-  r_attested : bool;
-  r_cases : int array option;
-      (* [Some cases] for a sparse sampled shard: the audit oracle
-         re-executes exactly these case indices with tracing and compares
-         codec blobs, not dense outcome bytes. *)
+  r_commit : Bytes.t -> unit;
   mutable r_audited : bool;
   mutable r_overwritten : bool;
 }
 
 (* The wave currently being executed for the scheduler thread blocked in
-   [run_wave]. [commit] is the engine's guarded write into the campaign's
-   outcome buffer; it is called only under the fleet mutex and only when
-   the lease table answered [`Committed] for that shard. *)
+   [drive]. [a_commit] writes a shard's validated blob into the wave's
+   destination (the engine's outcome buffer, or a round's sample slots);
+   it is called only under the fleet mutex and only when the lease table
+   answered [`Committed] for that shard. [a_cases] is the adaptive
+   round's drawn case list, [None] for a dense wave. *)
 type active = {
   a_job : int;
   a_bench : string;
@@ -51,10 +49,6 @@ type active = {
   table : Lease.t;
   a_commit : shard:int -> Bytes.t -> unit;
   a_cases : int array option;
-      (* [Some cases] marks the active wave as a sparse sampled round (the
-         adaptive planner's drawn case list): grants slice [cases.(lo..hi)]
-         and results carry [Samples] codec blobs, not dense outcome
-         bytes. *)
 }
 
 type stats = {
@@ -74,6 +68,7 @@ type job_provenance = { jp_workers : string list; jp_audited : bool }
 
 type t = {
   mutex : Mutex.t;
+  pool : Ftb_inject.Parallel.Pool.t option;
   lease_ttl : float;
   poll : float;
   audit_rate : float;
@@ -85,7 +80,7 @@ type t = {
   mutable next_lease : int;
   mutable active : active option;
   (* Audit state for the job currently (or most recently) driven through
-     [wave_runner]; the daemon's scheduler runs one job at a time, so a
+     [drive]; the daemon's scheduler runs one job at a time, so a
      single slot suffices. Records accumulate across the job's waves. *)
   mutable audit_job : int option;
   mutable audit_records : audit_record list;
@@ -113,7 +108,7 @@ let max_barred = 64
 let max_quarantined_wids = 256
 let now () = Unix.gettimeofday ()
 
-let create ?(lease_ttl = 5.0) ?(poll = 0.05) ?(audit_rate = 0.02)
+let create ?pool ?(lease_ttl = 5.0) ?(poll = 0.05) ?(audit_rate = 0.02)
     ?(audit_seed = 0x7f4a7c15) ?(quarantine_after = 2) () =
   if lease_ttl <= 0. then invalid_arg "Fleet.create: lease_ttl must be positive";
   if poll <= 0. then invalid_arg "Fleet.create: poll must be positive";
@@ -123,6 +118,7 @@ let create ?(lease_ttl = 5.0) ?(poll = 0.05) ?(audit_rate = 0.02)
     invalid_arg "Fleet.create: quarantine_after must be positive";
   {
     mutex = Mutex.create ();
+    pool;
     lease_ttl;
     poll;
     audit_rate;
@@ -329,12 +325,14 @@ let handle_heartbeat t json =
         P.heartbeat_reply ~valid)
 
 let handle_result t json =
-  let wid = P.req_int "worker" json in
-  let job = P.req_int "job" json in
-  let lease_id = P.req_int "lease" json in
-  let shard = P.req_int "shard" json in
+  let r = P.parse_result json in
+  let wid = r.P.res_worker and shard = r.P.res_shard and lease_id = r.P.res_lease in
   with_lock t (fun () ->
       ignore (touch_worker_locked t wid : bool);
+      let stale () =
+        t.stale <- t.stale + 1;
+        P.result_ack_frame ~committed:false ~stale:true
+      in
       if quarantined_locked t wid then
         P.error_frame "quarantined"
           (Printf.sprintf "worker %d is quarantined; results are refused" wid)
@@ -343,20 +341,26 @@ let handle_result t json =
       | None ->
           (* The wave is over (the job finished, was cancelled, or failed);
              a straggler's work is simply dropped. *)
-          t.stale <- t.stale + 1;
-          P.result_ack_frame ~committed:false ~stale:true
-      | Some a when a.a_job <> job ->
+          stale ()
+      | Some a when a.a_job <> r.P.res_job ->
           (* A straggler from an earlier job: commits are keyed by shard
              index, and a later job may reuse the index with the same
              bounds, so without this check the old bench's outcome bytes
              would land in the new campaign. Within one job late results
              are byte-identical (pure function of the golden trace) and
              first-result-wins stays sound; across jobs they are dropped. *)
-          t.stale <- t.stale + 1;
-          P.result_ack_frame ~committed:false ~stale:true
+          stale ()
       | Some a -> (
-          match P.opt_str "error" json with
-          | Some message -> (
+          (* A refused blob fails its lease, so the shard is re-run (by the
+             engine's retry, or the round's local pass); a refusal of a
+             lease that is no longer current changes nothing. *)
+          let refuse code message =
+            ignore (Lease.fail a.table ~lease_id ~message : [ `Committed | `Stale ]);
+            P.error_frame code (Printf.sprintf "shard %d: %s" shard message)
+          in
+          match r.P.res_payload with
+          | Error message -> refuse "bad_result" message
+          | Ok (P.Failed message) -> (
               match Lease.fail a.table ~lease_id ~message with
               | `Committed ->
                   t.failed <- t.failed + 1;
@@ -364,150 +368,56 @@ let handle_result t json =
                   | Some w -> w.w_failed <- w.w_failed + 1
                   | None -> ());
                   P.result_ack_frame ~committed:true ~stale:false
-              | `Stale ->
-                  t.stale <- t.stale + 1;
-                  P.result_ack_frame ~committed:false ~stale:true)
-          | None -> (
-              (* Shared tail for both payload kinds once [bytes] passed the
-                 shard's structural validation. Attestation: recompute the
-                 digest over the decoded bytes. A frame whose own digest
-                 disagrees was corrupted in transit or encoding — reject it
-                 typed and release the lease so the shard is retried; this
-                 is not a dispute (the worker's execution is not in
-                 question, its frame is). *)
-              let accept ~lo ~hi ~r_cases bytes =
-                let sdigest =
-                  P.outcome_digest ~job ~shard ~lo ~hi
-                    ~fingerprint:a.a_fingerprint bytes
-                in
-                let frame_digest = P.opt_str "digest" json in
-                match frame_digest with
-                | Some d when d <> sdigest ->
-                    t.bad_digest <- t.bad_digest + 1;
-                    ignore
-                      (Lease.fail a.table ~lease_id
-                         ~message:"attestation digest mismatch"
-                        : [ `Committed | `Stale ]);
-                    P.error_frame "digest_mismatch"
-                      (Printf.sprintf
-                         "shard %d outcome bytes do not match their attestation digest"
-                         shard)
-                | Some _ | None -> (
-                    match Lease.commit a.table ~shard with
-                    | `Committed ->
-                        a.a_commit ~shard bytes;
-                        t.remote_committed <- t.remote_committed + 1;
-                        let r_name =
-                          match find_worker_locked t wid with
-                          | Some w ->
-                              w.w_committed <- w.w_committed + 1;
-                              w.w_name
-                          | None -> Printf.sprintf "worker-%d" wid
-                        in
-                        t.audit_records <-
-                          {
-                            r_shard = shard;
-                            r_lo = lo;
-                            r_hi = hi;
-                            r_wid = wid;
-                            r_name;
-                            r_digest = sdigest;
-                            r_attested = frame_digest <> None;
-                            r_cases;
-                            r_audited = false;
-                            r_overwritten = false;
-                          }
-                          :: t.audit_records;
-                        P.result_ack_frame ~committed:true ~stale:false
-                    | `Stale | `Unknown ->
-                        t.stale <- t.stale + 1;
-                        P.result_ack_frame ~committed:false ~stale:true)
-              in
-              match (P.opt_str "data" json, P.opt_str "samples" json, a.a_cases) with
-              | None, None, _ ->
-                  P.error_frame "bad_request" "result carries neither data nor error"
-              | Some _, _, Some _ ->
-                  P.error_frame "bad_result"
-                    (Printf.sprintf
-                       "shard %d belongs to a sparse sampled round; dense outcome bytes refused"
-                       shard)
-              | _, Some _, None ->
-                  P.error_frame "bad_result"
-                    (Printf.sprintf
-                       "shard %d is a dense range shard; sparse samples refused" shard)
-              | Some hex, _, None -> (
-                  match Lease.bounds a.table ~shard with
-                  | None ->
-                      t.stale <- t.stale + 1;
-                      P.result_ack_frame ~committed:false ~stale:true
-                  | Some (lo, hi) ->
-                      (* Typed size guard on the receiving end: a blob that
-                         does not exactly cover [lo, hi) is rejected before
-                         any byte reaches the campaign. *)
-                      if String.length hex > 2 * (hi - lo) then
-                        P.error_frame "oversized_result"
-                          (Printf.sprintf
-                             "shard %d result is %d hex chars; expected %d"
-                             shard (String.length hex) (2 * (hi - lo)))
-                      else if String.length hex < 2 * (hi - lo) then
-                        P.error_frame "bad_result"
-                          (Printf.sprintf
-                             "shard %d result is %d hex chars; expected %d"
-                             shard (String.length hex) (2 * (hi - lo)))
-                      else
-                        let bytes =
-                          try Some (P.bytes_of_hex hex) with P.Decode_error _ -> None
-                        in
-                        (match bytes with
-                        | None -> P.error_frame "bad_result" "result blob is not valid hex"
-                        | Some bytes -> accept ~lo ~hi ~r_cases:None bytes))
-              | None, Some hex, Some wave_cases -> (
-                  match Lease.bounds a.table ~shard with
-                  | None ->
-                      t.stale <- t.stale + 1;
-                      P.result_ack_frame ~committed:false ~stale:true
-                  | Some (lo, hi) -> (
-                      let bytes =
-                        try Some (P.bytes_of_hex hex) with P.Decode_error _ -> None
-                      in
-                      match bytes with
-                      | None ->
-                          P.error_frame "bad_result" "samples blob is not valid hex"
-                      | Some bytes -> (
-                          (* Structural validation before any sample can
-                             reach the boundary fold: the blob must decode,
-                             cover exactly this shard's slice of the drawn
-                             round, and name the granted cases in grant
-                             order. *)
-                          match Ftb_inject.Sample_codec.decode (Bytes.to_string bytes) with
-                          | exception Ftb_inject.Sample_codec.Format_error msg ->
-                              P.error_frame "bad_result"
-                                (Printf.sprintf "shard %d samples blob is corrupt: %s"
-                                   shard msg)
-                          | samples ->
-                              if Array.length samples <> hi - lo then
-                                P.error_frame "bad_result"
-                                  (Printf.sprintf
-                                     "shard %d carries %d samples; expected %d" shard
-                                     (Array.length samples) (hi - lo))
-                              else
-                                let width = Ftb_inject.Models.spec_width a.a_model in
-                                let aligned = ref true in
-                                Array.iteri
-                                  (fun i s ->
-                                    let case =
-                                      (s.Ftb_inject.Sample_run.fault.Ftb_trace.Fault.site
-                                      * width)
-                                      + s.Ftb_inject.Sample_run.fault.Ftb_trace.Fault.bit
-                                    in
-                                    if case <> wave_cases.(lo + i) then aligned := false)
-                                  samples;
-                                if not !aligned then
-                                  P.error_frame "bad_result"
-                                    (Printf.sprintf
-                                       "shard %d samples do not match the granted case list"
-                                       shard)
-                                else accept ~lo ~hi ~r_cases:(Some (Array.sub wave_cases lo (hi - lo))) bytes))))))
+              | `Stale -> stale ())
+          | Ok (P.Blob { data; digest }) -> (
+              match Lease.bounds a.table ~shard with
+              | None -> stale ()
+              | Some (lo, hi) -> (
+                  let work = Shard.of_wave a.a_cases ~lo ~hi in
+                  (* Validation, then attestation: a blob that does not fit
+                     its grant never reaches the campaign or a boundary
+                     fold, and neither does one whose frame digest
+                     disagrees with the server's recomputation — that
+                     frame was corrupted in transit or encoding, which is
+                     not a dispute (the worker's execution is not in
+                     question, its frame is). *)
+                  let sdigest () =
+                    P.outcome_digest ~job:a.a_job ~shard ~lo ~hi
+                      ~fingerprint:a.a_fingerprint data
+                  in
+                  match Shard.check a.a_model work data with
+                  | Error message -> refuse "bad_result" message
+                  | Ok () when digest <> sdigest () ->
+                      t.bad_digest <- t.bad_digest + 1;
+                      refuse "digest_mismatch" "result blob does not match its attestation digest"
+                  | Ok () -> (
+                      match Lease.commit a.table ~shard with
+                      | `Committed ->
+                          a.a_commit ~shard data;
+                          t.remote_committed <- t.remote_committed + 1;
+                          let r_name =
+                            match find_worker_locked t wid with
+                            | Some w ->
+                                w.w_committed <- w.w_committed + 1;
+                                w.w_name
+                            | None -> Printf.sprintf "worker-%d" wid
+                          in
+                          t.audit_records <-
+                            {
+                              r_shard = shard;
+                              r_lo = lo;
+                              r_hi = hi;
+                              r_work = work;
+                              r_wid = wid;
+                              r_name;
+                              r_digest = digest;
+                              r_commit = a.a_commit ~shard;
+                              r_audited = false;
+                              r_overwritten = false;
+                            }
+                            :: t.audit_records;
+                          P.result_ack_frame ~committed:true ~stale:false
+                      | `Stale | `Unknown -> stale ())))))
 
 let handle_detach t json =
   let wid = P.req_int "worker" json in
@@ -586,7 +496,9 @@ let quarantine_locked t ~wid ~name ~disputes =
   | None -> ()
 
 (* ------------------------------------------------------------------ *)
-(* The engine-facing wave runner (scheduler thread). *)
+(* The scheduler side (scheduler thread): one lease-driving loop, with
+   the engine's dense waves and the adaptive planner's rounds as thin
+   adapters over it. *)
 
 let local_holder = 0 (* worker ids start at 1 *)
 
@@ -603,48 +515,30 @@ let audit_hash t ~job ~shard =
 
 (* Audit and adjudicate the current job's committed shards. Runs on the
    scheduler thread after a wave's lease table is closed ([t.active] is
-   [None]), so the record list is quiescent and the engine has not yet
-   checkpointed the wave: a disputed shard's bytes are replaced before
-   they can ever be persisted. The local executor is the oracle — outcome
-   bytes are a pure function of the golden trace, so a recomputed slice
-   that disagrees with a worker's digest is a 2-of-2 quorum against it
-   (honest-worker agreement is checked the same way, shard by shard). *)
-let audit_job_locked_free t ~fuel ~model ~golden ~fingerprint ~commit =
+   [None]), so the record list is quiescent and the wave's consumer (the
+   engine's checkpoint, the planner's fold) has not seen the wave yet: a
+   disputed shard's blob is replaced before it can be persisted or
+   folded. The local executor is the oracle — a shard's blob is a pure
+   function of the golden trace, so a recomputed blob that disagrees
+   with a worker's digest is a 2-of-2 quorum against it (honest-worker
+   agreement is checked the same way, shard by shard). *)
+let audit_job_locked_free t ~fuel ~model ~golden ~fingerprint =
   if t.audit_rate <= 0. then []
   else begin
     let job = match t.audit_job with Some j -> j | None -> -1 in
     let audit_one r =
       with_lock t (fun () -> t.audited <- t.audited + 1);
-      let buf =
-        match r.r_cases with
-        | None ->
-            let n = r.r_hi - r.r_lo in
-            let buf = Bytes.create n in
-            Ftb_inject.Executor.range_into_model ?fuel model golden ~lo:r.r_lo
-              ~hi:r.r_hi buf ~off:0;
-            buf
-        | Some cases ->
-            (* Sparse sampled shard: the oracle re-runs the granted cases
-               with tracing and compares codec blobs — bit-identical floats
-               are the codec's contract, so an honest worker's blob matches
-               byte for byte. *)
-            Bytes.of_string
-              (Ftb_inject.Sample_codec.encode
-                 (Array.map
-                    (fun case -> Ftb_inject.Sample_run.run_case_model ?fuel model golden case)
-                    cases))
-      in
+      let blob = Shard.run ?pool:t.pool ?fuel model golden r.r_work in
       let expect =
-        P.outcome_digest ~job ~shard:r.r_shard ~lo:r.r_lo ~hi:r.r_hi
-          ~fingerprint buf
+        P.outcome_digest ~job ~shard:r.r_shard ~lo:r.r_lo ~hi:r.r_hi ~fingerprint blob
       in
       r.r_audited <- true;
       if expect = r.r_digest then true
       else begin
-        (* Disputed: the oracle's bytes replace the worker's. The engine
-           is still blocked in [run_wave], so the overwrite lands before
-           any checkpoint or harvest can observe the lying bytes. *)
-        commit ~shard:r.r_shard buf;
+        (* Disputed: the oracle's blob replaces the worker's. The wave's
+           consumer is still blocked in [drive], so the overwrite lands
+           before anything can observe the lying blob. *)
+        r.r_commit blob;
         r.r_overwritten <- true;
         false
       end
@@ -666,14 +560,12 @@ let audit_job_locked_free t ~fuel ~model ~golden ~fingerprint ~commit =
         let first_time =
           with_lock t (fun () -> not (List.mem wid t.audited_wids))
         in
-        (* Unattested (legacy-frame) shards are always audited; attested
-           ones are sampled. A worker with any prior dispute is fully
-           audited from then on — suspicion is sticky for the job. *)
-        let forced, pool = List.partition (fun r -> not r.r_attested) recs in
+        (* A worker with any prior dispute is fully audited from then on —
+           suspicion is sticky for the job. *)
         let picks =
           if prior > 0 then recs
           else begin
-            let n = List.length pool in
+            let n = List.length recs in
             let quota =
               int_of_float (Float.round (t.audit_rate *. float_of_int n))
             in
@@ -685,9 +577,9 @@ let audit_job_locked_free t ~fuel ~model ~golden ~fingerprint ~commit =
                   compare
                     (audit_hash t ~job ~shard:a.r_shard)
                     (audit_hash t ~job ~shard:b.r_shard))
-                pool
+                recs
             in
-            forced @ List.filteri (fun i _ -> i < quota) sorted
+            List.filteri (fun i _ -> i < quota) sorted
           end
         in
         let disputes_here =
@@ -747,267 +639,161 @@ let job_provenance t ~job_id =
         in
         Some { jp_workers; jp_audited })
 
-let wave_runner t ~job_id ~bench ~fuel ~model ~golden =
-  if live_workers t = 0 then None
-  else
-    let fingerprint = Checkpoint.fingerprint_of_golden golden in
+(* Drive one wave — [tasks] are (shard, lo, hi) of a dense campaign when
+   [cases] is [None], else slices of the drawn round [cases] — to
+   completion. Workers lease the wave's shards through [handle_lease]
+   and commit validated blobs through [handle_result]; this loop expires
+   dead workers' leases, prunes the registry, and runs on the local
+   executor every shard no worker may take: all of them once no live
+   worker remains (the executor of last resort, so the wave always
+   completes), and shards whose blob could not fit a wire frame at any
+   time. Then it audits the wave's remote commits and fires the
+   quarantine hook before handing the per-shard results back. *)
+let drive t ~job_id ~bench ~fuel ~model ~golden ~fingerprint ~cases ~commit tasks =
+  let table =
     with_lock t (fun () ->
         if t.audit_job <> Some job_id then begin
           t.audit_job <- Some job_id;
           t.audit_records <- [];
           t.audited_wids <- []
-        end);
+        end;
+        let table = Lease.create ~first_lease:t.next_lease tasks in
+        t.active <-
+          Some
+            {
+              a_job = job_id;
+              a_bench = bench;
+              a_fuel = fuel;
+              a_model = model;
+              a_fingerprint = fingerprint;
+              table;
+              a_commit = commit;
+              a_cases = cases;
+            };
+        table)
+  in
+  (* Compute outside the lock, commit under it: if a straggler's
+     validated blob won the first-result race meanwhile, it stays
+     (byte-identical anyway for an honest worker) and this one is
+     dropped as stale. *)
+  let run_local (g : Lease.grant) =
+    match
+      Shard.run ?pool:t.pool ?fuel model golden (Shard.of_wave cases ~lo:g.lo ~hi:g.hi)
+    with
+    | blob ->
+        with_lock t (fun () ->
+            match Lease.commit table ~shard:g.shard with
+            | `Committed ->
+                commit ~shard:g.shard blob;
+                t.local_committed <- t.local_committed + 1
+            | `Stale | `Unknown -> t.stale <- t.stale + 1)
+    | exception e ->
+        with_lock t (fun () ->
+            ignore
+              (Lease.fail table ~lease_id:g.lease_id ~message:(Printexc.to_string e)
+                : [ `Committed | `Stale ]))
+  in
+  let rec loop () =
+    let claim =
+      with_lock t (fun () ->
+          let t_now = now () in
+          prune_workers_locked t ~now:t_now;
+          t.expired <- t.expired + Lease.expire table ~now:t_now;
+          if Lease.outstanding table = 0 then begin
+            t.next_lease <- Lease.next_lease table;
+            t.active <- None;
+            `Finished (Lease.results table)
+          end
+          else
+            (* An infinite TTL marks the local lease as never-expiring —
+               the local runner cannot be SIGKILLed away from under the
+               daemon. *)
+            let min_cases =
+              if live_workers_locked t ~now:t_now = [] then 0 else P.max_result_cases + 1
+            in
+            match
+              Lease.acquire table ~min_cases ~holder:local_holder ~now:t_now ~ttl:infinity
+            with
+            | Some g -> `Local g
+            | None -> `Wait)
+    in
+    match claim with
+    | `Finished results -> results
+    | `Local g ->
+        run_local g;
+        loop ()
+    | `Wait ->
+        Thread.delay (min t.poll (t.lease_ttl /. 4.));
+        loop ()
+  in
+  let results = loop () in
+  let quarantined_now = audit_job_locked_free t ~fuel ~model ~golden ~fingerprint in
+  (match with_lock t (fun () -> t.on_quarantine) with
+  | Some hook -> List.iter (fun (name, disputes) -> hook ~name ~disputes) quarantined_now
+  | None -> ());
+  results
+
+let wave_runner t ~job_id ~bench ~fuel ~model ~golden =
+  if live_workers t = 0 then None
+  else
+    let fingerprint = Checkpoint.fingerprint_of_golden golden in
     let wave_size () =
       with_lock t (fun () -> max 2 (2 * live_slots_locked t ~now:(now ())))
     in
-    let run_wave (tasks : Engine.shard_task array) ~commit ~run_local =
-      let fits (task : Engine.shard_task) =
-        P.result_fits ~cases:(task.Engine.hi - task.Engine.lo)
-      in
-      let run_one_local (task : Engine.shard_task) =
-        match run_local ~lo:task.Engine.lo ~hi:task.Engine.hi with
-        | () ->
-            with_lock t (fun () -> t.local_committed <- t.local_committed + 1);
-            (task.Engine.shard, Ok ())
-        | exception e -> (task.Engine.shard, Error (Printexc.to_string e))
-      in
-      let big, small = Array.to_list tasks |> List.partition (fun task -> not (fits task)) in
-      if small = [] then List.map run_one_local big
-      else begin
-        let leased =
-          List.map
-            (fun (task : Engine.shard_task) ->
-              (task.Engine.shard, task.Engine.lo, task.Engine.hi))
-            small
-          |> Array.of_list
-        in
-        let table =
-          with_lock t (fun () ->
-              let table = Lease.create ~first_lease:t.next_lease leased in
-              t.active <-
-                Some
-                  {
-                    a_job = job_id;
-                    a_bench = bench;
-                    a_fuel = fuel;
-                    a_model = model;
-                    a_fingerprint = fingerprint;
-                    table;
-                    a_commit = commit;
-                    a_cases = None;
-                  };
-              table)
-        in
-        (* The lease table is live before any oversized shard runs on the
-           scheduler thread: workers drain the leased (wire-sized) shards
-           concurrently instead of idling behind the local work. *)
-        let big_results = List.map run_one_local big in
-        let finish () =
-          with_lock t (fun () ->
-              t.next_lease <- Lease.next_lease table;
-              t.active <- None;
-              Lease.results table)
-        in
-        let rec drive () =
-          let claim =
-            with_lock t (fun () ->
-                let t_now = now () in
-                prune_workers_locked t ~now:t_now;
-                t.expired <- t.expired + Lease.expire table ~now:t_now;
-                if Lease.outstanding table = 0 then `Finished
-                else if live_workers_locked t ~now:t_now = [] then
-                  (* Every worker is dead or gone: the local pool is the
-                     executor of last resort, so the wave (and the job)
-                     always completes. An infinite TTL marks the lease as
-                     never-expiring — the local runner cannot be SIGKILLed
-                     away from under the daemon. *)
-                  match
-                    Lease.acquire table ~holder:local_holder ~now:t_now
-                      ~ttl:infinity
-                  with
-                  | Some g -> `Local g
-                  | None -> `Wait
-                else `Wait)
-          in
-          match claim with
-          | `Finished -> finish ()
-          | `Local g -> (
-              match run_local ~lo:g.Lease.lo ~hi:g.Lease.hi with
-              | () ->
-                  with_lock t (fun () ->
-                      (match Lease.commit table ~shard:g.Lease.shard with
-                      | `Committed -> t.local_committed <- t.local_committed + 1
-                      | `Stale | `Unknown -> t.stale <- t.stale + 1));
-                  drive ()
-              | exception e ->
-                  with_lock t (fun () ->
-                      ignore
-                        (Lease.fail table ~lease_id:g.Lease.lease_id
-                           ~message:(Printexc.to_string e)
-                          : [ `Committed | `Stale ]));
-                  drive ())
-          | `Wait ->
-              Thread.delay (min t.poll (t.lease_ttl /. 4.));
-              drive ()
-        in
-        let results = big_results @ drive () in
-        (* Trust-but-verify: sample-audit this wave's remote commits (and
-           escalate on any dispute) before returning, so the engine's
-           post-wave checkpoint only ever persists adjudicated bytes. *)
-        let quarantined_now =
-          audit_job_locked_free t ~fuel ~model ~golden ~fingerprint ~commit
-        in
-        (match with_lock t (fun () -> t.on_quarantine) with
-        | Some hook ->
-            List.iter
-              (fun (name, disputes) -> hook ~name ~disputes)
-              quarantined_now
-        | None -> ());
-        results
-      end
+    (* The engine's post-wave checkpoint only ever persists adjudicated
+       bytes: [drive] audits before it returns. *)
+    let run_wave (tasks : Engine.shard_task array) ~commit ~run_local:_ =
+      drive t ~job_id ~bench ~fuel ~model ~golden ~fingerprint ~cases:None ~commit
+        (Array.map (fun (task : Engine.shard_task) -> (task.shard, task.lo, task.hi)) tasks)
     in
     Some { Engine.wave_size; run_wave }
 
-(* ------------------------------------------------------------------ *)
-(* The adaptive planner's round runner (scheduler thread). Where
-   [wave_runner] distributes dense case ranges, this distributes one
-   round's *drawn case list*: shards are slices of the draw (sized so a
-   worst-case codec blob still fits a wire frame), grants carry the case
-   slice, workers reply with {!Ftb_inject.Sample_codec} blobs, and the
-   samples come back aligned index-for-index with the draw — the planner
-   folds them in draw order, so the distributed round is bit-identical
-   to the serial one. The same lease / expire / local-fallback / audit
-   machinery applies; a round with no live workers (or whose workers all
-   die mid-round) is simply executed by the local oracle. *)
-
+(* One round's drawn case list, sliced into shards sized so a worst-case
+   codec blob still fits a wire frame (a masked sample can carry a
+   deviation per site; the hex doubling is the same arithmetic as the
+   dense [max_result_cases]). The samples come back aligned
+   index-for-index with the draw — the planner folds them in draw order,
+   so the distributed round is bit-identical to the serial one. With no
+   live worker, [drive] runs every slice on the local executor. *)
 let round_runner t ~job_id ~bench ~fuel ~model ~golden =
   let fingerprint = Checkpoint.fingerprint_of_golden golden in
-  let sites = Ftb_trace.Golden.sites golden in
-  let run_local_case case =
-    Ftb_inject.Sample_run.run_case_model ?fuel model golden case
+  let per_sample =
+    Ftb_inject.Sample_codec.encoded_size_upper_bound ~sites:(Ftb_trace.Golden.sites golden)
   in
-  (* Conservative shard sizing: a masked sample can carry a deviation per
-     site, so the per-sample bound is the codec's worst case; the hex
-     doubling is the same arithmetic as the dense path's
-     [max_result_cases]. *)
-  let per_sample = Ftb_inject.Sample_codec.encoded_size_upper_bound ~sites in
   let shard_cap = max 1 (P.max_result_cases / per_sample) in
   fun ~round:_ ~cases ->
     let n = Array.length cases in
-    if n = 0 then [||]
-    else if live_workers t = 0 then Array.map run_local_case cases
-    else begin
-      with_lock t (fun () ->
-          if t.audit_job <> Some job_id then begin
-            t.audit_job <- Some job_id;
-            t.audit_records <- [];
-            t.audited_wids <- []
-          end);
-      let nshards = ((n + shard_cap - 1) / shard_cap) in
-      let tasks =
-        Array.init nshards (fun i ->
-            let lo = i * shard_cap in
-            (i, lo, min n (lo + shard_cap)))
-      in
-      let slots = Array.make nshards None in
-      (* Commits arrive as codec blobs already validated (decode, count,
-         case alignment) by [handle_result], or produced by the audit
-         oracle itself, so a decode failure here is unreachable; dropping
-         the blob (leaving the slot to the post-drive local pass) is the
-         safe refusal. *)
-      let commit ~shard bytes =
-        match Ftb_inject.Sample_codec.decode (Bytes.to_string bytes) with
-        | samples -> slots.(shard) <- Some samples
-        | exception Ftb_inject.Sample_codec.Format_error _ -> ()
-      in
-      let table =
-        with_lock t (fun () ->
-            let table = Lease.create ~first_lease:t.next_lease tasks in
-            t.active <-
-              Some
-                {
-                  a_job = job_id;
-                  a_bench = bench;
-                  a_fuel = fuel;
-                  a_model = model;
-                  a_fingerprint = fingerprint;
-                  table;
-                  a_commit = commit;
-                  a_cases = Some cases;
-                };
-            table)
-      in
-      let finish () =
-        with_lock t (fun () ->
-            t.next_lease <- Lease.next_lease table;
-            t.active <- None;
-            Lease.results table)
-      in
-      let rec drive () =
-        let claim =
-          with_lock t (fun () ->
-              let t_now = now () in
-              prune_workers_locked t ~now:t_now;
-              t.expired <- t.expired + Lease.expire table ~now:t_now;
-              if Lease.outstanding table = 0 then `Finished
-              else if live_workers_locked t ~now:t_now = [] then
-                match
-                  Lease.acquire table ~holder:local_holder ~now:t_now
-                    ~ttl:infinity
-                with
-                | Some g -> `Local g
-                | None -> `Wait
-              else `Wait)
-        in
-        match claim with
-        | `Finished -> finish ()
-        | `Local g ->
-            (* Compute outside the lock, commit under it: if a straggler's
-               validated blob won the first-result race meanwhile, its
-               samples stay (byte-identical anyway for an honest worker)
-               and this slice is dropped as stale. *)
-            let samples =
-              Array.map run_local_case
-                (Array.sub cases g.Lease.lo (g.Lease.hi - g.Lease.lo))
-            in
-            with_lock t (fun () ->
-                match Lease.commit table ~shard:g.Lease.shard with
-                | `Committed ->
-                    slots.(g.Lease.shard) <- Some samples;
-                    t.local_committed <- t.local_committed + 1
-                | `Stale | `Unknown -> t.stale <- t.stale + 1);
-            drive ()
-        | `Wait ->
-            Thread.delay (min t.poll (t.lease_ttl /. 4.));
-            drive ()
-      in
-      let results = drive () in
-      (* [Lease.fail] is permanent — a worker-reported failure leaves its
-         shard [Done (Error _)] — so the oracle re-runs those slices
-         locally; the round always completes. *)
-      List.iter
-        (fun (shard, r) ->
-          match r with
-          | Ok () -> ()
-          | Error _ ->
-              let _, lo, hi = tasks.(shard) in
-              slots.(shard) <-
-                Some (Array.map run_local_case (Array.sub cases lo (hi - lo)));
-              with_lock t (fun () -> t.local_committed <- t.local_committed + 1))
-        results;
-      (* Trust-but-verify before a single sample folds into the boundary:
-         a disputed blob is overwritten with the oracle's samples through
-         [commit] above. *)
-      let quarantined_now =
-        audit_job_locked_free t ~fuel ~model ~golden ~fingerprint ~commit
-      in
-      (match with_lock t (fun () -> t.on_quarantine) with
-      | Some hook ->
-          List.iter (fun (name, disputes) -> hook ~name ~disputes) quarantined_now
-      | None -> ());
-      Array.init n (fun i ->
-          let shard = i / shard_cap in
-          match slots.(shard) with
-          | Some samples -> samples.(i - (shard * shard_cap))
-          | None -> run_local_case cases.(i))
-    end
+    let tasks =
+      Array.init ((n + shard_cap - 1) / shard_cap) (fun i ->
+          (i, i * shard_cap, min n ((i + 1) * shard_cap)))
+    in
+    (* Blobs arrive validated by [Shard.check] or straight from the
+       oracle, so they decode. The slots are emptied once the round
+       returns: a late audit overwrite of this round's shard then lands
+       nowhere (its samples are folded already) instead of in a later
+       round, and the round's samples are not kept alive by its audit
+       records. *)
+    let slots = ref (Array.make (Array.length tasks) None) in
+    let commit ~shard blob =
+      if shard < Array.length !slots then
+        !slots.(shard) <- Some (Ftb_inject.Sample_codec.decode (Bytes.to_string blob))
+    in
+    ignore
+      (drive t ~job_id ~bench ~fuel ~model ~golden ~fingerprint ~cases:(Some cases) ~commit
+         tasks
+        : (int * (unit, string) result) list);
+    (* A failed slice ([Lease.fail] is final within the wave) has no
+       engine retry to fall back on: the oracle runs it here, so the
+       round always completes. *)
+    Array.iteri
+      (fun shard slot ->
+        if Option.is_none slot then begin
+          let _, lo, hi = tasks.(shard) in
+          commit ~shard
+            (Shard.run ?pool:t.pool ?fuel model golden (Shard.of_wave (Some cases) ~lo ~hi));
+          with_lock t (fun () -> t.local_committed <- t.local_committed + 1)
+        end)
+      !slots;
+    let samples = Array.concat (Array.to_list (Array.map Option.get !slots)) in
+    slots := [||];
+    samples

@@ -9,7 +9,14 @@
     - {!wave_runner} is the {!Ftb_campaign.Engine.wave_runner} factory the
       scheduler thread queries per job: when at least one live worker is
       attached, the engine's shard waves are executed by leasing shards to
-      workers instead of running them on the local pool.
+      workers instead of running them on the local pool; {!round_runner}
+      does the same for an adaptive job's rounds.
+
+    Both are thin adapters over one lease-driving loop, and both shard
+    kinds ({!Shard.t}: a dense case range, a slice of a round's drawn
+    case list) share one execution function ({!Shard.run} — on the
+    worker, in the local fallback and in the audit oracle) and one blob
+    check ({!Shard.check}, before anything commits).
 
     {2 Lease lifecycle}
 
@@ -45,19 +52,22 @@
 
     Determinism above assumes workers compute honestly; a worker with
     silently corrupt hardware breaks it without tripping any transport
-    check. Three layers defend, cheapest first. (1) {e Attestation}:
-    result frames carry {!Worker_proto.outcome_digest}; the scheduler
-    recomputes it over the decoded bytes and rejects a mismatch with a
-    typed [digest_mismatch] — transport and encoding corruption never
-    commits. (2) {e Audit re-execution}: at the end of each wave the
-    scheduler re-executes a seeded-deterministic sample of the wave's
-    remote commits on the local pool (every worker's first audit in a job
-    is guaranteed; frames without attestation are always audited) and
-    compares digests. The local executor is the adjudicating oracle —
-    outcome bytes are a pure function of the golden trace — so a mismatch
-    is a {e dispute}: the oracle's bytes replace the worker's (before the
-    engine can checkpoint them), and every remaining commit by that
-    worker in the job is re-executed. (3) {e Quarantine}: a worker
+    check. Three layers defend, cheapest first. (1) {e Validation and
+    attestation}: a result blob must fit its grant ({!Shard.check}, else
+    a typed [bad_result]) and every result frame carries
+    {!Worker_proto.outcome_digest}, which the scheduler recomputes over
+    the received blob and rejects on mismatch with a typed
+    [digest_mismatch] — a malformed blob and transport or encoding
+    corruption never commit; the lease fails and the shard is re-run.
+    (2) {e Audit re-execution}: at the end of each wave the scheduler
+    re-executes a seeded-deterministic sample of the job's remote commits
+    through {!Shard.run} (every worker's first audit in a job is
+    guaranteed) and compares digests. The local executor is the
+    adjudicating oracle — a shard's blob is a pure function of the
+    golden trace — so a mismatch is a {e dispute}: the oracle's blob
+    replaces the worker's (before the engine can checkpoint it or the
+    planner fold it), and every remaining commit by that worker in the
+    job is re-executed. (3) {e Quarantine}: a worker
     accumulating [quarantine_after] disputes is quarantined — leases
     revoked and refused, results refused, its operator-facing name barred
     from re-registration until cleared ([ftb workers --clear]). The
@@ -70,6 +80,7 @@
 type t
 
 val create :
+  ?pool:Ftb_inject.Parallel.Pool.t ->
   ?lease_ttl:float ->
   ?poll:float ->
   ?audit_rate:float ->
@@ -77,8 +88,10 @@ val create :
   ?quarantine_after:int ->
   unit ->
   t
-(** [lease_ttl] (default 5s) bounds how long a dead worker can sit on a
-    shard; [poll] (default 0.05s) is the wait hint returned to idle
+(** [pool] (default none: serial) is where the scheduler's own shard
+    executions run — the local fallback and the audit oracle; the daemon
+    passes its warm pool. [lease_ttl] (default 5s) bounds how long a dead
+    worker can sit on a shard; [poll] (default 0.05s) is the wait hint returned to idle
     workers. [audit_rate] (default 0.02) is the fraction of each wave's
     remote commits re-executed locally for verification — [0.] disables
     auditing entirely, [1.] re-verifies every remote shard;
@@ -95,8 +108,8 @@ val set_on_quarantine : t -> (name:string -> disputes:int -> unit) -> unit
 val extension : t -> cmd:string -> Ftb_service.Json.t -> Ftb_service.Json.t option
 (** Protocol extension for {!Ftb_service.Server.config.extension}:
     handles [worker_*] commands, [None] for everything else. Malformed
-    worker frames answer typed [bad_request] / [oversized_result] /
-    [bad_result] / [unknown_worker] errors. *)
+    worker frames answer typed [bad_request] / [bad_result] /
+    [digest_mismatch] / [unknown_worker] errors. *)
 
 val wave_runner :
   t ->
@@ -126,19 +139,17 @@ val round_runner :
   cases:int array ->
   Ftb_inject.Sample_run.t array
 (** Adaptive-round counterpart of {!wave_runner}: an
-    {!Ftb_plan.Adaptive_engine.exec}-shaped executor that distributes one
-    round's drawn case list over the fleet. The draw is sliced into
-    sparse shards (sized so a worst-case {!Ftb_inject.Sample_codec} blob
-    fits a wire frame), leased through the same table as dense waves —
-    grants carry the case slice, workers reply with codec blobs that are
-    structurally validated (decode, count, case alignment) and
-    attestation-checked before committing — and audited by local
-    re-execution before any sample is returned. The samples come back
-    aligned index-for-index with [cases], so folding them is
-    bit-identical to the serial planner. Rounds with no live workers, and
-    slices abandoned by dead or failing workers, run on the local oracle:
-    the round always completes. Partially apply through [golden] once per
-    job and hand the closure to the engine. *)
+    {!Ftb_plan.Adaptive_engine.exec}-shaped executor that runs one
+    round's drawn case list through the same lease loop. The draw is
+    sliced into shards (sized so a worst-case {!Ftb_inject.Sample_codec}
+    blob fits a wire frame); with live workers the slices are leased,
+    validated, attested and audited exactly like dense shards, and with
+    none every slice runs on the local executor (on the [pool] given to
+    {!create}). Slices a worker failed run on the local oracle too: the
+    round always completes. The samples come back aligned
+    index-for-index with [cases], so folding them is bit-identical to
+    the serial planner. Partially apply through [golden] once per job and
+    hand the closure to the engine. *)
 
 val live_workers : t -> int
 (** Workers currently attached and heard from within the liveness

@@ -48,11 +48,12 @@ let bounds t ~shard =
   | Some pos -> Some (t.slots.(pos).lo, t.slots.(pos).hi)
   | None -> None
 
-let acquire ?(max_cases = max_int) t ~holder ~now ~ttl =
+let acquire ?(min_cases = 0) ?(max_cases = max_int) t ~holder ~now ~ttl =
   let found = ref None in
   Array.iteri
-    (fun pos slot ->
-      if !found = None && slot.state = Pending && slot.hi - slot.lo <= max_cases
+    (fun pos (slot : slot) ->
+      let cases = slot.hi - slot.lo in
+      if !found = None && slot.state = Pending && min_cases <= cases && cases <= max_cases
       then found := Some pos)
     t.slots;
   match !found with

@@ -32,10 +32,13 @@ val outstanding : t -> int
 
 val bounds : t -> shard:int -> (int * int) option
 
-val acquire : ?max_cases:int -> t -> holder:int -> now:float -> ttl:float -> grant option
-(** Lease the first [Pending] shard (skipping shards wider than
-    [max_cases] — results that could not fit a wire frame) to [holder]
-    with deadline [now +. ttl]. [None] when nothing is leasable. *)
+val acquire :
+  ?min_cases:int -> ?max_cases:int -> t -> holder:int -> now:float -> ttl:float -> grant option
+(** Lease the first [Pending] shard of [min_cases..max_cases] cases to
+    [holder] with deadline [now +. ttl]. Workers pass [max_cases] (their
+    results must fit a wire frame); the local executor passes
+    [min_cases] to take exactly the shards no worker may. [None] when
+    nothing is leasable. *)
 
 val renew : t -> lease_id:int -> now:float -> ttl:float -> bool
 (** Heartbeat: push the deadline of a live lease. [false] when the lease

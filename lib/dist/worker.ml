@@ -47,36 +47,6 @@ let golden_for cfg bench =
   Ftb_util.Lru.find_or_add golden_cache bench (fun () ->
       Golden.run (cfg.resolve bench))
 
-let run_shard cfg pool golden ~model ~fuel ~lo ~hi =
-  let n = hi - lo in
-  let buf = Bytes.create n in
-  (match pool with
-  | None ->
-      Ftb_inject.Executor.range_into_model ?fuel model golden ~lo ~hi buf
-        ~off:0
-  | Some pool ->
-      Pool.run pool ~participants:cfg.domains ~total:n (fun a b ->
-          Ftb_inject.Executor.range_into_model ?fuel model golden ~lo:(lo + a)
-            ~hi:(lo + b) buf ~off:a));
-  buf
-
-(* Sparse sampled shards (the adaptive planner's drawn case lists) run
-   each granted case as a traced experiment — the pool splits the case
-   list, not a dense range — and ship the samples as one codec blob. *)
-let run_sparse cfg pool golden ~model ~fuel cases =
-  let n = Array.length cases in
-  let out = Array.make n None in
-  let run a b =
-    for i = a to b - 1 do
-      out.(i) <-
-        Some (Ftb_inject.Sample_run.run_case_model ?fuel model golden cases.(i))
-    done
-  in
-  (match pool with
-  | None -> run 0 n
-  | Some pool -> Pool.run pool ~participants:cfg.domains ~total:n run);
-  Bytes.of_string (Ftb_inject.Sample_codec.encode (Array.map Option.get out))
-
 let run cfg =
   (* A daemon hanging up mid-write must surface as EPIPE (a clean exit
      with stats, like Server.run's own handling), not kill the process. *)
@@ -169,68 +139,39 @@ let run cfg =
                      "golden fingerprint mismatch for %S (worker binary diverges from daemon)"
                      g.P.bench)
               else
-                match g.P.cases with
-                | None ->
-                    if not (P.result_fits ~cases:(g.P.hi - g.P.lo)) then
-                      (* Typed refusal on the sending end: never emit a frame
-                         the transport bound would kill mid-connection. *)
-                      P.Failed
-                        (Printf.sprintf
-                           "shard %d result would exceed Wire.max_frame"
-                           g.P.shard)
-                    else begin
-                      let b =
-                        run_shard cfg pool golden ~model:g.P.model
-                          ~fuel:g.P.fuel ~lo:g.P.lo ~hi:g.P.hi
-                      in
-                      (* The tamper hook models a silently-corrupt worker
-                         (chaos drills): corruption happens before the
-                         digest, exactly like bad RAM upstream of the hash,
-                         so the frame-layer check passes and only audit
-                         re-execution can catch it. *)
-                      let b =
-                        match cfg.tamper with
-                        | None -> b
-                        | Some f -> f ~bench:g.P.bench ~shard:g.P.shard b
-                      in
-                      P.Outcomes b
-                    end
-                | Some cs ->
-                    let blob =
-                      run_sparse cfg pool golden ~model:g.P.model
-                        ~fuel:g.P.fuel cs
-                    in
-                    let blob =
-                      match cfg.tamper with
-                      | None -> blob
-                      | Some f -> f ~bench:g.P.bench ~shard:g.P.shard blob
-                    in
-                    (* The scheduler sizes sparse shards against the codec's
-                       worst case, so a real blob always fits; the guard
-                       stays as a typed refusal (same hex-doubling
-                       arithmetic as the dense bound). *)
-                    if not (P.result_fits ~cases:(Bytes.length blob)) then
-                      P.Failed
-                        (Printf.sprintf
-                           "shard %d samples blob would exceed Wire.max_frame"
-                           g.P.shard)
-                    else P.Samples (Bytes.to_string blob)
+                let work =
+                  match g.P.cases with
+                  | None -> Shard.Range { lo = g.P.lo; hi = g.P.hi }
+                  | Some cases -> Shard.Cases cases
+                in
+                let data = Shard.run ?pool ?fuel:g.P.fuel g.P.model golden work in
+                (* The tamper hook models a silently-corrupt worker (chaos
+                   drills): corruption happens before the digest, exactly
+                   like bad RAM upstream of the hash, so the frame-layer
+                   check passes and only audit re-execution can catch it. *)
+                let data =
+                  match cfg.tamper with
+                  | None -> data
+                  | Some f -> f ~bench:g.P.bench ~shard:g.P.shard data
+                in
+                (* The scheduler never grants a shard whose blob could
+                   outgrow a frame; the guard stays as a typed refusal on
+                   the sending end, so a frame the transport bound would
+                   kill mid-connection is never emitted. *)
+                if not (P.result_fits ~cases:(Bytes.length data)) then
+                  P.Failed
+                    (Printf.sprintf "shard %d result would exceed Wire.max_frame" g.P.shard)
+                else
+                  P.Blob
+                    {
+                      data;
+                      digest =
+                        P.outcome_digest ~job:g.P.job_id ~shard:g.P.shard ~lo:g.P.lo
+                          ~hi:g.P.hi ~fingerprint:g.P.fingerprint data;
+                    }
             with e -> P.Failed (Printexc.to_string e)
           in
-          let digest =
-            match payload with
-            | P.Outcomes b ->
-                Some
-                  (P.outcome_digest ~job:g.P.job_id ~shard:g.P.shard ~lo:g.P.lo
-                     ~hi:g.P.hi ~fingerprint:g.P.fingerprint b)
-            | P.Samples blob ->
-                Some
-                  (P.outcome_digest ~job:g.P.job_id ~shard:g.P.shard ~lo:g.P.lo
-                     ~hi:g.P.hi ~fingerprint:g.P.fingerprint
-                     (Bytes.of_string blob))
-            | P.Failed _ -> None
-          in
-          (* A typed server-side rejection (oversized_result / bad_result /
+          (* A typed server-side rejection (bad_result / digest_mismatch /
              bad_request) surfaces as [Decode_error]: the shard is counted
              as failed and the pull loop continues — the daemon's retry
              machinery owns the shard, so crashing the whole worker over
@@ -240,8 +181,8 @@ let run cfg =
             match
               P.parse_result_ack
                 (roundtrip ctl
-                   (P.result ?digest ~worker:wid ~job:g.P.job_id
-                      ~lease:g.P.lease_id ~shard:g.P.shard payload))
+                   (P.result ~worker:wid ~job:g.P.job_id ~lease:g.P.lease_id
+                      ~shard:g.P.shard payload))
             with
             | ack -> Ok ack
             | exception P.Decode_error msg -> Error msg
@@ -250,10 +191,7 @@ let run cfg =
           (match ack with
           | Ok ack ->
               (match payload with
-              | P.Outcomes b ->
-                  incr shards;
-                  cases := !cases + Bytes.length b
-              | P.Samples _ ->
+              | P.Blob _ ->
                   incr shards;
                   cases := !cases + (g.P.hi - g.P.lo)
               | P.Failed msg ->

@@ -4,12 +4,13 @@
     [config.connect] — a control channel (register, lease polls, results,
     detach) and a heartbeat channel driven by a dedicated thread, so lease
     renewal keeps flowing while a shard computes on the worker's own
-    domain pool. Each granted shard is executed with the same batched
-    executor as a local campaign ({!Ftb_inject.Executor.range_into_model}), so
-    the returned bytes are bit-identical to what the daemon would have
-    computed itself; the grant's golden fingerprint is verified first and
-    a mismatch is reported as a typed shard failure instead of silently
-    computing against a divergent trace. *)
+    domain pool. Each granted shard — a dense range or a drawn case
+    slice — is executed by {!Shard.run}, the same function the daemon's
+    local fallback and audit oracle call, so the returned blob is
+    bit-identical to what the daemon would have computed itself; the
+    grant's golden fingerprint is verified first and a mismatch is
+    reported as a typed shard failure instead of silently computing
+    against a divergent trace. *)
 
 type config = {
   connect : unit -> Unix.file_descr;
@@ -25,7 +26,7 @@ type config = {
       (** operator-facing identity sent at registration; quarantine bars
           are keyed by it (default: server assigns [worker-<wid>]) *)
   tamper : (bench:string -> shard:int -> Bytes.t -> Bytes.t) option;
-      (** chaos-test hook: corrupt outcome bytes {e before} the
+      (** chaos-test hook: corrupt a shard's result blob {e before} the
           attestation digest is computed, modelling silent worker-side
           corruption that only audit re-execution can catch. Never set in
           production paths. *)

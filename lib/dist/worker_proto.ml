@@ -3,8 +3,8 @@ module Wire = Ftb_service.Wire
 
 exception Decode_error of string
 
-(* Result frames carry one shard's outcome bytes hex-encoded (2 chars per
-   case) plus a small JSON envelope; [frame_slack] over-estimates the
+(* Result frames carry one shard's result blob hex-encoded (2 chars per
+   byte) plus a small JSON envelope; [frame_slack] over-estimates the
    envelope so the fit check is conservative on both ends. *)
 let frame_slack = 512
 let max_result_cases = (Wire.max_frame - frame_slack) / 2
@@ -42,8 +42,8 @@ let bytes_of_hex s =
   out
 
 (* ------------------------------------------------------------------ *)
-(* Result attestation. The digest binds a shard's outcome bytes to the
-   grant that produced them (job, shard, case range, golden trace), so a
+(* Result attestation. The digest binds a shard's result blob to the
+   grant that produced it (job, shard, case range, golden trace), so a
    frame corrupted in transit or encoding — or replayed against another
    shard's grant — fails verification server-side before any byte reaches
    the campaign. A worker computing the digest over already-corrupt bytes
@@ -98,9 +98,9 @@ let heartbeat ~worker ~lease =
     ([ ("cmd", Json.String "worker_heartbeat"); ("worker", Json.Int worker) ]
     @ match lease with Some l -> [ ("lease", Json.Int l) ] | None -> [])
 
-type result_payload = Outcomes of Bytes.t | Samples of string | Failed of string
+type result_payload = Blob of { data : Bytes.t; digest : string } | Failed of string
 
-let result ?digest ~worker ~job ~lease ~shard payload =
+let result ~worker ~job ~lease ~shard payload =
   Json.Obj
     ([
        ("cmd", Json.String "worker_result");
@@ -109,12 +109,41 @@ let result ?digest ~worker ~job ~lease ~shard payload =
        ("lease", Json.Int lease);
        ("shard", Json.Int shard);
      ]
-    @ (match digest with Some d -> [ ("digest", Json.String d) ] | None -> [])
     @
     match payload with
-    | Outcomes b -> [ ("data", Json.String (hex_of_bytes b)) ]
-    | Samples blob -> [ ("samples", Json.String (hex_of_bytes (Bytes.of_string blob))) ]
+    | Blob { data; digest } ->
+        [ ("data", Json.String (hex_of_bytes data)); ("digest", Json.String digest) ]
     | Failed msg -> [ ("error", Json.String msg) ])
+
+type result_frame = {
+  res_worker : int;
+  res_job : int;
+  res_lease : int;
+  res_shard : int;
+  res_payload : (result_payload, string) Stdlib.result;
+}
+
+(* The frame's address (worker, job, lease, shard) is mandatory: without
+   it the scheduler cannot even tell which lease to release. A body that
+   nothing writes — a blob without its digest, a blob that is not hex, no
+   blob and no error — still names its lease, so it decodes to a typed
+   [Error] the scheduler can refuse and re-run. *)
+let parse_result json =
+  let res_worker = req_int "worker" json in
+  let res_job = req_int "job" json in
+  let res_lease = req_int "lease" json in
+  let res_shard = req_int "shard" json in
+  let res_payload =
+    match (opt_str "data" json, opt_str "digest" json, opt_str "error" json) with
+    | Some hex, Some digest, _ -> (
+        match bytes_of_hex hex with
+        | data -> Ok (Blob { data; digest })
+        | exception Decode_error msg -> Error ("result blob: " ^ msg))
+    | Some _, None, _ -> Error "result blob carries no attestation digest"
+    | None, _, Some msg -> Ok (Failed msg)
+    | None, _, None -> Error "result carries neither data nor error"
+  in
+  { res_worker; res_job; res_lease; res_shard; res_payload }
 
 let detach ~worker =
   Json.Obj [ ("cmd", Json.String "worker_detach"); ("worker", Json.Int worker) ]
@@ -156,10 +185,8 @@ type grant = {
   hi : int;
   ttl : float;
   cases : int array option;
-      (* [Some cases] marks a sparse sampled shard: run exactly these
-         dense case indices (in order — |cases| = hi - lo, positions
-         lo..hi of the planner's drawn round) with tracing and return a
-         [Samples] blob instead of dense outcome bytes. *)
+      (* [Some cases] marks a drawn shard: positions lo..hi of the
+         planner's round, so |cases| = hi - lo. *)
 }
 
 type lease_reply = Granted of grant | Wait of float
@@ -202,14 +229,9 @@ let parse_lease_reply json =
           bench = req_str "bench" g;
           fuel = opt_int "fuel" g;
           model =
-            (* Grants from a pre-model server carry no model field: those
-               jobs are Bit_flip_64 campaigns. *)
-            (match opt_str "model" g with
-            | None -> Ftb_inject.Models.default_spec
-            | Some s -> (
-                match Ftb_inject.Models.spec_of_string s with
-                | Ok model -> model
-                | Error msg -> raise (Decode_error msg)));
+            (match Ftb_inject.Models.spec_of_string (req_str "model" g) with
+            | Ok model -> model
+            | Error msg -> raise (Decode_error msg));
           fingerprint = req_str "fingerprint" g;
           lease_id = req_int "lease" g;
           shard = req_int "shard" g;

@@ -4,13 +4,26 @@
     JSON transport as every other client ({!Ftb_service.Wire}); this
     module owns the five request frames (register / lease / heartbeat /
     result / detach), their reply frames, and the hex codec for shard
-    outcome blobs — so the server-side scheduler ({!Fleet}) and the
+    result blobs — so the server-side scheduler ({!Fleet}) and the
     worker loop ({!Worker}) can never drift apart on field names.
 
     Every exchange is strict request/response: a worker frame is an
     object whose ["cmd"] starts with ["worker_"], dispatched through the
     server's protocol-extension hook; the reply is one [{"ok":...}]
-    frame. *)
+    frame.
+
+    Both shard kinds ({!Shard.t}: a dense range of an exhaustive
+    campaign, a slice of an adaptive round's draw) travel in the same
+    frames. A grant names its range and, for a drawn slice, its cases; a
+    result carries one hex blob (["data"]) and its mandatory
+    attestation digest (["digest"]), or a typed failure (["error"]):
+
+    {v
+    {"cmd":"worker_result","worker":W,"job":J,"lease":L,"shard":S,
+     "data":"<hex>","digest":"<hex>"}
+    {"cmd":"worker_result","worker":W,"job":J,"lease":L,"shard":S,
+     "error":"<message>"}
+    v} *)
 
 exception Decode_error of string
 (** A frame that parses as JSON but violates the worker protocol (missing
@@ -37,9 +50,9 @@ val bytes_of_hex : string -> Bytes.t
 
 val outcome_digest :
   job:int -> shard:int -> lo:int -> hi:int -> fingerprint:string -> Bytes.t -> string
-(** Attestation digest binding a shard's outcome bytes to the grant that
-    produced them ({!Ftb_util.Fingerprint} over the grant key and the
-    byte slice). Workers attach it to result frames; the scheduler
+(** Attestation digest binding a shard's result blob to the grant that
+    produced it ({!Ftb_util.Fingerprint} over the grant key and the
+    blob). Workers attach it to result frames; the scheduler
     recomputes it over the decoded bytes and rejects any mismatch with a
     typed [digest_mismatch] error, so transport or encoding corruption
     never reaches the campaign. It does {e not} defend against a worker
@@ -57,26 +70,35 @@ val lease : worker:int -> Ftb_service.Json.t
 val heartbeat : worker:int -> lease:int option -> Ftb_service.Json.t
 
 type result_payload =
-  | Outcomes of Bytes.t  (** the shard's [hi - lo] outcome bytes *)
-  | Samples of string
-      (** a sparse sampled shard's {!Ftb_inject.Sample_codec} blob — one
-          traced sample per granted case, in grant order *)
+  | Blob of { data : Bytes.t; digest : string }
+      (** the shard's result blob ({!Shard.run}: outcome bytes for a dense
+          range, a {!Ftb_inject.Sample_codec} blob for a drawn slice) and
+          its {!outcome_digest} attestation — wire fields ["data"] (hex)
+          and ["digest"], the same for both shard kinds *)
   | Failed of string  (** typed worker-side failure; the shard is retried *)
 
 val result :
-  ?digest:string ->
-  worker:int ->
-  job:int ->
-  lease:int ->
-  shard:int ->
-  result_payload ->
-  Ftb_service.Json.t
+  worker:int -> job:int -> lease:int -> shard:int -> result_payload -> Ftb_service.Json.t
 (** [job] echoes the grant's job id; the scheduler refuses to commit a
     result into any other job's wave, so a straggler from a finished job
-    can never corrupt a later campaign that reuses the shard index.
-    [?digest] is the {!outcome_digest} attestation for an [Outcomes]
-    payload; frames without one are accepted for wire compatibility with
-    pre-attestation workers but their shards are always audited. *)
+    can never corrupt a later campaign that reuses the shard index. *)
+
+type result_frame = {
+  res_worker : int;
+  res_job : int;
+  res_lease : int;
+  res_shard : int;
+  res_payload : (result_payload, string) Stdlib.result;
+      (** [Error] for a body nothing writes: a blob without a digest, a
+          blob that is not hex, neither blob nor error. The frame still
+          names its lease, so the scheduler refuses it typed and re-runs
+          the shard. *)
+}
+
+val parse_result : Ftb_service.Json.t -> result_frame
+(** The one decoder of result frames (the scheduler's, and the fuzz
+    target's). Raises {!Decode_error} when the frame lacks its address
+    (worker, job, lease, shard). *)
 
 val detach : worker:int -> Ftb_service.Json.t
 
@@ -92,10 +114,10 @@ type grant = {
   bench : string;  (** benchmark name, resolved worker-side *)
   fuel : int option;
   model : Ftb_inject.Models.spec;
-      (** the job's fault model (wire field ["model"],
-          {!Ftb_inject.Models.spec_to_string} encoding; absent from
-          pre-model servers and then [Bit_flip_64]) — the worker runs its
-          leased range under exactly this model *)
+      (** the job's fault model (mandatory wire field ["model"],
+          {!Ftb_inject.Models.spec_to_string} encoding; a grant without
+          one is a {!Decode_error}) — the worker runs its leased shard
+          under exactly this model *)
   fingerprint : string;
       (** golden-trace digest ({!Ftb_campaign.Checkpoint.fingerprint_of_golden});
           the worker recomputes it and refuses to run a shard against a
@@ -106,12 +128,10 @@ type grant = {
   hi : int;
   ttl : float;  (** renew the lease at least this often *)
   cases : int array option;
-      (** [Some cases] marks a sparse sampled shard (the adaptive
-          planner's case lists): run exactly these dense case indices,
-          in order, with tracing, and reply with a [Samples] blob. The
-          indices are positions [lo..hi) of the planner's drawn round,
-          so [Array.length cases = hi - lo]. Absent (dense range shard)
-          from pre-adaptive servers and exhaustive campaigns. *)
+      (** [Some cases] marks a drawn shard (an adaptive round's case
+          list): positions [lo..hi) of the planner's round, so
+          [Array.length cases = hi - lo]. [None] for a dense range shard.
+          Either way the worker replies with the {!Shard.run} blob. *)
 }
 
 type lease_reply =

@@ -364,6 +364,23 @@ let publish_progress t id ~heartbeat ~(p : Engine.progress) ~rate =
   in
   stream_to_subs t id ~seq (progress_event ~id ~seq ~p ~rate)
 
+(* Provenance token for a fleet-assisted campaign (the exhaustive
+   harvest's and the adaptive store entry's): [prov_local] unless remote workers computed
+   surviving bytes, then the compose [fleet:*] token so downstream trust
+   decisions see audit coverage. *)
+let prov_of_job t ~job_id =
+  match t.config.provenance with
+  | None -> Bstore.prov_local
+  | Some f -> (
+      match f ~job_id with
+      | None | Some ([], _) -> Bstore.prov_local
+      | Some (workers, audited) -> (
+          try Ftb_compose.Profile.prov_fleet ~audited ~workers
+          with Invalid_argument _ ->
+            (* An unsanitized name here is a wiring bug; fall back to the
+               untrusted shape rather than refuse the harvest. *)
+            Ftb_compose.Profile.prov_fleet ~audited:false ~workers:[]))
+
 let run_exhaustive t (job : Job.info) cancel ~heartbeat =
   let spec = job.Job.spec in
   let golden = Golden.run (t.config.resolve spec.Job.bench) in
@@ -451,20 +468,7 @@ let run_exhaustive t (job : Job.info) cancel ~heartbeat =
                did every surviving remote shard pass audit? Profiles born
                of unaudited fleet bytes are refused at probe time unless
                the submitter passes --trust-cache. *)
-            let prov =
-              match t.config.provenance with
-              | None -> Ftb_compose.Profile.prov_local
-              | Some f -> (
-                  match f ~job_id:job.Job.id with
-                  | None -> Ftb_compose.Profile.prov_local
-                  | Some (workers, audited) -> (
-                      try Ftb_compose.Profile.prov_fleet ~audited ~workers
-                      with Invalid_argument _ ->
-                        (* An unsanitized name here is a wiring bug; fall
-                           back to the untrusted shape rather than refuse
-                           the harvest. *)
-                        Ftb_compose.Profile.prov_fleet ~audited:false ~workers:[]))
-            in
+            let prov = prov_of_job t ~job_id:job.Job.id in
             (match planned with
             | Some p -> Compose.harvest ~prov store p ~outcomes
             | None -> ());
@@ -574,21 +578,6 @@ let run_sample t (job : Job.info) cancel ~heartbeat ~fraction ~seed =
         }
       in
       { job with Job.status = Job.Cancelled; counts; finished = Some (now ()) }
-
-(* Provenance token for a fleet-assisted campaign (shared with the
-   exhaustive harvest path): [prov_local] unless remote workers computed
-   surviving bytes, then the compose [fleet:*] token so downstream trust
-   decisions see audit coverage. *)
-let prov_of_job t ~job_id =
-  match t.config.provenance with
-  | None -> Bstore.prov_local
-  | Some f -> (
-      match f ~job_id with
-      | None | Some ([], _) -> Bstore.prov_local
-      | Some (workers, audited) -> (
-          try Ftb_compose.Profile.prov_fleet ~audited ~workers
-          with Invalid_argument _ ->
-            Ftb_compose.Profile.prov_fleet ~audited:false ~workers:[]))
 
 let run_adaptive t (job : Job.info) cancel ~heartbeat ~aconfig ~seed =
   let spec = job.Job.spec in

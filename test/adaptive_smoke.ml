@@ -72,8 +72,28 @@ let make_program () =
 
 let drill_program = make_program ()
 
+(* A job that keeps the daemon busy for seconds: the same iteration, long
+   enough that its exhaustive campaign is still running when the drill
+   cancels it. The daemon runs one job at a time, so an adaptive job
+   submitted behind it waits in the queue while a watch attaches. *)
+let block_program =
+  let statics = Static.create_table () in
+  let tag = Static.register statics ~phase:"block.iter" ~label:"x[i] update" in
+  let body ctx =
+    let x = Array.init 8 (fun i -> float_of_int (i + 1)) in
+    for _iter = 1 to 150 do
+      for i = 0 to 7 do
+        x.(i) <- Ctx.record ctx ~tag ((x.(i) +. (0.5 *. x.((i + 1) mod 8))) /. 1.5)
+      done
+    done;
+    [| Ctx.record ctx ~tag (Array.fold_left ( +. ) 0. x) |]
+  in
+  Program.make ~name:"adapt.block" ~description:"long damped iteration" ~tolerance:0.05
+    ~statics body
+
 let resolve = function
   | "adapt.drill" -> drill_program
+  | "adapt.block" -> block_program
   | name -> invalid_arg (Printf.sprintf "unknown benchmark %S" name)
 
 let fuel = 10_000
@@ -197,7 +217,16 @@ let restart_drill (model : Models.spec) =
   let sock = Filename.concat state_dir "daemon.sock" in
   let daemon = ref (spawn_daemon ~state_dir sock) in
   let client = connect_with_retry sock in
+  (* Queue the adaptive job behind a blocker, attach the watch, and only
+     then let the queue move: the watch sees the job's first round however
+     fast the job runs. *)
+  let blocker =
+    get_ok (what ^ ": submit blocker")
+      (Client.submit client (Job.default_spec ~bench:"adapt.block"))
+  in
   let id = get_ok (what ^ ": submit") (Client.submit client (job_spec model)) in
+  let control = connect_with_retry sock in
+  let released = ref false in
 
   (* Kill the daemon the moment the first round has folded: the round
      checkpoint is durable before the event is streamed, so the restart
@@ -206,6 +235,10 @@ let restart_drill (model : Models.spec) =
   let rounds_seen = ref 0 in
   (match
      Client.watch client id ~on_event:(function
+       | Client.Progress _ when not !released ->
+           released := true;
+           check (what ^ ": blocker cancelled after the watch attached")
+             (match Client.cancel control blocker with Ok _ -> true | Error _ -> false)
        | Client.Round r ->
            incr rounds_seen;
            check
@@ -221,6 +254,7 @@ let restart_drill (model : Models.spec) =
   | exception (Wire.Closed | Wire.Protocol_error _) -> ()
   | exception Unix.Unix_error _ -> ());
   (try Client.close client with _ -> ());
+  (try Client.close control with _ -> ());
   check (what ^ ": daemon SIGKILLed mid-round") !killed;
   (* A job that finished before the watch attached streams no round: the
      check above fails, and the daemon must still die, or the wait below

@@ -299,36 +299,26 @@ let worker_replies_targets () =
   ]
 
 let worker_results_target () =
-  let blob = Sample_codec.encode (Lazy.force samples) in
+  let blob = Bytes.of_string (Sample_codec.encode (Lazy.force samples)) in
   let frames =
     [
-      P.result ~digest:"d1" ~worker:1 ~job:4 ~lease:11 ~shard:2
-        (P.Outcomes (Bytes.of_string "\000\001\002\005"));
-      P.result ~worker:1 ~job:4 ~lease:12 ~shard:3 (P.Samples blob);
+      P.result ~worker:1 ~job:4 ~lease:11 ~shard:2
+        (P.Blob { data = Bytes.of_string "\000\001\002\005"; digest = "d1" });
+      P.result ~worker:1 ~job:4 ~lease:12 ~shard:3 (P.Blob { data = blob; digest = "d2" });
       P.result ~worker:2 ~job:4 ~lease:13 ~shard:0 (P.Failed "worker bug");
     ]
   in
-  (* The fields the scheduler reads off a result frame, through the same
-     exported decoders it uses. *)
+  (* The scheduler's own decoder: a frame decodes to an addressed payload
+     that re-frames, or to a typed refusal. *)
   let decode s =
-    match
-      let json = Json.of_string s in
-      let worker = P.req_int "worker" json and job = P.req_int "job" json in
-      let lease = P.req_int "lease" json and shard = P.req_int "shard" json in
-      let digest = P.opt_str "digest" json in
-      let payload =
-        match (P.opt_str "data" json, P.opt_str "samples" json, P.opt_str "error" json) with
-        | Some hex, _, _ -> P.Outcomes (P.bytes_of_hex hex)
-        | None, Some hex, _ ->
-            let blob = Bytes.to_string (P.bytes_of_hex hex) in
-            P.Samples (Sample_codec.encode (Sample_codec.decode blob))
-        | None, None, Some msg -> P.Failed msg
-        | None, None, None -> raise (P.Decode_error "no payload")
-      in
-      Json.to_string (P.result ?digest ~worker ~job ~lease ~shard payload)
-    with
-    | encoded -> Some encoded
-    | exception (Json.Parse_error _ | P.Decode_error _ | Sample_codec.Format_error _) -> None
+    match P.parse_result (Json.of_string s) with
+    | { P.res_payload = Ok payload; res_worker; res_job; res_lease; res_shard } ->
+        Some
+          (Json.to_string
+             (P.result ~worker:res_worker ~job:res_job ~lease:res_lease ~shard:res_shard
+                payload))
+    | { P.res_payload = Error _; _ } -> None
+    | exception (Json.Parse_error _ | P.Decode_error _) -> None
   in
   target ~name:"worker_proto results" ~seeds:(List.map Json.to_string frames) decode
 

@@ -236,14 +236,23 @@ let test_cross_job_result_rejected () =
   in
   let g = lease_grant 1000 in
   Alcotest.(check int) "grant advertises the active job" job_id g.P.job_id;
-  let payload = P.Outcomes (Bytes.of_string "\x00\x01\x02\x03") in
+  let payload ~job =
+    let data = Bytes.of_string "\x00\x01\x02\x03" in
+    P.Blob
+      {
+        data;
+        digest =
+          P.outcome_digest ~job ~shard:g.P.shard ~lo:g.P.lo ~hi:g.P.hi
+            ~fingerprint:g.P.fingerprint data;
+      }
+  in
   (* A straggler from an earlier job whose shard index happens to exist in
      this wave: dropped as stale, never committed. *)
   let stale_ack =
     P.parse_result_ack
       (ext "worker_result"
          (P.result ~worker:wid ~job:(job_id - 1) ~lease:g.P.lease_id
-            ~shard:g.P.shard payload))
+            ~shard:g.P.shard (payload ~job:(job_id - 1))))
   in
   Alcotest.(check bool) "cross-job result dropped as stale" true
     (stale_ack.P.stale && not stale_ack.P.committed);
@@ -258,6 +267,7 @@ let test_cross_job_result_rejected () =
         ("lease", Json.Int g.P.lease_id);
         ("shard", Json.Int g.P.shard);
         ("data", Json.String "00010203");
+        ("digest", Json.String "0000000000000000");
       ]
   in
   (match P.check_ok (ext "worker_result" jobless) with
@@ -267,13 +277,13 @@ let test_cross_job_result_rejected () =
     P.parse_result_ack
       (ext "worker_result"
          (P.result ~worker:wid ~job:job_id ~lease:g.P.lease_id ~shard:g.P.shard
-            payload))
+            (payload ~job:job_id)))
   in
   Alcotest.(check bool) "same-job result commits" true
     (ack.P.committed && not ack.P.stale);
   Thread.join wave;
   Alcotest.(check bool) "shard never fell back to the local executor" false
-    !ran_locally;
+    (!ran_locally || (Fleet.stats fleet).Fleet.local_committed > 0);
   (match !results with
   | [ (0, Ok ()) ] -> ()
   | _ -> Alcotest.fail "wave did not resolve the shard");
@@ -398,9 +408,9 @@ let test_digest_mismatch_rejected () =
            digest disagrees with the server's recomputation never commit,
            whatever they contain. *)
         let frame =
-          P.result ~digest:"0000000000000000" ~worker:wid ~job:job_id
-            ~lease:g.P.lease_id ~shard:g.P.shard
-            (P.Outcomes (Bytes.of_string "\x00\x01\x02\x03"))
+          P.result ~worker:wid ~job:job_id ~lease:g.P.lease_id ~shard:g.P.shard
+            (P.Blob
+               { data = Bytes.of_string "\x00\x01\x02\x03"; digest = "0000000000000000" })
         in
         match P.check_ok (ext "worker_result" frame) with
         | () -> Alcotest.fail "corrupt-digest result accepted"
@@ -458,8 +468,8 @@ let test_audit_dispute_quarantine_clear () =
         let ack =
           P.parse_result_ack
             (ext "worker_result"
-               (P.result ~digest ~worker:wid ~job:job_id ~lease:g.P.lease_id
-                  ~shard:g.P.shard (P.Outcomes lie)))
+               (P.result ~worker:wid ~job:job_id ~lease:g.P.lease_id
+                  ~shard:g.P.shard (P.Blob { data = lie; digest })))
         in
         Alcotest.(check bool) "lying result commits at the frame layer" true
           (ack.P.committed && not ack.P.stale))
@@ -530,7 +540,7 @@ let test_local_executor_never_self_quarantined () =
      resort (holder wid 0) runs the whole wave. Local commits create no
      audit records: even at audit-rate 1.0 there is nothing to audit, and
      the server can never dispute — let alone quarantine — itself. *)
-  let results, _committed, ran_locally =
+  let results, committed, ran_locally =
     drive_wave fleet ~job_id:53 ~wid ~golden
       ~tasks:[| { Engine.shard = 0; attempt = 1; lo = 0; hi = 4 } |]
       ~on_grant:(fun ~ext ~lease_grant:_ ->
@@ -539,12 +549,229 @@ let test_local_executor_never_self_quarantined () =
   (match results with
   | [ (0, Ok ()) ] -> ()
   | _ -> Alcotest.fail "local fallback did not resolve the shard");
-  Alcotest.(check int) "shard ran locally" 1 ran_locally;
+  (* The local executor hands its blob to the engine's [commit], like a
+     remote one: the oracle's bytes, never the engine's [run_local]. *)
+  let truth =
+    (Ftb_inject.Executor.ground_truth_model Ftb_inject.Models.default_spec golden)
+      .Ftb_inject.Ground_truth.outcomes
+  in
+  Alcotest.(check (option string)) "shard ran locally"
+    (Some (Bytes.sub_string truth 0 4))
+    (Option.map Bytes.to_string (Hashtbl.find_opt committed 0));
+  Alcotest.(check int) "through Shard.run, not the engine's run_local" 0 ran_locally;
   let s = Fleet.stats fleet in
   Alcotest.(check int) "one local commit" 1 s.Fleet.local_committed;
   Alcotest.(check int) "local commits are never audited" 0 s.Fleet.audited;
   Alcotest.(check int) "no disputes" 0 s.Fleet.disputed;
   Alcotest.(check int) "server never self-quarantines" 0 s.Fleet.quarantined
+
+(* ------------------------------------------------------------------ *)
+(* One shard path: the blob check, and frame shapes nothing writes.     *)
+
+let test_shard_check () =
+  let model = Ftb_inject.Models.default_spec in
+  let golden = Golden.run (Helpers.linear_program ()) in
+  let range = Ftb_dist.Shard.Range { lo = 64; hi = 80 } in
+  let blob = Ftb_dist.Shard.run model golden range in
+  let ok what shard blob =
+    Alcotest.(check bool) what true (Ftb_dist.Shard.check model shard blob = Ok ())
+  in
+  let refused what shard blob =
+    Alcotest.(check bool) what true (Result.is_error (Ftb_dist.Shard.check model shard blob))
+  in
+  ok "a computed range passes" range blob;
+  refused "short range blob" range (Bytes.sub blob 0 15);
+  refused "long range blob" range (Bytes.cat blob (Bytes.make 1 '\000'));
+  let bad = Bytes.copy blob in
+  Bytes.set bad 3 '\007';
+  refused "outcome byte outside 0..5" range bad;
+  let cases = [| 3; 70; 129; 447 |] in
+  let drawn = Ftb_dist.Shard.Cases cases in
+  let samples = Ftb_dist.Shard.run model golden drawn in
+  ok "computed samples pass" drawn samples;
+  refused "samples of other cases" (Ftb_dist.Shard.Cases [| 3; 70; 129; 446 |]) samples;
+  refused "too few samples" (Ftb_dist.Shard.Cases (Array.append cases [| 5 |])) samples;
+  refused "not a codec blob" drawn (Bytes.of_string "garbage");
+  Alcotest.(check bool) "of_wave slices the drawn round" true
+    (Ftb_dist.Shard.of_wave (Some [| 9; 8; 7; 6 |]) ~lo:1 ~hi:3 = Ftb_dist.Shard.Cases [| 8; 7 |])
+
+let test_grant_without_model () =
+  let frame =
+    P.grant_frame
+      {
+        P.job_id = 7;
+        bench = "ir.dot";
+        fuel = None;
+        model = Ftb_inject.Models.default_spec;
+        fingerprint = "deadbeef";
+        lease_id = 42;
+        shard = 3;
+        lo = 0;
+        hi = 4;
+        ttl = 2.5;
+        cases = None;
+      }
+  in
+  let strip = function
+    | Json.Obj fields -> Json.Obj (List.filter (fun (k, _) -> k <> "model") fields)
+    | j -> j
+  in
+  let model_less =
+    match frame with
+    | Json.Obj fields ->
+        Json.Obj (List.map (fun (k, v) -> if k = "grant" then (k, strip v) else (k, v)) fields)
+    | j -> j
+  in
+  match P.parse_lease_reply model_less with
+  | _ -> Alcotest.fail "grant without a model accepted"
+  | exception P.Decode_error _ -> ()
+
+let test_digestless_result_rerun () =
+  let fleet = Fleet.create ~lease_ttl:5.0 ~poll:0.005 ~audit_rate:0. () in
+  let ext cmd json =
+    match Fleet.extension fleet ~cmd json with
+    | Some reply -> reply
+    | None -> Alcotest.fail (Printf.sprintf "no handler for %s" cmd)
+  in
+  let wid = (P.parse_registered (ext "worker_register" (P.register ~domains:1 ()))).P.worker in
+  let golden = Golden.run (Helpers.linear_program ()) in
+  let job_id = 54 in
+  let truth =
+    (Ftb_inject.Executor.ground_truth_model Ftb_inject.Models.default_spec golden)
+      .Ftb_inject.Ground_truth.outcomes
+  in
+  let data = Bytes.sub truth 0 4 in
+  let wave attempt frame =
+    drive_wave fleet ~job_id ~wid ~golden
+      ~tasks:[| { Engine.shard = 0; attempt; lo = 0; hi = 4 } |]
+      ~on_grant:(fun ~ext ~lease_grant -> frame ~ext (lease_grant 1000))
+  in
+  (* First attempt: the worker's blob arrives without its digest — a frame
+     shape nothing writes. It is refused typed, and its lease fails. *)
+  let results, committed, _ =
+    wave 1 (fun ~ext g ->
+        let frame =
+          Json.Obj
+            [
+              ("cmd", Json.String "worker_result");
+              ("worker", Json.Int wid);
+              ("job", Json.Int job_id);
+              ("lease", Json.Int g.P.lease_id);
+              ("shard", Json.Int g.P.shard);
+              ("data", Json.String (P.hex_of_bytes data));
+            ]
+        in
+        match P.check_ok (ext "worker_result" frame) with
+        | () -> Alcotest.fail "digest-less result accepted"
+        | exception P.Decode_error msg ->
+            Alcotest.(check bool) "typed bad_result" true
+              (String.length msg >= 10 && String.sub msg 0 10 = "bad_result"))
+  in
+  (match results with
+  | [ (0, Error _) ] -> ()
+  | _ -> Alcotest.fail "a refused shard should resolve as a failure, for the engine to retry");
+  Alcotest.(check int) "nothing committed" 0 (Hashtbl.length committed);
+  (* The engine's retry re-runs the shard; an attested blob commits. *)
+  let results, committed, _ =
+    wave 2 (fun ~ext g ->
+        let digest =
+          P.outcome_digest ~job:job_id ~shard:g.P.shard ~lo:g.P.lo ~hi:g.P.hi
+            ~fingerprint:g.P.fingerprint data
+        in
+        let ack =
+          P.parse_result_ack
+            (ext "worker_result"
+               (P.result ~worker:wid ~job:job_id ~lease:g.P.lease_id ~shard:g.P.shard
+                  (P.Blob { data; digest })))
+        in
+        Alcotest.(check bool) "re-run shard commits" true ack.P.committed)
+  in
+  (match results with
+  | [ (0, Ok ()) ] -> ()
+  | _ -> Alcotest.fail "the re-run shard did not resolve");
+  Alcotest.(check (option string)) "re-run committed the attested bytes"
+    (Some (Bytes.to_string data))
+    (Option.map Bytes.to_string (Hashtbl.find_opt committed 0))
+
+(* A fleet served in-process: each connection is a socketpair whose far
+   end a thread answers through [Fleet.extension]. *)
+let fleet_connector fleet () =
+  let mine, theirs = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let serve () =
+    (try
+       while true do
+         let json = Ftb_service.Wire.read theirs in
+         let cmd = Option.value ~default:"" (Option.bind (Json.member "cmd" json) Json.to_str) in
+         Ftb_service.Wire.write theirs
+           (match Fleet.extension fleet ~cmd json with
+           | Some reply -> reply
+           | None -> P.error_frame "bad_request" cmd)
+       done
+     with _ -> ());
+    try Unix.close theirs with Unix.Unix_error _ -> ()
+  in
+  ignore (Thread.create serve () : Thread.t);
+  mine
+
+let test_invalid_dense_byte_rerun () =
+  (* Audit off: the corrupt shard is one no audit picks, so only the blob
+     check stands between its bytes and the campaign. *)
+  let fleet = Fleet.create ~lease_ttl:5.0 ~poll:0.005 ~audit_rate:0. () in
+  let program = Helpers.linear_program () in
+  let golden = Golden.run program in
+  let corrupted = ref false in
+  (* One correctly digested blob carrying 0x07, which is no outcome. *)
+  let tamper ~bench:_ ~shard b =
+    if shard = 1 && not !corrupted then begin
+      corrupted := true;
+      Bytes.set b 0 '\007'
+    end;
+    b
+  in
+  let stop = Atomic.make false in
+  let stats = ref None in
+  let worker =
+    Thread.create
+      (fun () ->
+        stats :=
+          Some
+            (Ftb_dist.Worker.run
+               (Ftb_dist.Worker.config ~resolve:(fun _ -> program)
+                  ~stop:(fun () -> Atomic.get stop)
+                  ~tamper (fleet_connector fleet))))
+      ()
+  in
+  let deadline = Unix.gettimeofday () +. 30. in
+  while Fleet.live_workers fleet < 1 do
+    if Unix.gettimeofday () > deadline then Alcotest.fail "worker never registered";
+    Thread.delay 0.002
+  done;
+  let config = { Engine.default_config with Engine.shard_size = 64 } in
+  let fleet_run () =
+    Engine.run
+      ~config:
+        {
+          config with
+          Engine.runner =
+            Fleet.wave_runner fleet ~job_id:55 ~bench:"helpers.linear" ~fuel:None
+              ~model:Ftb_inject.Models.default_spec ~golden;
+        }
+      golden
+  in
+  let report = Fun.protect ~finally:(fun () -> Atomic.set stop true) fleet_run in
+  Thread.join worker;
+  let direct = Engine.run ~config golden in
+  Alcotest.(check bool) "the worker corrupted a blob" true !corrupted;
+  Alcotest.(check string) "job bytes identical to the direct campaign"
+    (Bytes.to_string direct.Engine.ground_truth.Ftb_inject.Ground_truth.outcomes)
+    (Bytes.to_string report.Engine.ground_truth.Ftb_inject.Ground_truth.outcomes);
+  Alcotest.(check int) "the refused shard was re-run" 1 report.Engine.retries;
+  (match !stats with
+  | Some s -> Alcotest.(check int) "the worker saw one refusal" 1 s.Ftb_dist.Worker.failures
+  | None -> Alcotest.fail "worker returned no stats");
+  let s = Fleet.stats fleet in
+  Alcotest.(check int) "every shard committed remotely once" 7 s.Fleet.remote_committed;
+  Alcotest.(check int) "a bad blob is not a digest failure" 0 s.Fleet.bad_digest
 
 let suite =
   [
@@ -565,4 +792,11 @@ let suite =
       test_audit_dispute_quarantine_clear;
     Alcotest.test_case "local executor is never self-quarantined" `Quick
       test_local_executor_never_self_quarantined;
+    Alcotest.test_case "shard check refuses malformed blobs" `Quick test_shard_check;
+    Alcotest.test_case "grant without a model is a decode error" `Quick
+      test_grant_without_model;
+    Alcotest.test_case "digest-less result is refused and re-run" `Quick
+      test_digestless_result_rerun;
+    Alcotest.test_case "invalid dense byte is refused and re-run" `Quick
+      test_invalid_dense_byte_rerun;
   ]
