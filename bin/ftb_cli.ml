@@ -727,8 +727,9 @@ let serve_run () state socket tcp capacity domains checkpoint_every stuck_after
   end;
   (* Every daemon is fleet-capable: remote `ftb worker` processes may
      attach at any time and jobs submitted while workers are live run on
-     the fleet. The fleet's own shard executions (adaptive rounds with no
-     worker attached, the local fallback, audits) share the daemon's pool. *)
+     the fleet. The fleet's own dense shard executions (the local
+     fallback, audits) share the daemon's pool; adaptive rounds with no
+     worker attached run serially on the scheduler thread. *)
   let pool =
     if domains > 1 then Some (Ftb_inject.Parallel.Pool.global ~domains ()) else None
   in

@@ -513,6 +513,17 @@ let audit_hash t ~job ~shard =
   let h = h lxor (h lsr 13) in
   h land max_int
 
+(* The scheduler's own shard executions: the local fallback, the audit
+   oracle and a round's failed slices. A dense range splits over the
+   daemon's pool; a drawn slice runs on the scheduler thread alone. Its
+   traced samples allocate heavily, and on a shared 2-vCPU host pooled
+   daemon-local rounds ran 1.0–1.4x the serial speed from one daemon to
+   the next (perfbench adaptive_cold, 10 runs: interquartile spread 16 %
+   of the median pooled, 4 % serial). Same bytes either way. *)
+let run_local_shard t ?fuel model golden shard =
+  let pool = match shard with Shard.Range _ -> t.pool | Shard.Cases _ -> None in
+  Shard.run ?pool ?fuel model golden shard
+
 (* Audit and adjudicate the current job's committed shards. Runs on the
    scheduler thread after a wave's lease table is closed ([t.active] is
    [None]), so the record list is quiescent and the wave's consumer (the
@@ -528,7 +539,7 @@ let audit_job_locked_free t ~fuel ~model ~golden ~fingerprint =
     let job = match t.audit_job with Some j -> j | None -> -1 in
     let audit_one r =
       with_lock t (fun () -> t.audited <- t.audited + 1);
-      let blob = Shard.run ?pool:t.pool ?fuel model golden r.r_work in
+      let blob = run_local_shard t ?fuel model golden r.r_work in
       let expect =
         P.outcome_digest ~job ~shard:r.r_shard ~lo:r.r_lo ~hi:r.r_hi ~fingerprint blob
       in
@@ -677,9 +688,7 @@ let drive t ~job_id ~bench ~fuel ~model ~golden ~fingerprint ~cases ~commit task
      (byte-identical anyway for an honest worker) and this one is
      dropped as stale. *)
   let run_local (g : Lease.grant) =
-    match
-      Shard.run ?pool:t.pool ?fuel model golden (Shard.of_wave cases ~lo:g.lo ~hi:g.hi)
-    with
+    match run_local_shard t ?fuel model golden (Shard.of_wave cases ~lo:g.lo ~hi:g.hi) with
     | blob ->
         with_lock t (fun () ->
             match Lease.commit table ~shard:g.shard with
@@ -790,7 +799,7 @@ let round_runner t ~job_id ~bench ~fuel ~model ~golden =
         if Option.is_none slot then begin
           let _, lo, hi = tasks.(shard) in
           commit ~shard
-            (Shard.run ?pool:t.pool ?fuel model golden (Shard.of_wave (Some cases) ~lo ~hi));
+            (run_local_shard t ?fuel model golden (Shard.of_wave (Some cases) ~lo ~hi));
           with_lock t (fun () -> t.local_committed <- t.local_committed + 1)
         end)
       !slots;

@@ -88,9 +88,12 @@ val create :
   ?quarantine_after:int ->
   unit ->
   t
-(** [pool] (default none: serial) is where the scheduler's own shard
-    executions run — the local fallback and the audit oracle; the daemon
-    passes its warm pool. [lease_ttl] (default 5s) bounds how long a dead
+(** [pool] (default none: serial) is where the scheduler's own dense
+    shard executions run — the local fallback and the audit oracle; the
+    daemon passes its warm pool. Drawn case slices (adaptive rounds) run
+    on the scheduler thread alone: pooled, their allocation-heavy traced
+    samples made a daemon's round speed swing from run to run on a
+    shared host. [lease_ttl] (default 5s) bounds how long a dead
     worker can sit on a shard; [poll] (default 0.05s) is the wait hint returned to idle
     workers. [audit_rate] (default 0.02) is the fraction of each wave's
     remote commits re-executed locally for verification — [0.] disables
@@ -144,9 +147,9 @@ val round_runner :
     sliced into shards (sized so a worst-case {!Ftb_inject.Sample_codec}
     blob fits a wire frame); with live workers the slices are leased,
     validated, attested and audited exactly like dense shards, and with
-    none every slice runs on the local executor (on the [pool] given to
-    {!create}). Slices a worker failed run on the local oracle too: the
-    round always completes. The samples come back aligned
+    none every slice runs on the local executor, serially on the
+    scheduler thread. Slices a worker failed run on the local oracle
+    too: the round always completes. The samples come back aligned
     index-for-index with [cases], so folding them is bit-identical to
     the serial planner. Partially apply through [golden] once per job and
     hand the closure to the engine. *)
