@@ -6,35 +6,36 @@ module Runner = Ftb_trace.Runner
 
 (* Dependent-cone fast path. A program may carry a cone plan
    ([Program.cone], built by [Ftb_ir.Pipeline.to_program]): per site, the
-   outcome is computed from the corrupted value and precomputed golden
-   dataflow alone — no prefix run, no suffix replay. The capability is
-   consulted only for unlimited-fuel campaigns (cone replay performs no
-   step bookkeeping, so fuel semantics require real replay) and only when
-   the plan covers exactly this golden run's site space; a site whose cone
-   is imprecise (feeds a float branch) or too large yields [None] and
-   takes the prefix-snapshot path below. Outcome bytes are bit-identical
-   either way — enforced by the differential tests and the @ir-smoke
-   gate. *)
-let cone_runner ?fuel ~cone golden ~site =
-  if not cone then None
-  else
-    match (fuel, golden.Golden.program.Program.cone) with
-    | Some _, _ | None, None -> None
-    | None, Some force -> (
-        match force () with
-        | Some plan when plan.Program.cone_sites = Golden.sites golden ->
-            plan.Program.cone_case ~site
-        | Some _ | None -> None)
+   outcomes of all the site's cases are computed from the corrupted values
+   and precomputed golden dataflow alone — no prefix run, no suffix
+   replay. The plan is fetched once per executor call and used only when
+   it covers exactly this golden run's site space.
 
-let byte_of_cone_run run corrupt =
-  match run corrupt with
+   Fuel. A plan declines every site whose cone feeds a float branch, and
+   integer state cannot be corrupted, so a covered case follows the golden
+   control path: it records exactly [Golden.sites golden] dynamic
+   instructions, or fewer when a guard crashes it first. The watchdog in
+   [Ctx.record] fires only on record [fuel + 1], so cone outcomes equal
+   full replay whenever [fuel >= Golden.sites golden] — the daemon's
+   default budget included. Below that the watchdog can fire inside the
+   replay, and only real replay keeps the step count. A site the plan
+   declines takes the prefix-snapshot path below. Outcome bytes are
+   bit-identical either way — enforced by the differential tests and the
+   @ir-smoke gate. *)
+let cone_plan ?fuel ~cone golden =
+  let sites = Golden.sites golden in
+  match (cone, fuel, golden.Golden.program.Program.cone) with
+  | false, _, _ | true, _, None -> None
+  | true, Some fuel, Some _ when fuel < sites -> None
+  | true, _, Some force -> (
+      match force () with
+      | Some plan when plan.Program.cone_sites = sites -> Some plan
+      | Some _ | None -> None)
+
+let byte_of_cone_outcome = function
   | Program.Cone_masked -> '\000'
   | Program.Cone_sdc -> '\001'
   | Program.Cone_crash reason -> Ground_truth.crash_byte reason
-  | exception Out_of_memory -> raise Out_of_memory
-  | exception _ ->
-      (* Containment, mirroring [Runner.outcome_of_run_contained]. *)
-      Ground_truth.crash_byte Ctx.Exception_raised
 
 (* Cases [lo, hi) one full contained run each, written from [buf.[pos]]. *)
 let per_case ?fuel spec golden buf ~pos ~lo ~hi =
@@ -44,8 +45,11 @@ let per_case ?fuel spec golden buf ~pos ~lo ~hi =
 
 (* The [width] cases of one site, into [buf.[pos..pos+width-1]].
 
-   Prefix-snapshot batching: the cases of a site share the exact same
-   injection-free prefix — every dynamic instruction before the site
+   Cone replay first: when the plan accepts the site, one lane-runner
+   call classifies all [width] cases (lanes) at once.
+
+   Otherwise prefix-snapshot batching: the cases of a site share the exact
+   same injection-free prefix — every dynamic instruction before the site
    produces its golden value whatever the corruption will be. So instead
    of [width] full runs, run the prefix once under a counting context,
    snapshot the interpreter at the injection point, and replay only the
@@ -55,48 +59,56 @@ let per_case ?fuel spec golden buf ~pos ~lo ~hi =
    fast path. Programs without the [resumable] capability (hand-written
    closure kernels) fall back to full re-execution: same bytes, just
    without the savings. *)
-let site_into ?fuel ~cone spec golden ~site buf ~pos =
+let site_into ?fuel ~plan spec golden ~site buf ~pos =
   let width = Models.spec_width spec in
   let first = site * width in
   let corrupt case = Models.case_corrupt spec ~case:(first + case) in
   let fallback () = per_case ?fuel spec golden buf ~pos ~lo:first ~hi:(first + width) in
-  match cone_runner ?fuel ~cone golden ~site with
-  | Some run ->
-      for case = 0 to width - 1 do
-        Bytes.set buf (pos + case) (byte_of_cone_run run (corrupt case))
-      done
-  | None -> (
-      match golden.Golden.program.Program.resumable with
-      | None -> fallback ()
-      | Some resumable -> (
-          let ctx = Ctx.counting ?fuel () in
-          match resumable ctx ~stop_at:site with
-          | exception Ctx.Crash { reason; _ } ->
-              (* The injection-free prefix crashed (in practice only the
-                 fuel watchdog can do that — the golden run is clean),
-                 strictly before the injection point: every case follows
-                 the identical path to the identical crash. *)
-              Bytes.fill buf pos width (Ground_truth.crash_byte reason)
-          | exception Out_of_memory -> raise Out_of_memory
-          | exception _ ->
-              (* Campaign containment, mirroring
-                 [Runner.run_outcome_custom_contained]: a non-cooperative
-                 exception inside the body is an exception crash for every
-                 case. *)
-              Bytes.fill buf pos width (Ground_truth.crash_byte Ctx.Exception_raised)
-          | Program.Completed _ ->
-              (* A deterministic program cannot finish before issuing
-                 [site < sites] dynamic instructions; if it somehow does,
-                 trust the per-case path over the snapshot machinery. *)
-              fallback ()
-          | Program.Paused resume ->
-              let snap = Ctx.snapshot ctx in
-              let fault = Fault.make ~site ~bit:0 in
-              for case = 0 to width - 1 do
-                let ctx = Ctx.resume_custom snap ~site ~corrupt:(corrupt case) in
-                let result = Runner.outcome_of_run_contained golden fault ctx resume in
-                Bytes.set buf (pos + case) (Ground_truth.byte_of_result result)
-              done))
+  let snapshot () =
+    match golden.Golden.program.Program.resumable with
+    | None -> fallback ()
+    | Some resumable -> (
+        let ctx = Ctx.counting ?fuel () in
+        match resumable ctx ~stop_at:site with
+        | exception Ctx.Crash { reason; _ } ->
+            (* The injection-free prefix crashed (in practice only the
+               fuel watchdog can do that — the golden run is clean),
+               strictly before the injection point: every case follows
+               the identical path to the identical crash. *)
+            Bytes.fill buf pos width (Ground_truth.crash_byte reason)
+        | exception Out_of_memory -> raise Out_of_memory
+        | exception _ ->
+            (* Campaign containment, mirroring
+               [Runner.run_outcome_custom_contained]: a non-cooperative
+               exception inside the body is an exception crash for every
+               case. *)
+            Bytes.fill buf pos width (Ground_truth.crash_byte Ctx.Exception_raised)
+        | Program.Completed _ ->
+            (* A deterministic program cannot finish before issuing
+               [site < sites] dynamic instructions; if it somehow does,
+               trust the per-case path over the snapshot machinery. *)
+            fallback ()
+        | Program.Paused resume ->
+            let snap = Ctx.snapshot ctx in
+            let fault = Fault.make ~site ~bit:0 in
+            for case = 0 to width - 1 do
+              let ctx = Ctx.resume_custom snap ~site ~corrupt:(corrupt case) in
+              let result = Runner.outcome_of_run_contained golden fault ctx resume in
+              Bytes.set buf (pos + case) (Ground_truth.byte_of_result result)
+            done)
+  in
+  match Option.bind plan (fun plan -> plan.Program.cone_lanes ~site) with
+  | None -> snapshot ()
+  | Some run -> (
+      let out = Array.make width Program.Cone_masked in
+      match run corrupt out with
+      | () -> Array.iteri (fun case o -> Bytes.set buf (pos + case) (byte_of_cone_outcome o)) out
+      | exception Out_of_memory -> raise Out_of_memory
+      | exception _ ->
+          (* Containment: a lane batch that raises (a corruption function
+             that throws) hands the whole site to the snapshot tier, which
+             contains each case on its own. *)
+          snapshot ())
 
 let range_into_model ?fuel ?(cone = true) (spec : Models.spec) golden ~lo ~hi buf ~off =
   let width = Models.spec_width spec in
@@ -107,13 +119,14 @@ let range_into_model ?fuel ?(cone = true) (spec : Models.spec) golden ~lo ~hi bu
     invalid_arg "Executor.range_into_model: buffer too small";
   (* Whole sites inside [lo, hi) are batched; ragged edges (shard bounds
      not aligned to the model's width) run per-case. *)
+  let plan = cone_plan ?fuel ~cone golden in
   let first_whole = (lo + width - 1) / width * width in
   let last_whole = hi / width * width in
   if first_whole >= last_whole then per_case ?fuel spec golden buf ~pos:off ~lo ~hi
   else begin
     per_case ?fuel spec golden buf ~pos:off ~lo ~hi:first_whole;
     for site = first_whole / width to (last_whole / width) - 1 do
-      site_into ?fuel ~cone spec golden ~site buf ~pos:(off + (site * width) - lo)
+      site_into ?fuel ~plan spec golden ~site buf ~pos:(off + (site * width) - lo)
     done;
     per_case ?fuel spec golden buf ~pos:(off + last_whole - lo) ~lo:last_whole ~hi
   end
@@ -126,9 +139,10 @@ let ground_truth_model ?pool ?domains ?fuel ?(cone = true) (spec : Models.spec) 
   let width = Models.spec_width spec in
   let sites = Golden.sites golden in
   let outcomes = Bytes.create (sites * width) in
+  let plan = cone_plan ?fuel ~cone golden in
   let run_sites lo hi =
     for site = lo to hi - 1 do
-      site_into ?fuel ~cone spec golden ~site outcomes ~pos:(site * width)
+      site_into ?fuel ~plan spec golden ~site outcomes ~pos:(site * width)
     done
   in
   (if want = 1 && pool = None then run_sites 0 sites

@@ -11,9 +11,15 @@
       carry a cone plan ({!Ftb_trace.Program.cone}): per site, the
       precomputed forward slice of the site's event through the golden
       dataflow. Where the plan is exact (the cone stays off float
-      branches and is small), a case is classified by recomputing only
-      the cone members against recorded golden operands — no prefix, no
-      suffix, no output materialization. Unlimited-fuel campaigns only.
+      branches), one lane-runner call classifies all of a site's cases
+      by recomputing only the cone members, over all lanes at once,
+      against recorded golden operands — no prefix, no suffix, no output
+      materialization. It runs whenever [fuel] is unset or at least the
+      golden site count: a covered case follows the golden control path
+      and records at most that many dynamic instructions, so the fuel
+      watchdog (which fires on record [fuel + 1]) cannot fire inside it.
+      The daemon's default budget qualifies. A lane batch that raises
+      hands its site to the next tier.
     + {b prefix-snapshot batching} — the cases of one site share an
       identical injection-free prefix. For programs with the [resumable]
       capability (the compiled IR machine) the executor runs that prefix
@@ -31,7 +37,8 @@
     share the injection-free prefix whatever the model.
 
     [?cone:false] disables the first tier (differential testing,
-    benchmarking the tiers against each other).
+    benchmarking the tiers against each other). The plan is fetched once
+    per call and held for its duration.
 
     Correctness bar: outcome bytes are bit-identical to the serial
     per-case oracle ({!Ground_truth.run} for bit-flip-64, a loop of
@@ -39,10 +46,11 @@
     the exact context position and remaining fuel, the replay uses the
     same classification path
     ({!Ftb_trace.Runner.outcome_of_run_contained}), and cone replay
-    reproduces guard crashes and norm classification exactly. A prefix
-    crash (the fuel watchdog firing before the injection point) is
-    replicated to every case of the site — each would follow the
-    identical path to the identical crash. *)
+    reproduces guard crashes and norm classification exactly; below the
+    golden site count of fuel the cone tier steps aside, since only real
+    replay counts steps. A prefix crash (the fuel watchdog firing before
+    the injection point) is replicated to every case of the site — each
+    would follow the identical path to the identical crash. *)
 
 val range_into_model :
   ?fuel:int ->

@@ -96,24 +96,33 @@ let optimize_with_report ?(passes = default_passes) ?(verify = true) t =
 
 let optimize ?passes ?verify t = fst (optimize_with_report ?passes ?verify t)
 
+(* Cone plans are retained one at a time, across every program: the one
+   forced last stays cached, and forcing another program's plan drops it
+   (an executor holds the plan it fetched for as long as it runs). A plan
+   is cheap next to the campaign that uses it, while OCaml never hands a
+   grown heap back, so keeping every kernel's plan alive would ratchet a
+   long-lived daemon's resident memory with each new kernel. The lock also
+   keeps two domains from building the same plan at once. *)
+let plan_lock = Mutex.create ()
+let latest_plan : (int * Ftb_trace.Program.cone_plan option) option ref = ref None
+let next_program = Atomic.make 0
+
 let to_program ?passes ?verify t =
   let t = optimize ?passes ?verify t in
   let program = Ir.to_program t in
-  (* The cone analysis is expensive relative to one golden run, so it is
-     built on first demand and memoized. A plain [Lazy.t] is not safe to
-     force from several domains; a mutex-guarded cell is. *)
-  let lock = Mutex.create () in
-  let cell = ref None in
+  let id = Atomic.fetch_and_add next_program 1 in
   let force () =
-    Mutex.lock lock;
+    Mutex.lock plan_lock;
     Fun.protect
-      ~finally:(fun () -> Mutex.unlock lock)
+      ~finally:(fun () -> Mutex.unlock plan_lock)
       (fun () ->
-        match !cell with
-        | Some plan -> plan
-        | None ->
+        match !latest_plan with
+        | Some (owner, plan) when owner = id -> plan
+        | Some _ | None ->
+            (* Unreachable from here while the next plan is built. *)
+            latest_plan := None;
             let plan = try Some (Cone.plan t) with _ -> None in
-            cell := Some plan;
+            latest_plan := Some (id, plan);
             plan)
   in
   Ftb_trace.Program.with_cone program force

@@ -35,8 +35,11 @@ val optimize_with_report :
 
 val to_program : ?passes:Passes.pass list -> ?verify:bool -> Ir.t -> Ftb_trace.Program.t
 (** [optimize] followed by [Ir.to_program], with the dependent-cone
-    capability ({!Cone.plan}, built lazily on first use and memoized
-    behind a mutex — safe to force from multiple domains) attached. This
+    capability ({!Cone.plan}, built lazily on first use behind a mutex —
+    safe to force from multiple domains) attached. One plan is retained
+    process-wide: the plan forced last stays cached, and forcing another
+    program's plan drops it, so a long-lived process holds at most one
+    plan besides those its running campaigns fetched. This
     is the constructor the kernel suite uses: batched campaigns on the
     result take the cone fast path wherever the analysis is exact and
     fall back to prefix-snapshot replay elsewhere, byte-identical either

@@ -22,52 +22,11 @@ let crash_reason_equal a b =
 
 let pp_crash_reason ppf r = Format.pp_print_string ppf (crash_reason_to_string r)
 
-(* Growable float/int buffers; OCaml 5.1 has no Dynarray yet. Buffers are
-   resettable so campaign loops can reuse one sink per domain instead of
-   allocating (and growing) a fresh pair of arrays for every run. *)
-module Fbuf = struct
-  type t = { mutable data : float array; mutable len : int }
-
-  let create () = { data = Array.make 1024 0.; len = 0 }
-
-  let push t v =
-    if t.len = Array.length t.data then begin
-      let grown = Array.make (2 * t.len) 0. in
-      Array.blit t.data 0 grown 0 t.len;
-      t.data <- grown
-    end;
-    t.data.(t.len) <- v;
-    t.len <- t.len + 1
-
-  let contents t = Array.sub t.data 0 t.len
-  let reset t = t.len <- 0
-
-  let get t i =
-    if i < 0 || i >= t.len then invalid_arg "Ctx: trace index out of bounds";
-    t.data.(i)
-end
-
-module Ibuf = struct
-  type t = { mutable data : int array; mutable len : int }
-
-  let create () = { data = Array.make 1024 0; len = 0 }
-
-  let push t v =
-    if t.len = Array.length t.data then begin
-      let grown = Array.make (2 * t.len) 0 in
-      Array.blit t.data 0 grown 0 t.len;
-      t.data <- grown
-    end;
-    t.data.(t.len) <- v;
-    t.len <- t.len + 1
-
-  let contents t = Array.sub t.data 0 t.len
-  let reset t = t.len <- 0
-
-  let get t i =
-    if i < 0 || i >= t.len then invalid_arg "Ctx: trace index out of bounds";
-    t.data.(i)
-end
+(* Resettable buffers, so campaign loops can reuse one sink per domain
+   instead of allocating (and growing) a fresh pair of arrays for every
+   run. *)
+module Fbuf = Ftb_util.Growbuf.Floats
+module Ibuf = Ftb_util.Growbuf.Ints
 
 type sink = { values : Fbuf.t; statics : Ibuf.t }
 
@@ -262,7 +221,7 @@ let sink_exn t name =
 
 let trace_values t = Fbuf.contents (sink_exn t "trace_values").values
 let trace_statics t = Ibuf.contents (sink_exn t "trace_statics").statics
-let trace_length t = (sink_exn t "trace_length").values.Fbuf.len
+let trace_length t = Fbuf.length (sink_exn t "trace_length").values
 let trace_value t i = Fbuf.get (sink_exn t "trace_value").values i
 let trace_static t i = Ibuf.get (sink_exn t "trace_static").statics i
 

@@ -5,6 +5,7 @@ type cone_outcome = Cone_masked | Cone_sdc | Cone_crash of Ctx.crash_reason
 type cone_plan = {
   cone_sites : int;
   cone_case : site:int -> ((float -> float) -> cone_outcome) option;
+  cone_lanes : site:int -> ((int -> float -> float) -> cone_outcome array -> unit) option;
 }
 
 type t = {

@@ -22,15 +22,31 @@ type cone_plan = {
       (** number of injection sites the plan covers — must equal the
           golden site count or the executor discards the plan *)
   cone_case : site:int -> ((float -> float) -> cone_outcome) option;
-      (** [cone_case ~site] specializes the program to injection site
-          [site]: the returned closure takes the corruption function,
-          replays only the site's dependent cone (forward slice) against
-          precomputed golden values, and classifies the outcome — no
-          prefix, no suffix, no output copy. [None] when the site's cone is
-          imprecise (feeds a float branch, or too large to pay off); the
-          caller must fall back to full or prefix-snapshot replay. The
-          closure is single-threaded (it reuses scratch buffers); obtain
-          one per domain. *)
+      (** [cone_case ~site] is the one-lane form of [cone_lanes]: the
+          returned closure takes one corruption function and classifies
+          that single case. [None] exactly when [cone_lanes ~site] is. *)
+  cone_lanes : site:int -> ((int -> float -> float) -> cone_outcome array -> unit) option;
+      (** [cone_lanes ~site] specializes the program to injection site
+          [site]. The returned lane runner [run corrupt out] classifies
+          [Array.length out] cases of the site at once: lane [l]'s seed
+          is [corrupt l golden_value], and its outcome lands in [out.(l)].
+          It walks the site's dependent cone (forward slice) once and
+          replays every member over all lanes against precomputed golden
+          operands — no prefix, no suffix, no output copy. [None] when the
+          site's cone feeds a float branch (the corrupted run could leave
+          the golden control path) or the site is out of range; the caller
+          must fall back to full or prefix-snapshot replay.
+
+          Lifetime and domain: a runner holds no mutable state of its own
+          and lives as long as the plan; it may be called from any domain,
+          and from several at once. Each call borrows the calling domain's
+          replay scratch (shared by all plans, sized by the largest plan
+          and a fixed lane-row budget) and restores it before returning,
+          also when [corrupt] raises — so [corrupt] must not itself run a
+          cone replay. A covered case records exactly the golden number of
+          dynamic instructions, or fewer when a guard crashes it, so the
+          outcome equals full replay under any fuel of at least the golden
+          site count. *)
 }
 (** A site-suffix specializer: per-site dependent-cone replay. *)
 

@@ -5,10 +5,14 @@
    [Pipeline.to_program] (optimized, compiled, cone plan attached) and
    through [Ir.to_program_interpreted] (the tree-walking reference) — and
    an exhaustive campaign per fault model must produce bit-identical
-   outcome bytes. Also asserts the cone fast path is actually taken
-   (a plan exists and accepts sites) so a silent fallback regression
-   cannot pass the gate, and that the optimizer shrank at least one
-   kernel. Small configs: the whole smoke is a few seconds. *)
+   outcome bytes, unfueled, under the daemon's default fuel budget
+   ([Job.default_spec]) and at fuel = the golden step count (the least
+   budget the cone tier runs under). Also asserts the cone fast path is
+   actually taken — the plan accepts every site of these kernels and of
+   the paper-size kernels the exhaustive benchmark catalogue runs — so a
+   silent fallback regression cannot pass the gate, and that the
+   optimizer shrank at least one kernel. Small configs: the whole smoke
+   is a few seconds. *)
 
 module Ir = Ftb_ir.Ir
 module Passes = Ftb_ir.Passes
@@ -44,9 +48,32 @@ let specs =
   List.map (fun model -> { Models.model; seed = 0 }) Models.all_discrete
   @ [ { Models.model = Models.Random_value { lo = -4.; hi = 4. }; seed = 9 } ]
 
-let reference_bytes spec golden =
+let reference_bytes ?fuel spec golden =
   let total = Models.total_cases spec ~sites:(Golden.sites golden) in
-  String.init total (fun case -> Ground_truth.case_byte_model spec golden case)
+  String.init total (fun case -> Ground_truth.case_byte_model ?fuel spec golden case)
+
+let daemon_fuel =
+  match (Ftb_service.Job.default_spec ~bench:"ir.cg").Ftb_service.Job.fuel with
+  | Some fuel -> fuel
+  | None -> failwith "the daemon's default spec has no fuel budget"
+
+(* The cone plan must accept every site: these kernels have no float
+   branch, so a declined site is a regression of the analysis. *)
+let check_accepts_all name (g : Golden.t) =
+  match g.Golden.program.Program.cone with
+  | None -> check (name ^ ": cone capability attached") false
+  | Some force -> (
+      match force () with
+      | None -> check (name ^ ": cone plan builds") false
+      | Some plan ->
+          let accepted = ref 0 in
+          for site = 0 to plan.Program.cone_sites - 1 do
+            if plan.Program.cone_case ~site <> None then incr accepted
+          done;
+          check
+            (Printf.sprintf "%s: cone accepts %d/%d sites" name !accepted
+               plan.Program.cone_sites)
+            (!accepted = plan.Program.cone_sites && !accepted = Golden.sites g))
 
 let () =
   let shrunk = ref false in
@@ -69,30 +96,24 @@ let () =
       check
         (Printf.sprintf "%s: same site space (%d)" name (Golden.sites fast))
         (Golden.sites fast = Golden.sites interp);
-      (match fast.Golden.program.Program.cone with
-      | None -> check (name ^ ": cone capability attached") false
-      | Some force -> (
-          match force () with
-          | None -> check (name ^ ": cone plan builds") false
-          | Some plan ->
-              let accepted = ref 0 in
-              for site = 0 to plan.Program.cone_sites - 1 do
-                if plan.Program.cone_case ~site <> None then incr accepted
-              done;
-              check
-                (Printf.sprintf "%s: cone accepts %d/%d sites" name !accepted
-                   plan.Program.cone_sites)
-                (!accepted > 0)));
+      check_accepts_all name fast;
       List.iter
         (fun spec ->
-          let expected = reference_bytes spec interp in
-          let gt = Executor.ground_truth_model ~domains:2 spec fast in
-          check
-            (Printf.sprintf "%s: %s bytes = interpreted reference" name
-               (Models.spec_name spec))
-            (String.equal expected (Bytes.to_string gt.Ground_truth.outcomes)))
+          List.iter
+            (fun fuel ->
+              let expected = reference_bytes ?fuel spec interp in
+              let gt = Executor.ground_truth_model ~domains:2 ?fuel spec fast in
+              check
+                (Printf.sprintf "%s: %s bytes = interpreted reference (fuel %s)" name
+                   (Models.spec_name spec)
+                   (match fuel with None -> "none" | Some f -> string_of_int f))
+                (String.equal expected (Bytes.to_string gt.Ground_truth.outcomes)))
+            [ None; Some daemon_fuel; Some (Golden.sites fast) ])
         specs)
     kernels;
+  List.iter
+    (fun name -> check_accepts_all name (Golden.run (Ftb_kernels.Suite.find name)))
+    [ "ir.cg"; "ir.lu"; "ir.fft"; "ir.gemm"; "ir.stencil3" ];
   check "pipeline shrinks at least one kernel" !shrunk;
   if !failures > 0 then begin
     Printf.printf "ir smoke: %d failure(s)\n%!" !failures;
