@@ -237,7 +237,7 @@ type report = {
 
 let provenance_name = function Cold -> "cold" | Partial -> "partial" | Full -> "full"
 
-let run ?fuel ?cone ?(model = Models.default_spec) store ~ir golden =
+let run ?fuel ?(model = Models.default_spec) store ~ir golden =
   let width = Models.spec_width model in
   let sites = Golden.sites golden in
   let golden_fp = Checkpoint.fingerprint_of_golden golden in
@@ -274,7 +274,7 @@ let run ?fuel ?cone ?(model = Models.default_spec) store ~ir golden =
       | None ->
           (* Unsectionizable: plain from-scratch campaign; the boundary
              profile still gets stored, so resubmissions hit. *)
-          let gt = Executor.ground_truth_model ?fuel ?cone model golden in
+          let gt = Executor.ground_truth_model ?fuel model golden in
           finish ~outcomes:(Bytes.copy gt.Ground_truth.outcomes) ~provenance:Cold
             ~sections_total:0 ~sections_hit:0 ~cases_reused:0
             ~cases_executed:(sites * width)
@@ -288,7 +288,7 @@ let run ?fuel ?cone ?(model = Models.default_spec) store ~ir golden =
               match status with
               | Hit prof ->
                   Bytes.blit_string prof.Profile.outcomes 0 outcomes lo (hi - lo)
-              | Miss -> Executor.range_into_model ?fuel ?cone model golden ~lo ~hi outcomes ~off:lo)
+              | Miss -> Executor.range_into_model ?fuel model golden ~lo ~hi outcomes ~off:lo)
             p.statuses;
           harvest store p ~outcomes;
           let provenance =

@@ -112,7 +112,6 @@ type report = {
 
 val run :
   ?fuel:int ->
-  ?cone:bool ->
   ?model:Ftb_inject.Models.spec ->
   Store.t ->
   ir:Ftb_ir.Ir.t ->
@@ -123,6 +122,4 @@ val run :
     {!Ftb_inject.Executor.range_into_model}, then harvest everything.
     [golden] must be the golden run of (a lowering of) [ir]. Outcome
     bytes are byte-identical to
-    {!Ftb_inject.Executor.ground_truth_model} on every path. [cone]
-    (default [true]) is passed to the executor; [false] times the
-    cone-free tiers (benchmarks). *)
+    {!Ftb_inject.Executor.ground_truth_model} on every path. *)

@@ -39,8 +39,18 @@ val to_program : ?passes:Passes.pass list -> ?verify:bool -> Ir.t -> Ftb_trace.P
     safe to force from multiple domains) attached. One plan is retained
     process-wide: the plan forced last stays cached, and forcing another
     program's plan drops it, so a long-lived process holds at most one
-    plan besides those its running campaigns fetched. This
-    is the constructor the kernel suite uses: batched campaigns on the
+    plan besides those its running campaigns fetched.
+
+    This assumes one campaign program at a time per process, which holds
+    for the daemon (its scheduler runs one job at a time), the CLI and
+    the study drivers. The executor fetches the plan on every
+    [Executor.range_into_model] call, i.e. once per engine or
+    fleet shard, so two campaigns on different programs interleaved in
+    one process would rebuild each other's plan on nearly every shard,
+    under the global lock: correct bytes, but each rebuild costs a full
+    cone analysis.
+
+    This is the constructor the kernel suite uses: batched campaigns on the
     result take the cone fast path wherever the analysis is exact and
     fall back to prefix-snapshot replay elsewhere, byte-identical either
     way. *)

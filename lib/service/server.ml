@@ -87,6 +87,8 @@ type t = {
   jobs : (int, Job.info) Hashtbl.t;  (* every job ever seen, by id *)
   mutable next_id : int;
   mutable running : running option;
+      (* at most one job runs at a time; the one cone plan a process
+         retains (Ftb_ir.Pipeline.to_program) relies on it *)
   mutable stopping : bool;
   mutable scheduler : Thread.t option;
   mutable scheduler_done : bool;

@@ -64,11 +64,16 @@ type t = {
           of a site's cases once. [None] for closure kernels, which
           the executor transparently re-runs in full. *)
   cone : (unit -> cone_plan option) option;
-      (** dependent-cone capability: forces the (lazily built, memoized)
-          cone analysis. [None] when the program carries no analysis;
-          [Some force] where [force ()] is [None] when the analysis failed
-          and the executor must ignore the capability. Outcomes produced
-          through a plan must be bit-identical to full replay. *)
+      (** dependent-cone capability: forces the cone analysis, built
+          lazily on first use and retained while this is the program
+          whose plan was forced last ([Ftb_ir.Pipeline.to_program] keeps
+          one plan per process, which assumes one campaign program at a
+          time: forcing another program's plan drops this one, and the
+          next force rebuilds it). [None] when the program carries no
+          analysis; [Some force] where [force ()] is [None] when the
+          analysis failed and the executor must ignore the capability.
+          Outcomes produced through a plan must be bit-identical to full
+          replay. *)
 }
 
 val make :
