@@ -235,7 +235,6 @@ type report = {
   cases_executed : int;
 }
 
-let provenance_name = function Cold -> "cold" | Partial -> "partial" | Full -> "full"
 
 let run ?fuel ?(model = Models.default_spec) store ~ir golden =
   let width = Models.spec_width model in

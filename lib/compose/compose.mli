@@ -97,8 +97,6 @@ val put_boundary :
 
 type provenance = Cold | Partial | Full
 
-val provenance_name : provenance -> string
-
 type report = {
   outcomes : Bytes.t;  (** the composed boundary, dense case order *)
   sites : int;

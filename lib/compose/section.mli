@@ -59,12 +59,3 @@ val boundary_key :
     text of the entire body, the model, fuel and tolerance. Computable
     {e without executing the program} — recognizing a byte-identical
     resubmission costs one hash and one store lookup. *)
-
-val canon_text : Ftb_ir.Ir.stmt list -> string
-(** The canonical text used in keys: registers and arrays as integer ids,
-    float constants as the hex image of their bits, labels verbatim.
-    Exposed for tests and debugging. *)
-
-val max_peel_trip : int
-(** Largest constant trip count a top-level loop may have and still be
-    peeled into per-iteration sections (currently 32). *)

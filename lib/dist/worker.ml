@@ -41,8 +41,6 @@ let golden_cache_capacity = 16
 let golden_cache : (string, Golden.t) Ftb_util.Lru.t =
   Ftb_util.Lru.create ~capacity:golden_cache_capacity
 
-let golden_cache_length () = Ftb_util.Lru.length golden_cache
-
 let golden_for cfg bench =
   Ftb_util.Lru.find_or_add golden_cache bench (fun () ->
       Golden.run (cfg.resolve bench))

@@ -44,12 +44,6 @@ val config :
 (** Defaults: [domains = 1], [resolve = Ftb_kernels.Suite.find], never
     stop, no logging, server-assigned name, no tampering. *)
 
-val golden_cache_capacity : int
-(** Bound on the per-process golden-trace cache (LRU-evicted). *)
-
-val golden_cache_length : unit -> int
-(** Current entry count of the golden-trace cache (test seam). *)
-
 type stats = {
   shards : int;  (** shards computed and sent *)
   cases : int;  (** total cases across those shards *)

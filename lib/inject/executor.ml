@@ -22,12 +22,12 @@ module Runner = Ftb_trace.Runner
    declines takes the prefix-snapshot path below. Outcome bytes are
    bit-identical either way — enforced by the differential tests and the
    @ir-smoke gate. *)
-let cone_plan ?fuel ~cone golden =
+let cone_plan ?fuel golden =
   let sites = Golden.sites golden in
-  match (cone, fuel, golden.Golden.program.Program.cone) with
-  | false, _, _ | true, _, None -> None
-  | true, Some fuel, Some _ when fuel < sites -> None
-  | true, _, Some force -> (
+  match (fuel, golden.Golden.program.Program.cone) with
+  | _, None -> None
+  | Some fuel, Some _ when fuel < sites -> None
+  | _, Some force -> (
       match force () with
       | Some plan when plan.Program.cone_sites = sites -> Some plan
       | Some _ | None -> None)
@@ -110,7 +110,7 @@ let site_into ?fuel ~plan spec golden ~site buf ~pos =
              contains each case on its own. *)
           snapshot ())
 
-let range_into_model ?fuel ?(cone = true) (spec : Models.spec) golden ~lo ~hi buf ~off =
+let range_into_model ?fuel (spec : Models.spec) golden ~lo ~hi buf ~off =
   let width = Models.spec_width spec in
   let total = Models.total_cases spec ~sites:(Golden.sites golden) in
   if lo < 0 || hi < lo || hi > total then
@@ -119,7 +119,7 @@ let range_into_model ?fuel ?(cone = true) (spec : Models.spec) golden ~lo ~hi bu
     invalid_arg "Executor.range_into_model: buffer too small";
   (* Whole sites inside [lo, hi) are batched; ragged edges (shard bounds
      not aligned to the model's width) run per-case. *)
-  let plan = cone_plan ?fuel ~cone golden in
+  let plan = cone_plan ?fuel golden in
   let first_whole = (lo + width - 1) / width * width in
   let last_whole = hi / width * width in
   if first_whole >= last_whole then per_case ?fuel spec golden buf ~pos:off ~lo ~hi
@@ -131,7 +131,7 @@ let range_into_model ?fuel ?(cone = true) (spec : Models.spec) golden ~lo ~hi bu
     per_case ?fuel spec golden buf ~pos:(off + last_whole - lo) ~lo:last_whole ~hi
   end
 
-let ground_truth_model ?pool ?domains ?fuel ?(cone = true) (spec : Models.spec) golden =
+let ground_truth_model ?pool ?domains ?fuel (spec : Models.spec) golden =
   let want =
     match domains with Some d -> d | None -> Parallel.default_domains ()
   in
@@ -139,7 +139,7 @@ let ground_truth_model ?pool ?domains ?fuel ?(cone = true) (spec : Models.spec) 
   let width = Models.spec_width spec in
   let sites = Golden.sites golden in
   let outcomes = Bytes.create (sites * width) in
-  let plan = cone_plan ?fuel ~cone golden in
+  let plan = cone_plan ?fuel golden in
   let run_sites lo hi =
     for site = lo to hi - 1 do
       site_into ?fuel ~plan spec golden ~site outcomes ~pos:(site * width)

@@ -36,9 +36,12 @@
     model derives its draw from (seed, case)), so the cases of a site
     share the injection-free prefix whatever the model.
 
-    [?cone:false] disables the first tier (differential testing,
-    benchmarking the tiers against each other). The plan is fetched once
-    per call and held for its duration.
+    The plan is fetched once per call and held for its duration. The
+    cone-free reference (differential tests, benchmarking the tiers
+    against each other) is a golden run of the same program without its
+    cone capability, [Golden.run { program with Program.cone = None }]:
+    the same trace, so the same fingerprint and case space, with every
+    site on the tiers below.
 
     Correctness bar: outcome bytes are bit-identical to the serial
     per-case oracle ({!Ground_truth.run} for bit-flip-64, a loop of
@@ -54,7 +57,6 @@
 
 val range_into_model :
   ?fuel:int ->
-  ?cone:bool ->
   Models.spec ->
   Ftb_trace.Golden.t ->
   lo:int ->
@@ -75,7 +77,6 @@ val ground_truth_model :
   ?pool:Parallel.Pool.t ->
   ?domains:int ->
   ?fuel:int ->
-  ?cone:bool ->
   Models.spec ->
   Ftb_trace.Golden.t ->
   Ground_truth.t
@@ -84,5 +85,5 @@ val ground_truth_model :
     {!Parallel.Pool.global}, [domains] to {!Parallel.default_domains};
     [domains:1] without an explicit pool runs serially on the calling
     domain). The result's byte width is the model's [spec_width]. Outcome
-    bytes are bit-identical for every pool width and [cone] setting.
+    bytes are bit-identical for every pool width, with or without a cone plan.
     Raises [Invalid_argument] when [domains <= 0]. *)

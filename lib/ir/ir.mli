@@ -104,9 +104,9 @@ val to_program_interpreted : t -> Ftb_trace.Program.t
 (** Lower via the structured tree-walking interpreter instead of the
     compiled machine: the reference engine. No [resumable] capability, no
     compilation — every run walks the AST. Campaign outcomes must be
-    bit-identical to {!to_program}'s; kept as the differential-testing
-    oracle and as the pre-optimization baseline of the campaign throughput
-    benchmark. *)
+    bit-identical to {!to_program}'s. A test oracle only: the
+    differential tests and [@ir-smoke] compare the compiled and cone tiers
+    against it; no campaign, daemon or benchmark path runs it. *)
 
 val to_machine : t -> Machine.t
 (** Compile to the flat machine without building a {!Ftb_trace.Program.t}

@@ -10,9 +10,6 @@
 type series = { label : string; color : string; values : float array }
 (** One line of a chart. [color] is any SVG colour ("#1f77b4", "crimson"). *)
 
-val default_palette : string array
-(** Six readable categorical colours, used when callers don't pick. *)
-
 val line_chart :
   ?width:int ->
   ?height:int ->

@@ -5,23 +5,6 @@ exception Crash of { reason : crash_reason; what : string }
 let crash ~reason fmt =
   Printf.ksprintf (fun what -> raise (Crash { reason; what })) fmt
 
-let crash_reason_to_string = function
-  | Nan_value -> "nan"
-  | Inf_value -> "inf"
-  | Exception_raised -> "exception"
-  | Fuel_exhausted -> "fuel"
-
-let crash_reason_equal a b =
-  match (a, b) with
-  | Nan_value, Nan_value
-  | Inf_value, Inf_value
-  | Exception_raised, Exception_raised
-  | Fuel_exhausted, Fuel_exhausted ->
-      true
-  | (Nan_value | Inf_value | Exception_raised | Fuel_exhausted), _ -> false
-
-let pp_crash_reason ppf r = Format.pp_print_string ppf (crash_reason_to_string r)
-
 (* Resettable buffers, so campaign loops can reuse one sink per domain
    instead of allocating (and growing) a fresh pair of arrays for every
    run. *)
@@ -223,7 +206,6 @@ let trace_values t = Fbuf.contents (sink_exn t "trace_values").values
 let trace_statics t = Ibuf.contents (sink_exn t "trace_statics").statics
 let trace_length t = Fbuf.length (sink_exn t "trace_length").values
 let trace_value t i = Fbuf.get (sink_exn t "trace_value").values i
-let trace_static t i = Ibuf.get (sink_exn t "trace_static").statics i
 
 let injection t =
   match t.mode with

@@ -19,12 +19,6 @@ type crash_reason =
     alongside every Crash outcome so studies can break abnormal
     terminations down by cause. *)
 
-val crash_reason_to_string : crash_reason -> string
-(** ["nan"], ["inf"], ["exception"], ["fuel"]. *)
-
-val crash_reason_equal : crash_reason -> crash_reason -> bool
-val pp_crash_reason : Format.formatter -> crash_reason -> unit
-
 exception Crash of { reason : crash_reason; what : string }
 (** Abnormal termination of an instrumented run — the paper's Crash
     outcome, tagged with its taxonomy reason. Raised by {!guard_finite}
@@ -42,9 +36,6 @@ type sink
 
 val create_sink : unit -> sink
 (** A fresh, empty sink. *)
-
-val reset_sink : sink -> unit
-(** Forget the sink's contents (O(1); capacity is retained). *)
 
 (** Every constructor takes an optional [?fuel] step budget: the maximum
     number of {!record} calls the run may perform before the watchdog
@@ -160,9 +151,6 @@ val trace_value : t -> int -> float
 (** [trace_value t i] is the [i]-th recorded value, without copying the
     trace. Raises [Invalid_argument] out of bounds or on an outcome-only
     context. *)
-
-val trace_static : t -> int -> int
-(** [trace_static t i] is the [i]-th recorded static tag, without copying. *)
 
 val injection : t -> (float * float) option
 (** [Some (original, corrupted)] once the injection target was reached —

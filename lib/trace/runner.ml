@@ -6,7 +6,6 @@ let outcome_equal a b =
   | (Masked | Sdc | Crash), _ -> false
 
 let outcome_to_string = function Masked -> "masked" | Sdc -> "sdc" | Crash -> "crash"
-let pp_outcome ppf o = Format.pp_print_string ppf (outcome_to_string o)
 
 type result = {
   fault : Fault.t;

@@ -14,7 +14,6 @@ type outcome = Masked | Sdc | Crash
 
 val outcome_equal : outcome -> outcome -> bool
 val outcome_to_string : outcome -> string
-val pp_outcome : Format.formatter -> outcome -> unit
 
 type result = {
   fault : Fault.t;
@@ -65,18 +64,15 @@ val run_outcome_custom_contained :
     before the body starts (e.g. an out-of-range site) still
     propagate. *)
 
-val outcome_of_run :
+val outcome_of_run_contained :
   Golden.t -> Fault.t -> Ctx.t -> (Ctx.t -> float array) -> result
 (** Classify one execution of an arbitrary run function under an
     already-constructed injecting context — the generalization behind
     {!run_outcome} ([run] is then the program body). The batched campaign
     executor passes the suffix replay of a paused execution together with a
-    context resumed at the snapshot position ({!Ctx.resume_custom}). *)
-
-val outcome_of_run_contained :
-  Golden.t -> Fault.t -> Ctx.t -> (Ctx.t -> float array) -> result
-(** {!outcome_of_run} with campaign crash containment: any exception other
-    than [Out_of_memory] escaping [run] classifies as Crash with reason
+    context resumed at the snapshot position ({!Ctx.resume_custom}).
+    Crash containment as in a campaign: any exception other than
+    [Out_of_memory] escaping [run] classifies as Crash with reason
     {!Ctx.Exception_raised}. *)
 
 val run_propagation : ?fuel:int -> ?sink:Ctx.sink -> Golden.t -> Fault.t -> propagation

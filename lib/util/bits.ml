@@ -1,5 +1,4 @@
 let bits_per_double = 64
-let bits_per_single = 32
 
 let flip ~bit x =
   if bit < 0 || bit >= 64 then
@@ -25,8 +24,6 @@ let all_flip_errors x =
   Array.init bits_per_double (fun bit -> (bit, error_of_flip ~bit x))
 
 let sign_bit = 63
-let exponent_bits = (52, 62)
-let mantissa_bits = (0, 51)
 
 let classify_bit b =
   if b < 0 || b >= 64 then

@@ -9,9 +9,6 @@
 val bits_per_double : int
 (** Number of flippable bits in a double: 64. *)
 
-val bits_per_single : int
-(** Number of flippable bits in the 32-bit model: 32. *)
-
 val flip : bit:int -> float -> float
 (** [flip ~bit x] returns [x] with bit [bit] of its IEEE-754 double
     representation inverted. Raises [Invalid_argument] unless
@@ -36,12 +33,6 @@ val is_finite : float -> bool
 
 val sign_bit : int
 (** Index of the sign bit (63). *)
-
-val exponent_bits : int * int
-(** Inclusive range of exponent bit indices ([52, 62]). *)
-
-val mantissa_bits : int * int
-(** Inclusive range of mantissa bit indices ([0, 51]). *)
 
 val classify_bit : int -> [ `Mantissa | `Exponent | `Sign ]
 (** [classify_bit b] tells which field of the double layout bit [b] lives

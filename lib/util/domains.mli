@@ -2,19 +2,16 @@
 
     One place owns the [FTB_DOMAINS] environment contract: an explicit
     [--domains] flag wins, then a well-formed [FTB_DOMAINS] value, then
-    [Domain.recommended_domain_count] capped at {!hard_cap}. CLI binaries
+    [Domain.recommended_domain_count] capped at 8. CLI binaries
     ([ftb campaign run], [ftb serve], [ftb worker], the benches) all call
     {!default_or_exit} so a malformed value is a single uniform exit-2
     usage error instead of a backtrace — or a per-binary copy of the same
     [match]. *)
 
-val hard_cap : int
-(** Upper bound applied to the auto-detected domain count (explicit
-    settings may exceed it). *)
-
 val default : unit -> int
 (** Domain count from [FTB_DOMAINS], falling back to
-    [min hard_cap (Domain.recommended_domain_count ())]. Raises
+    [min 8 (Domain.recommended_domain_count ())] (explicit settings may
+    exceed the cap). Raises
     [Invalid_argument] when the variable is set but not a positive
     integer. *)
 

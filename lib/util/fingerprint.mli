@@ -16,14 +16,9 @@
 val of_string : string -> string
 (** Fingerprint of the raw bytes of a string. *)
 
-val of_bytes : Bytes.t -> string
-
 val of_floats : float array -> string
 (** Bit-exact fingerprint of a float array (little-endian
     [Int64.bits_of_float] per element). *)
-
-val bytes_of_floats : float array -> Bytes.t
-(** The exact byte image hashed by {!of_floats}. *)
 
 val add_float : Buffer.t -> float -> unit
 (** Append a float's 8-byte bit-exact image to a buffer being accumulated

@@ -27,7 +27,6 @@ let add_row t row =
          (Array.length t.headers) (Array.length row));
   t.rows <- row :: t.rows
 
-let add_rows t rows = List.iter (add_row t) rows
 
 let pad align width s =
   let len = String.length s in

@@ -14,8 +14,6 @@ val add_row : t -> string list -> unit
 (** Append a row; raises [Invalid_argument] if its width differs from the
     header's. *)
 
-val add_rows : t -> string list list -> unit
-
 val render : ?title:string -> t -> string
 (** Render with box-drawing rules, column padding and an optional title
     line. Always ends with a newline. *)

@@ -3,11 +3,11 @@
    structured tree-walking interpreter run per-case — for every fault
    model, the stochastic random-value model included, under fuel on
    either side of the golden step count, at every lane width, and when a
-   lane batch raises; the fallbacks (fuel below the golden step count,
-   cone:false) must change nothing. This is the acceptance bar of the
-   specializer: same bytes, only faster. Replay must also stay small: a
-   site allocates with its cone, not with the program, and one plan is
-   retained at a time. *)
+   lane batch raises; the fallbacks (fuel below the golden step count, a
+   program without its cone plan) must change nothing. This is the
+   acceptance bar of the specializer: same bytes, only faster. Replay
+   must also stay small: a site allocates with its cone, not with the
+   program, and one plan is retained at a time. *)
 
 module Ir = Ftb_ir.Ir
 module Pipeline = Ftb_ir.Pipeline
@@ -49,6 +49,12 @@ let fixtures =
            Golden.run (Pipeline.to_program ir),
            Golden.run (Ir.to_program_interpreted ir) ))
        kernels)
+
+(* The cone-free reference: the same program without its cone capability,
+   so every site takes the prefix-snapshot tier. Same trace, so the same
+   fingerprint, case space and store keys ([test_cone_flag_changes_nothing]
+   checks that). *)
+let cone_free (g : Golden.t) = Golden.run { g.Golden.program with Program.cone = None }
 
 let discrete_specs =
   List.map (fun model -> { Models.model; seed = 0 }) Models.all_discrete
@@ -112,7 +118,7 @@ let test_fuel_forces_fallback_identically () =
                 if Models.spec_equal spec Models.default_spec then
                   reference_bytes ~fuel spec interp
                 else
-                  (Executor.ground_truth_model ~domains:1 ~fuel ~cone:false spec fast)
+                  (Executor.ground_truth_model ~domains:1 ~fuel spec (cone_free fast))
                     .Ground_truth.outcomes
               in
               List.iter
@@ -184,17 +190,18 @@ let test_lane_widths () =
      then, on the first, middle and last site, one batch far wider than a
      replay chunk (several chunks), lane [l] flipping bit [l mod 64],
      against the 64-bit bytes. *)
-  let snapshot spec fast =
-    (Executor.ground_truth_model ~domains:1 ~cone:false spec fast).Ground_truth.outcomes
+  let snapshot spec nocone =
+    (Executor.ground_truth_model ~domains:1 spec nocone).Ground_truth.outcomes
   in
   List.iter
     (fun (name, fast, _) ->
       let plan = plan_of name fast in
+      let nocone = cone_free fast in
       let sites = Golden.sites fast in
       List.iter
         (fun spec ->
           let width = Models.spec_width spec in
-          let expected = snapshot spec fast in
+          let expected = snapshot spec nocone in
           let got = Bytes.copy expected in
           for site = 0 to sites - 1 do
             match plan.Program.cone_lanes ~site with
@@ -213,7 +220,7 @@ let test_lane_widths () =
           { Models.model = Models.Bit_flip_32; seed = 0 };
           stochastic_spec;
         ];
-      let expected = snapshot Models.default_spec fast in
+      let expected = snapshot Models.default_spec nocone in
       let lanes = 20_000 in
       let mismatches = ref 0 in
       List.iter
@@ -234,9 +241,9 @@ let test_lane_widths () =
 
 let test_raising_batch_contained () =
   (* A lane batch that raises hands its site to the prefix-snapshot tier:
-     same bytes as cone:false, not a site full of exception crashes. The
-     corruption of lane 5 throws on every other site, so the replay
-     scratch must also come back clean for the sites after it. *)
+     same bytes as the cone-free program, not a site full of exception
+     crashes. The corruption of lane 5 throws on every other site, so the
+     replay scratch must also come back clean for the sites after it. *)
   List.iter
     (fun (name, fast, _) ->
       let raising =
@@ -253,9 +260,7 @@ let test_raising_batch_contained () =
                     (plan.Program.cone_lanes ~site));
             })
       in
-      let expected =
-        Executor.ground_truth_model ~domains:1 ~cone:false Models.default_spec fast
-      in
+      let expected = Executor.ground_truth_model ~domains:1 Models.default_spec (cone_free fast) in
       List.iter
         (fun domains ->
           let got = Executor.ground_truth_model ~domains Models.default_spec raising in
@@ -332,13 +337,35 @@ let test_one_plan_retained () =
   Alcotest.(check bool) "then cached again" true (a () == a2)
 
 let test_cone_flag_changes_nothing () =
-  List.iter
-    (fun (name, fast, _) ->
-      let with_cone = Executor.ground_truth_model ~domains:1 ~cone:true Models.default_spec fast in
-      let without = Executor.ground_truth_model ~domains:1 ~cone:false Models.default_spec fast in
-      Alcotest.(check bool) (name ^ ": cone:false = cone:true") true
-        (Bytes.equal with_cone.Ground_truth.outcomes without.Ground_truth.outcomes))
-    (Lazy.force fixtures)
+  (* Dropping the cone capability changes neither the bytes nor anything
+     a cache or checkpoint keys on: the golden fingerprint and the compose
+     plan's section keys. The benchmarks time their cone-free references
+     on such a golden and share stores and checkpoints with the normal
+     one, so they rely on this. *)
+  let module Checkpoint = Ftb_campaign.Checkpoint in
+  let module Section = Ftb_compose.Section in
+  List.iter2
+    (fun (_, build) (name, fast, _) ->
+      let nocone = cone_free fast in
+      let with_cone = Executor.ground_truth_model ~domains:1 Models.default_spec fast in
+      let without = Executor.ground_truth_model ~domains:1 Models.default_spec nocone in
+      Alcotest.(check bool) (name ^ ": cone-free bytes = cone bytes") true
+        (Bytes.equal with_cone.Ground_truth.outcomes without.Ground_truth.outcomes);
+      Alcotest.(check string) (name ^ ": same golden fingerprint")
+        (Checkpoint.fingerprint_of_golden fast)
+        (Checkpoint.fingerprint_of_golden nocone);
+      let keys golden =
+        match
+          Section.sectionize ~ir:(build ()) ~golden ~model:Models.default_spec
+            ~fuel:(Some 10_000_000)
+        with
+        | None -> Alcotest.failf "%s: did not sectionize" name
+        | Some plan ->
+            plan.Section.golden_fp
+            :: Array.to_list (Array.map (fun s -> s.Section.key) plan.Section.sections)
+      in
+      Alcotest.(check (list string)) (name ^ ": same compose keys") (keys fast) (keys nocone))
+    kernels (Lazy.force fixtures)
 
 let test_pooled_cone_campaign_identity () =
   (* The cone closures allocate per-site scratch, so domain-parallel

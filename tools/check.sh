@@ -2,7 +2,7 @@
 # Full local gate: build, the whole test suite, and every end-to-end
 # smoke alias, on a bounded domain count so the run is reproducible on
 # small CI machines. FTB_DOMAINS can be overridden from the environment.
-# Ends by printing the source line totals of lib/, bin/ and test/.
+# Ends by printing the source line totals of lib/, bin/, test/ and bench/.
 #
 # The build must be silent: dune only prints when something is wrong,
 # so any build output (warnings included) fails the gate loudly instead
@@ -34,7 +34,7 @@ echo "all checks passed"
 
 # Size on record: each change's growth or shrinkage shows up here.
 echo "== size (lines of *.ml + *.mli)"
-for dir in lib bin test; do
+for dir in lib bin test bench; do
   lines=$(find "$dir" \( -name '*.ml' -o -name '*.mli' \) -print0 | xargs -0 cat | wc -l)
   printf '%-5s %7d\n' "$dir" "$lines"
 done
