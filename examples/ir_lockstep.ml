@@ -51,8 +51,8 @@ let () =
           ignore
             (Lockstep.run
                ~on_deviation:(fun ~site ~deviation ->
-                 Ftb_core.Boundary.add_masked_propagation boundary ~start:site
-                   [| deviation |])
+                 Ftb_core.Boundary.add_masked_propagation boundary
+                   ([| site |], [| deviation |]))
                program fault)
       | Runner.Sdc -> incr sdc
       | Runner.Crash -> incr crash);

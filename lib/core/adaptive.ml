@@ -61,7 +61,7 @@ type state = {
   errors : float array;  (* injected error per dense case, computed once *)
   sampled : Bytes.t;  (* bitmap over dense cases *)
   mutable samples : Sample_run.t array;  (* draw order; replaced, never mutated *)
-  mutable boundary : Boundary.t;
+  boundary : Boundary.accumulator;
   info : float array;  (* S_i, the bias term, updated per folded sample *)
   mutable rounds : int;
 }
@@ -83,7 +83,7 @@ let state_create ?(config = default_config) ?(spec = Models.default_spec) golden
     errors = Array.init total (fun case -> Ground_truth.injected_error_model spec golden ~case);
     sampled = Bytes.make ((total + 7) / 8) '\000';
     samples = [||];
-    boundary = Boundary.create ~sites;
+    boundary = Boundary.accumulator ~filter:config.filter ~sites;
     info = Array.make sites 0.;
     rounds = 0;
   }
@@ -97,16 +97,15 @@ let mark_sampled state case =
     (Char.chr (Char.code (Bytes.get state.sampled i) lor (1 lsl (case land 7))))
 
 (* Add freshly executed samples (their cases already marked): extend the
-   draw-order array and the information. The boundary is then rebuilt
-   from scratch — the filter operation can retroactively disqualify
-   earlier propagation data once a smaller SDC error is known, so an
-   incremental boundary would drift. Information has no such filter and
-   stays incremental. *)
+   draw-order array, the information and the boundary. The boundary
+   accumulator re-derives only the sites whose SDC floor the batch lowered
+   (the filter operation can retroactively disqualify earlier
+   propagation data there), so a fold costs its batch, not the campaign
+   so far, and still equals [Boundary.infer] over every sample. *)
 let absorb state samples =
   Array.iter (Info.add_total state.golden state.info) samples;
   state.samples <- Array.append state.samples samples;
-  state.boundary <-
-    Boundary.infer ~filter:state.config.filter ~sites:(Golden.sites state.golden) state.samples
+  Boundary.accumulate state.boundary samples
 
 let state_restore ?config ?spec golden ~rounds samples =
   let state = state_create ?config ?spec golden in
@@ -122,7 +121,7 @@ let state_restore ?config ?spec golden ~rounds samples =
 let state_rounds state = state.rounds
 let state_sample_count state = Array.length state.samples
 let state_total state = state.total
-let state_boundary state = state.boundary
+let state_boundary state = Boundary.accumulated state.boundary
 let state_samples state = state.samples
 
 let plan_round state rng =
@@ -132,8 +131,9 @@ let plan_round state rng =
   let width = state.width in
   let pool = Array.make state.total 0 in
   let count = ref 0 in
+  let boundary = Boundary.accumulated state.boundary in
   for site = 0 to (state.total / width) - 1 do
-    let threshold = Boundary.threshold state.boundary site in
+    let threshold = Boundary.threshold boundary site in
     for case = site * width to ((site + 1) * width) - 1 do
       if (not (is_sampled state case)) && not (state.errors.(case) <= threshold) then begin
         pool.(!count) <- case;
@@ -183,7 +183,7 @@ let fold_round ?on_round state ~cases ~samples =
 
 let finish state stop_reason =
   {
-    boundary = state.boundary;
+    boundary = Boundary.accumulated state.boundary;
     samples = state.samples;
     rounds = state.rounds;
     sample_fraction = float_of_int (Array.length state.samples) /. float_of_int state.total;

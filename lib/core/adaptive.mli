@@ -78,9 +78,10 @@ val run_model :
     [fold_round] by recording the RNG state and the drawn cases, and
     after [fold_round] by recording the round's samples.
 
-    A round costs its own work plus one boundary rebuild: each case's
-    injected error is computed once, in {!state_create}, and the
-    information is updated per folded sample. *)
+    A round costs its own work: each case's injected error is computed
+    once, in {!state_create}, the information is updated per folded
+    sample, and the boundary incrementally ({!Boundary.accumulator}), so it
+    equals {!Boundary.infer} over every sample so far, bit for bit. *)
 
 type state
 (** Mutable campaign state: sampled set, accumulated samples (draw
@@ -138,7 +139,8 @@ val state_total : state -> int
 (** Size of the model's complete sample space. *)
 
 val state_boundary : state -> Boundary.t
-(** The boundary inferred from everything folded so far. *)
+(** The boundary inferred from everything folded so far. The state's
+    own, updated in place by later folds: copy it to keep a snapshot. *)
 
 val state_samples : state -> Ftb_inject.Sample_run.t array
 (** Accumulated samples in draw order. Shared with the state, which

@@ -13,12 +13,16 @@ let sites t = Array.length t.thresholds
 let threshold t i = t.thresholds.(i)
 let copy t = { thresholds = Array.copy t.thresholds; support = Array.copy t.support }
 
-let add_masked_propagation ?min_sdc_error t ~start deviations =
-  if start < 0 || start + Array.length deviations > sites t then
-    invalid_arg "Boundary.add_masked_propagation: coverage out of range";
+let check_pairs what t (js, ds) =
+  let n = sites t in
+  if Array.length js <> Array.length ds || Array.exists (fun j -> j < 0 || j >= n) js then
+    invalid_arg (what ^ ": coverage out of range")
+
+let add_masked_propagation ?min_sdc_error t ((js, ds) as pairs) =
+  check_pairs "Boundary.add_masked_propagation" t pairs;
   Array.iteri
-    (fun k d ->
-      let j = start + k in
+    (fun i j ->
+      let d = ds.(i) in
       let accepted =
         d > 0.
         && (match min_sdc_error with None -> true | Some floor -> d < floor.(j))
@@ -27,7 +31,7 @@ let add_masked_propagation ?min_sdc_error t ~start deviations =
         if d > t.thresholds.(j) then t.thresholds.(j) <- d;
         t.support.(j) <- t.support.(j) + 1
       end)
-    deviations
+    js
 
 let min_sdc_errors ~sites samples =
   let floor = Array.make sites infinity in
@@ -47,11 +51,105 @@ let infer ?(filter = false) ~sites:n samples =
   let min_sdc_error = if filter then Some (min_sdc_errors ~sites:n samples) else None in
   Array.iter
     (fun (s : Sample_run.t) ->
-      match s.Sample_run.propagation with
-      | Some (start, deviations) -> add_masked_propagation ?min_sdc_error t ~start deviations
-      | None -> ())
+      Option.iter (add_masked_propagation ?min_sdc_error t) s.Sample_run.propagation)
     samples;
   t
+
+(* The incremental form of [infer]. A site's SDC floor only falls as
+   samples arrive, so a deviation the filter rejects once stays rejected:
+   per site, only the deviations below the current floor are kept. A
+   batch lowers some floors, adds its accepted deviations, and rebuilds
+   only the sites whose floor fell from what they kept. Max and count do
+   not depend on order, so the result is [infer] over every sample added,
+   bit for bit. *)
+type accumulator = {
+  boundary : t;
+  floor : float array option;  (* per-site SDC floor, when filtering *)
+  kept : float array array;  (* per site: accepted deviations, [kept_n] of them *)
+  kept_n : int array;
+  fell : Bytes.t;  (* sites whose floor fell in the batch being added *)
+}
+
+let accumulator ~filter ~sites =
+  let boundary = create ~sites in
+  {
+    boundary;
+    floor = (if filter then Some (Array.make sites infinity) else None);
+    kept = Array.make (if filter then sites else 0) [||];
+    kept_n = Array.make (if filter then sites else 0) 0;
+    fell = Bytes.make (if filter then sites else 0) '\000';
+  }
+
+let keep b j d =
+  let n = b.kept_n.(j) in
+  if n = Array.length b.kept.(j) then begin
+    let grown = Array.make (max 4 (2 * n)) 0. in
+    Array.blit b.kept.(j) 0 grown 0 n;
+    b.kept.(j) <- grown
+  end;
+  b.kept.(j).(n) <- d;
+  b.kept_n.(j) <- n + 1
+
+let accumulate b samples =
+  match b.floor with
+  | None ->
+      Array.iter
+        (fun (s : Sample_run.t) ->
+          Option.iter (add_masked_propagation b.boundary) s.Sample_run.propagation)
+        samples
+  | Some floor ->
+      let t = b.boundary in
+      let fell = ref [] in
+      Array.iter
+        (fun (s : Sample_run.t) ->
+          match s.Sample_run.outcome with
+          | Runner.Sdc ->
+              let j = s.Sample_run.fault.Fault.site in
+              if s.Sample_run.injected_error < floor.(j) then begin
+                floor.(j) <- s.Sample_run.injected_error;
+                if Bytes.get b.fell j = '\000' then begin
+                  Bytes.set b.fell j '\001';
+                  fell := j :: !fell
+                end
+              end
+          | Runner.Masked | Runner.Crash -> ())
+        samples;
+      Array.iter
+        (fun (s : Sample_run.t) ->
+          match s.Sample_run.propagation with
+          | None -> ()
+          | Some ((js, ds) as pairs) ->
+              check_pairs "Boundary.accumulate" t pairs;
+              Array.iteri
+                (fun i j ->
+                  let d = ds.(i) in
+                  if d > 0. && d < floor.(j) then begin
+                    keep b j d;
+                    if Bytes.get b.fell j = '\000' then begin
+                      if d > t.thresholds.(j) then t.thresholds.(j) <- d;
+                      t.support.(j) <- t.support.(j) + 1
+                    end
+                  end)
+                js)
+        samples;
+      List.iter
+        (fun j ->
+          Bytes.set b.fell j '\000';
+          let kept = b.kept.(j) and below = ref 0 and best = ref 0. in
+          for i = 0 to b.kept_n.(j) - 1 do
+            let d = kept.(i) in
+            if d < floor.(j) then begin
+              kept.(!below) <- d;
+              incr below;
+              if d > !best then best := d
+            end
+          done;
+          b.kept_n.(j) <- !below;
+          t.thresholds.(j) <- !best;
+          t.support.(j) <- !below)
+        !fell
+
+let accumulated b = b.boundary
 
 let exhaustive gt =
   let golden = gt.Ground_truth.golden in

@@ -30,14 +30,15 @@ val threshold : t -> int -> float
 val copy : t -> t
 
 val add_masked_propagation :
-  ?min_sdc_error:float array -> t -> start:int -> float array -> unit
-(** [add_masked_propagation t ~start deviations] folds one masked
-    experiment's propagation data into the boundary:
-    [Δe_j ← max Δe_j deviations.(j - start)] for every covered site
+  ?min_sdc_error:float array -> t -> int array * float array -> unit
+(** [add_masked_propagation t (sites, deviations)] folds one masked
+    experiment's sparse propagation ({!Ftb_inject.Sample_run.t}) into the
+    boundary: [Δe_j ← max Δe_j deviations.(i)] for [j = sites.(i)]
     (Algorithm 1). Zero deviations carry no evidence and are skipped.
     When [min_sdc_error] is given (the filter operation, §3.5), a
     deviation at site [j] that is not strictly below [min_sdc_error.(j)]
-    is discarded instead of aggregated. *)
+    is discarded instead of aggregated. Raises [Invalid_argument] when
+    the arrays differ in length or a site is out of range. *)
 
 val min_sdc_errors : sites:int -> Ftb_inject.Sample_run.t array -> float array
 (** Per-site minimum injected error over the SDC samples ([infinity]
@@ -49,6 +50,25 @@ val infer :
 (** Build a boundary from sampled experiments per Algorithm 1. [filter]
     (default [false]) enables the §3.5 filter operation using the SDC
     samples in the same set. *)
+
+(** {1 Incremental inference}
+
+    Folding samples batch by batch into an accumulator gives, after every
+    batch, exactly [infer] over all samples so far (same bits), at the
+    cost of the batch plus the sites whose SDC floor it lowered. *)
+
+type accumulator
+
+val accumulator : filter:bool -> sites:int -> accumulator
+(** An empty accumulator; [filter] as in {!infer}. *)
+
+val accumulate : accumulator -> Ftb_inject.Sample_run.t array -> unit
+(** Fold a batch. Raises [Invalid_argument] like
+    {!add_masked_propagation}. *)
+
+val accumulated : accumulator -> t
+(** The boundary so far. It is the accumulator's own, updated in place by
+    later batches: copy it to keep a snapshot. *)
 
 val exhaustive : Ftb_inject.Ground_truth.t -> t
 (** The §4.1 brute-force boundary. Per site, with [E_m] the injected

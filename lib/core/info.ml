@@ -18,14 +18,13 @@ let add golden ~injected ~propagated (s : Sample_run.t) =
   then injected.(site) <- injected.(site) +. 1.;
   match s.Sample_run.propagation with
   | None -> ()
-  | Some (start, deviations) ->
+  | Some (sites, deviations) ->
       Array.iteri
-        (fun k d ->
-          let j = start + k in
-          (* k = 0 is the injection site itself, already counted. *)
-          if k > 0 && is_significant ~golden_value:(Golden.value golden j) d then
-            propagated.(j) <- propagated.(j) +. 1.)
-        deviations
+        (fun i j ->
+          (* The injection site itself is already counted. *)
+          if j <> site && is_significant ~golden_value:(Golden.value golden j) deviations.(i)
+          then propagated.(j) <- propagated.(j) +. 1.)
+        sites
 
 let collect golden samples =
   let n = Golden.sites golden in

@@ -152,11 +152,15 @@ let ground_truth_model ?pool ?domains ?fuel (spec : Models.spec) golden =
        | Some p -> p
        | None -> Parallel.Pool.global ~domains:want ()
      in
-     (* Work items are sites, stolen individually: one unlucky site that
-        diverges into fuel-bound suffixes does not stall a whole static
-        chunk. *)
+     (* Work items are sites. Without a cone plan they are stolen one at
+        a time: one unlucky site that diverges into fuel-bound suffixes
+        does not stall a whole chunk. A cone-tier site costs about as
+        much as claiming it, so under a plan the pool's default chunks
+        apply (a declined site's snapshot tier still balances across
+        chunks). *)
+     let chunk = if plan = None then Some 1 else None in
      Parallel.Pool.run pool
        ~participants:(min want (Parallel.Pool.domains pool))
-       ~chunk:1 ~total:sites run_sites
+       ?chunk ~total:sites run_sites
    end);
   Ground_truth.of_outcomes ~width golden outcomes

@@ -55,6 +55,13 @@
     the injection point) is replicated to every case of the site — each
     would follow the identical path to the identical crash. *)
 
+val cone_plan : ?fuel:int -> Ftb_trace.Golden.t -> Ftb_trace.Program.cone_plan option
+(** The cone plan a run under [fuel] may use: the program's plan when it
+    has one that covers this golden run's site space, and [fuel] is unset
+    or at least the golden site count; [None] otherwise. Forces the plan
+    ({!Ftb_trace.Program.cone}). The gate of both cone tiers: the
+    executor's lane replay and {!Sample_run}'s traced one-lane scan. *)
+
 val range_into_model :
   ?fuel:int ->
   Models.spec ->
@@ -81,7 +88,9 @@ val ground_truth_model :
   Ftb_trace.Golden.t ->
   Ground_truth.t
 (** Exhaustive campaign over the model's full case space: sites are
-    work-stolen one at a time off the domain pool ([pool] defaults to
+    work-stolen off the domain pool in the pool's default chunks when a
+    cone plan runs them (a cone-tier site costs about as much as claiming
+    it), one at a time otherwise ([pool] defaults to
     {!Parallel.Pool.global}, [domains] to {!Parallel.default_domains};
     [domains:1] without an explicit pool runs serially on the calling
     domain). The result's byte width is the model's [spec_width]. Outcome

@@ -7,7 +7,7 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Format_error s)) fmt
 
 (* Binary layout (little-endian throughout):
 
-     magic   "ftbS1"                      5 bytes
+     magic   "ftbS2"                      5 bytes
      count   int32                        4 bytes
      then per sample:
        site            int32             4 bytes
@@ -15,16 +15,22 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Format_error s)) fmt
        outcome byte    byte              1 byte   (Ground_truth encoding)
        injected_error  int64 float bits  8 bytes
        has_propagation byte              1 byte   (0 | 1)
-       [start          int32             4 bytes
-        len            int32             4 bytes
-        deviations     len * int64 float bits]
+       [len            int32             4 bytes
+        len pairs:
+          site         int32             4 bytes  (strictly ascending)
+          deviation    int64 float bits  8 bytes  (positive, not NaN)]
 
    The float fields travel as raw IEEE-754 images, so encode/decode is
    bit-exact — the whole point: a sample blob computed by a fleet worker
-   must fold into the exact boundary the serial oracle infers. *)
+   must fold into the exact boundary the serial oracle infers. The
+   propagation is sparse, as {!Sample_run.t} holds it: the sites whose
+   deviation is zero are not in the record. The dense "ftbS1" layout
+   (a start site and every deviation after it) is no longer read. *)
 
-let magic = "ftbS1"
+let magic = "ftbS2"
+let retired_magic = "ftbS1"
 let min_record = 15
+let pair_bytes = 12
 
 let outcome_byte (s : Sample_run.t) =
   match (s.Sample_run.outcome, s.Sample_run.crash_reason) with
@@ -46,13 +52,14 @@ let encode (samples : Sample_run.t array) =
       Buffer.add_int64_le buf (Int64.bits_of_float s.Sample_run.injected_error);
       match s.Sample_run.propagation with
       | None -> Buffer.add_char buf '\000'
-      | Some (start, deviations) ->
+      | Some (sites, deviations) ->
           Buffer.add_char buf '\001';
-          Buffer.add_int32_le buf (Int32.of_int start);
-          Buffer.add_int32_le buf (Int32.of_int (Array.length deviations));
-          Array.iter
-            (fun d -> Buffer.add_int64_le buf (Int64.bits_of_float d))
-            deviations)
+          Buffer.add_int32_le buf (Int32.of_int (Array.length sites));
+          Array.iteri
+            (fun i j ->
+              Buffer.add_int32_le buf (Int32.of_int j);
+              Buffer.add_int64_le buf (Int64.bits_of_float deviations.(i)))
+            sites)
     samples;
   Buffer.contents buf
 
@@ -80,8 +87,10 @@ let decode blob =
     pos := !pos + 8;
     v
   in
-  if len < String.length magic || String.sub blob 0 (String.length magic) <> magic then
-    fail "bad magic";
+  let head = String.sub blob 0 (min len (String.length magic)) in
+  if head = retired_magic then
+    fail "unsupported sample format %S (expected %s)" head magic;
+  if head <> magic then fail "bad magic";
   pos := String.length magic;
   let count = int32 "count" in
   if count < 0 then fail "negative sample count %d" count;
@@ -111,12 +120,21 @@ let decode blob =
           match byte "propagation flag" with
           | '\000' -> None
           | '\001' ->
-              let start = int32 "propagation start" in
               let n = int32 "propagation length" in
-              if start < 0 then fail "negative propagation start %d" start;
-              if n < 0 || n > (len - !pos) / 8 then
+              if n < 0 || n > (len - !pos) / pair_bytes then
                 fail "bad propagation length %d" n;
-              Some (start, Array.init n (fun _ -> float64 "deviation"))
+              let sites = Array.make n 0 and deviations = Array.make n 0. in
+              for i = 0 to n - 1 do
+                let j = int32 "propagation site" in
+                if j < 0 then fail "negative propagation site %d" j;
+                if i > 0 && j <= sites.(i - 1) then
+                  fail "propagation sites not strictly ascending at pair %d (site %d)" i j;
+                let d = float64 "deviation" in
+                if not (d > 0.) then fail "non-positive or NaN deviation at site %d" j;
+                sites.(i) <- j;
+                deviations.(i) <- d
+              done;
+              Some (sites, deviations)
           | c -> fail "bad propagation flag byte %d" (Char.code c)
         in
         {
@@ -131,6 +149,6 @@ let decode blob =
   samples
 
 let encoded_size_upper_bound ~sites =
-  (* A masked sample's propagation can cover every site past the fault:
-     19 fixed bytes + flag + 8 header + 8 bytes per deviation. *)
-  28 + (8 * sites)
+  (* A masked sample's propagation can hold a pair per site: 15 fixed
+     bytes (flag included) + a 4-byte length + 12 bytes per pair. *)
+  19 + (pair_bytes * sites)

@@ -8,7 +8,12 @@
     byte-identity is the contract, not an optimization. The outcome byte
     reuses the {!Ground_truth} encoding ('\000'..'\005', crash taxonomy
     included). Framed in the adaptive round log, these blobs are also the
-    durable form of samples. *)
+    durable form of samples.
+
+    Propagation travels sparse, as {!Sample_run.t} holds it: a masked
+    sample carries one (site, deviation) pair per site it deviated at, 12
+    bytes each, under the magic [ftbS2]. A blob of the retired dense
+    layout [ftbS1] is a {!Format_error} naming that magic. *)
 
 exception Format_error of string
 (** Structural corruption: bad magic, truncation, out-of-range fields,
@@ -21,10 +26,13 @@ val encode : Sample_run.t array -> string
 
 val decode : string -> Sample_run.t array
 (** Parse a blob; raises {!Format_error} on any structural defect,
-    including a sample count the remaining bytes cannot hold (checked
-    before anything is allocated for it). *)
+    including a sample count or pair count the remaining bytes cannot
+    hold (checked before anything is allocated for it), propagation
+    sites that do not ascend strictly, and a deviation that is zero,
+    negative or NaN. Sites are not checked against a program's site
+    count, which the blob does not carry: callers that know it do. *)
 
 val encoded_size_upper_bound : sites:int -> int
 (** Worst-case encoded bytes of one sample of a program with [sites]
     dynamic instructions — the planner's conservative shard-sizing input
-    (a masked sample can carry a deviation per remaining site). *)
+    (a masked sample can carry a (site, deviation) pair per site). *)

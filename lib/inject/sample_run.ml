@@ -1,5 +1,6 @@
 module Fault = Ftb_trace.Fault
 module Golden = Ftb_trace.Golden
+module Program = Ftb_trace.Program
 module Runner = Ftb_trace.Runner
 
 type t = {
@@ -7,7 +8,7 @@ type t = {
   outcome : Runner.outcome;
   crash_reason : Ftb_trace.Ctx.crash_reason option;
   injected_error : float;
-  propagation : (int * float array) option;
+  propagation : (int array * float array) option;
 }
 
 (* One reusable trace sink per domain: a propagation run fills two
@@ -17,11 +18,28 @@ type t = {
    returns, so the sink never escapes. *)
 let domain_sink = Domain.DLS.new_key (fun () -> Ftb_trace.Ctx.create_sink ())
 
+(* The non-zero deviations of a traced run, as (site, Δe) pairs. *)
+let sparse (prop : Runner.propagation) =
+  let devs = prop.Runner.deviations in
+  let n = ref 0 in
+  Array.iter (fun d -> if d <> 0. then incr n) devs;
+  let sites = Array.make !n 0 and values = Array.make !n 0. in
+  let i = ref 0 in
+  Array.iteri
+    (fun k d ->
+      if d <> 0. then begin
+        sites.(!i) <- prop.Runner.start + k;
+        values.(!i) <- d;
+        incr i
+      end)
+    devs;
+  (sites, values)
+
 let of_propagation fault (prop : Runner.propagation) =
   let result = prop.Runner.result in
   let propagation =
     match result.Runner.outcome with
-    | Runner.Masked -> Some (prop.Runner.start, prop.Runner.deviations)
+    | Runner.Masked -> Some (sparse prop)
     | Runner.Sdc | Runner.Crash -> None
   in
   {
@@ -32,13 +50,35 @@ let of_propagation fault (prop : Runner.propagation) =
     propagation;
   }
 
+let traced ?fuel golden fault corrupt =
+  let sink = Domain.DLS.get domain_sink in
+  of_propagation fault (Runner.run_propagation_custom ?fuel ~sink golden ~fault ~corrupt)
+
+(* The cone tier: one traced scan of the site's forward cone over the
+   plan's golden dataflow. Its outcome and pairs equal the traced run's,
+   zeros dropped, wherever the plan covers the site under [fuel]. The
+   injected error is the seed site's own deviation (the same formula):
+   the first pair when it lies at the fault site, else zero. *)
+let of_cone (fault : Fault.t) (outcome, ((sites, deviations) as pairs)) =
+  let injected_error =
+    if Array.length sites > 0 && sites.(0) = fault.Fault.site then deviations.(0) else 0.
+  in
+  let outcome, crash_reason, propagation =
+    match outcome with
+    | Program.Cone_masked -> (Runner.Masked, None, Some pairs)
+    | Program.Cone_sdc -> (Runner.Sdc, None, None)
+    | Program.Cone_crash reason -> (Runner.Crash, Some reason, None)
+  in
+  { fault; outcome; crash_reason; injected_error; propagation }
+
 let run_case_model ?fuel (spec : Models.spec) golden case =
   let width = Models.spec_width spec in
-  let fault = Fault.make ~site:(case / width) ~bit:(case mod width) in
-  let sink = Domain.DLS.get domain_sink in
-  of_propagation fault
-    (Runner.run_propagation_custom ?fuel ~sink golden ~fault
-       ~corrupt:(Models.case_corrupt spec ~case))
+  let site = case / width in
+  let fault = Fault.make ~site ~bit:(case mod width) in
+  let corrupt = Models.case_corrupt spec ~case in
+  match Option.bind (Executor.cone_plan ?fuel golden) (fun plan -> plan.Program.cone_trace ~site) with
+  | Some run -> of_cone fault (run corrupt)
+  | None -> traced ?fuel golden fault corrupt
 
 let run_cases ?fuel golden cases = Array.map (run_case_model ?fuel Models.default_spec golden) cases
 

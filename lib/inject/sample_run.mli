@@ -12,18 +12,28 @@ type t = {
   crash_reason : Ftb_trace.Ctx.crash_reason option;
       (** crash-taxonomy reason; [Some _] iff [outcome = Crash] *)
   injected_error : float;
-  propagation : (int * float array) option;
-      (** [(start, deviations)] — kept for Masked experiments only:
-          [deviations.(j - start)] is the perturbation observed at dynamic
-          instruction [j]. *)
+  propagation : (int array * float array) option;
+      (** [(sites, deviations)] — kept for Masked experiments only: the
+          sparse propagation, [deviations.(i)] being the perturbation
+          [|golden_j - faulty_j|] (NaN read as [infinity]) observed at
+          dynamic instruction [j = sites.(i)]. Sites ascend strictly and
+          every deviation is positive: the instructions a deviation of
+          zero leaves out carry no evidence ({!Ftb_core.Boundary} and
+          {!Ftb_core.Info} skip them). *)
 }
 
 val run_case_model : ?fuel:int -> Models.spec -> Ftb_trace.Golden.t -> int -> t
 (** Run one dense case of the model's case space (site
     [case / spec_width], local bit [case mod spec_width]) as a propagation
-    experiment with tracing, applying {!Models.case_corrupt}, optionally
-    bounded by the [fuel] watchdog. Deterministic for stochastic
-    models. *)
+    experiment, applying {!Models.case_corrupt}, optionally bounded by the
+    [fuel] watchdog. Deterministic for stochastic models.
+
+    Two tiers, with identical results: where {!Executor.cone_plan}
+    gives a plan under [fuel] and its [cone_trace] covers the site, one
+    forward scan of the site's cone over the golden dataflow; otherwise
+    (no plan, a site whose cone feeds a float branch, or fuel below the
+    golden site count) a traced run of the whole program, its zero
+    deviations dropped. *)
 
 val run_cases : ?fuel:int -> Ftb_trace.Golden.t -> int array -> t array
 (** Run every given case of the bit-flip-64 space as a propagation

@@ -147,6 +147,7 @@ type walk = {
   g_node : Ibuf.t;
   g_leaf : Ibuf.t;  (* first leaf of each guard *)
   g_leaves : Ibuf.t;
+  g_pos : Ibuf.t;  (* events recorded before each guard ran *)
   cond : Ibuf.t;  (* scratch: leaves of one branch operand *)
   feeders : Ibuf.t;  (* events read by a float branch condition *)
   sites : Ibuf.t;
@@ -253,6 +254,7 @@ let rec exec_c w s =
   | CGuard (e, node) ->
       Ibuf.push w.g_node node;
       Ibuf.push w.g_leaf (Ibuf.length w.g_leaves);
+      Ibuf.push w.g_pos (Ibuf.length w.ev_node);
       ignore (eval_f w w.g_leaves e : float)
 
 (* An event's tape node and first leaf share one word. *)
@@ -278,7 +280,9 @@ type plan = {
   g_node : int array;
   g_leaf : int array;  (* guards + 1 entries: guard [g] reads [g_leaf.(g), g_leaf.(g+1)) *)
   g_leaves : int array;
+  g_pos : int array;  (* guard [g] runs after events [0, g_pos.(g)), before the rest *)
   site_ev : int array;
+  finite : bool;  (* every golden value is finite *)
   tolerance : float;
 }
 
@@ -335,6 +339,7 @@ let build (t : Ir.t) =
       g_node = Ibuf.create ();
       g_leaf = Ibuf.create ();
       g_leaves = Ibuf.create ();
+      g_pos = Ibuf.create ();
       cond = Ibuf.create ();
       feeders = Ibuf.create ();
       sites = Ibuf.create ();
@@ -369,13 +374,14 @@ let build (t : Ir.t) =
         if c >= 0 && has c flag_blocked then set e flag_blocked
       done
   done;
+  let golden = Fbuf.contents w.ev_golden in
   {
     ops = Ibuf.contents tp.ops;
     consts = Fbuf.contents tp.consts;
     starts = Ibuf.contents tp.starts;
     depth = tp.depth;
     ev = Array.init n (fun e -> (ev_leaf.(e) lsl node_bits) lor Ibuf.get w.ev_node e);
-    golden = Fbuf.contents w.ev_golden;
+    golden;
     flags;
     leaves;
     init = Array.concat inits;
@@ -384,7 +390,9 @@ let build (t : Ir.t) =
     g_node = Ibuf.contents w.g_node;
     g_leaf;
     g_leaves;
+    g_pos = Ibuf.contents w.g_pos;
     site_ev = Ibuf.contents w.sites;
+    finite = Array.for_all Float.is_finite golden;
     tolerance = Ir.tolerance t;
   }
 
@@ -889,15 +897,207 @@ let run_site p seed corrupt out =
         raise e
   end
 
+(* Traced replay of one case: a forward scan over the events after the
+   seed. An event is recomputed (scalar tape) only when one of its leaves
+   reads a changed event, and is changed only when its value differs
+   from golden bit for bit — so a sign flip of a zero, which no deviation
+   shows, still reaches its consumers. Changing an event marks its
+   consumers as candidates and pushes the scan's horizon to the last of
+   them; past the horizon no value can differ from golden, and the scan
+   stops. Guards run in execution order at their event position; the
+   first non-finite one ends the case, as in [replay]. Sites are found by
+   a cursor over [site_ev], and each changed site with a non-zero
+   deviation is appended to [sites]/[devs].
+
+   Per-call state is a domain-local scratch of stamped arrays: an entry
+   belongs to this call iff it holds this call's stamp, so nothing is
+   cleared between calls. *)
+type tscratch = {
+  mutable stamp : int;
+  mutable cand : int array;  (* event -> stamp: reads a changed value *)
+  mutable changed : int array;  (* event -> stamp: differs from golden *)
+  mutable vals : float array;  (* event -> its value, where changed *)
+  mutable gcand : int array;  (* guard -> stamp: reads a changed value *)
+  mutable stack : float array;  (* the scalar tape stack *)
+  mutable horizon : int;  (* last event position a changed value reaches *)
+  mutable cursor : int;  (* site of the least site event not below the scan *)
+  mutable out_nan : bool;
+  err : float array;  (* one cell: L∞ output deviation so far *)
+  sites : Ibuf.t;
+  devs : Fbuf.t;
+}
+
+let tscratch_key =
+  Domain.DLS.new_key (fun () ->
+      {
+        stamp = 0;
+        cand = [||];
+        changed = [||];
+        vals = [||];
+        gcand = [||];
+        stack = [||];
+        horizon = 0;
+        cursor = 0;
+        out_nan = false;
+        err = [| 0. |];
+        sites = Ibuf.create ();
+        devs = Fbuf.create ();
+      })
+
+let tscratch p =
+  let t = Domain.DLS.get tscratch_key in
+  let n = Array.length p.golden and ng = Array.length p.g_node in
+  if Array.length t.cand < n then begin
+    t.cand <- Array.make n 0;
+    t.changed <- Array.make n 0;
+    t.vals <- Array.make n 0.
+  end;
+  if Array.length t.gcand < ng then t.gcand <- Array.make ng 0;
+  if Array.length t.stack < p.depth then t.stack <- Array.make p.depth 0.;
+  t.stamp <- t.stamp + 1;
+  t.horizon <- 0;
+  t.out_nan <- false;
+  t.err.(0) <- 0.;
+  Ibuf.reset t.sites;
+  Fbuf.reset t.devs;
+  t
+
+(* Run tape [node] on one lane into [t.stack.(0)]: a leaf reads a changed
+   event's value, else its golden value or initial datum. *)
+let eval_scalar p t ~node ~leaves ~leaf0 =
+  let st = t.stack in
+  let sp = ref 0 and leaf = ref leaf0 in
+  for pc = p.starts.(node) to p.starts.(node + 1) - 1 do
+    let op = p.ops.(pc) in
+    let code = op land 15 in
+    if code = op_leaf then begin
+      let q = leaves.(!leaf) in
+      st.(!sp) <-
+        (if q < 0 then p.init.(-1 - q)
+         else if t.changed.(q) = t.stamp then t.vals.(q)
+         else p.golden.(q));
+      incr leaf;
+      incr sp
+    end
+    else if code = op_const then begin
+      st.(!sp) <- p.consts.(op lsr 4);
+      incr sp
+    end
+    else if code >= op_neg then begin
+      let d = !sp - 1 in
+      let x = st.(d) in
+      st.(d) <- (if code = op_neg then -.x else if code = op_abs then abs_float x else sqrt x)
+    end
+    else begin
+      let d = !sp - 2 in
+      let x = st.(d) and y = st.(d + 1) in
+      st.(d) <-
+        (if code = op_add then x +. y
+         else if code = op_sub then x -. y
+         else if code = op_mul then x *. y
+         else x /. y);
+      sp := d + 1
+    end
+  done
+
+(* Event [e] now holds [t.stack.(0)], which differs from golden. *)
+let change p t e =
+  let v = t.stack.(0) and g = p.golden.(e) in
+  t.changed.(e) <- t.stamp;
+  t.vals.(e) <- v;
+  let sites = Array.length p.site_ev in
+  while t.cursor < sites && p.site_ev.(t.cursor) < e do
+    t.cursor <- t.cursor + 1
+  done;
+  if t.cursor < sites && p.site_ev.(t.cursor) = e then begin
+    let d = abs_float (g -. v) in
+    let d = if Float.is_nan d then infinity else d in
+    if d > 0. then begin
+      Ibuf.push t.sites t.cursor;
+      Fbuf.push t.devs d
+    end
+  end;
+  if Char.code (Bytes.get p.flags e) land flag_out <> 0 then begin
+    if Float.is_nan v then t.out_nan <- true;
+    let d = abs_float (v -. g) in
+    let d = if Float.is_nan d then infinity else d in
+    if d > t.err.(0) then t.err.(0) <- d
+  end;
+  for k = p.row_ptr.(e) to p.row_ptr.(e + 1) - 1 do
+    let c = p.consumers.(k) in
+    if c >= 0 then begin
+      t.cand.(c) <- t.stamp;
+      if c > t.horizon then t.horizon <- c
+    end
+    else begin
+      let g = -1 - c in
+      t.gcand.(g) <- t.stamp;
+      if p.g_pos.(g) > t.horizon then t.horizon <- p.g_pos.(g)
+    end
+  done
+
+(* The first guard that runs after event [e]. *)
+let first_guard_after p e =
+  let lo = ref 0 and hi = ref (Array.length p.g_pos) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if p.g_pos.(mid) <= e then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let trace_site p ~site corrupt =
+  let seed = p.site_ev.(site) in
+  let v0 = corrupt p.golden.(seed) in
+  let t = tscratch p in
+  t.cursor <- site;
+  let crashed = ref false and crash_nan = ref false in
+  if Int64.bits_of_float v0 <> Int64.bits_of_float p.golden.(seed) then begin
+    t.stack.(0) <- v0;
+    change p t seed;
+    let n = Array.length p.golden and ng = Array.length p.g_node in
+    let e = ref (seed + 1) and gi = ref (first_guard_after p seed) in
+    while (not !crashed) && !e <= t.horizon do
+      while (not !crashed) && !gi < ng && p.g_pos.(!gi) <= !e do
+        let g = !gi in
+        incr gi;
+        if t.gcand.(g) = t.stamp then begin
+          eval_scalar p t ~node:p.g_node.(g) ~leaves:p.g_leaves ~leaf0:p.g_leaf.(g);
+          let v = t.stack.(0) in
+          if not (Float.is_finite v) then begin
+            crashed := true;
+            crash_nan := Float.is_nan v
+          end
+        end
+      done;
+      let ev = !e in
+      if (not !crashed) && ev < n && t.cand.(ev) = t.stamp then begin
+        let code = p.ev.(ev) in
+        eval_scalar p t ~node:(code land node_mask) ~leaves:p.leaves ~leaf0:(code lsr node_bits);
+        if Int64.bits_of_float t.stack.(0) <> Int64.bits_of_float p.golden.(ev) then
+          change p t ev
+      end;
+      incr e
+    done
+  end;
+  let err = t.err.(0) in
+  let outcome =
+    if !crashed then if !crash_nan then nan_crash else inf_crash
+    else if err = infinity then if t.out_nan then nan_crash else inf_crash
+    else if err <= p.tolerance then masked
+    else sdc
+  in
+  (outcome, (Ibuf.contents t.sites, Fbuf.contents t.devs))
+
 let plan (t : Ir.t) : Program.cone_plan =
   let p = build t in
   let sites = Array.length p.site_ev in
-  let cone_lanes ~site =
-    if
-      site < 0 || site >= sites
-      || Char.code (Bytes.get p.flags p.site_ev.(site)) land flag_blocked <> 0
-    then None
-    else Some (run_site p p.site_ev.(site))
+  let covered site =
+    site >= 0 && site < sites
+    && Char.code (Bytes.get p.flags p.site_ev.(site)) land flag_blocked = 0
+  in
+  let cone_lanes ~site = if covered site then Some (run_site p p.site_ev.(site)) else None in
+  let cone_trace ~site =
+    if p.finite && covered site then Some (trace_site p ~site) else None
   in
   let cone_case ~site =
     Option.map
@@ -907,4 +1107,4 @@ let plan (t : Ir.t) : Program.cone_plan =
         out.(0))
       (cone_lanes ~site)
   in
-  { Program.cone_sites = sites; cone_case; cone_lanes }
+  { Program.cone_sites = sites; cone_case; cone_lanes; cone_trace }

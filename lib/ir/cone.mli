@@ -34,6 +34,17 @@
     fit it). Replaying a site allocates nothing that grows with the
     program. *)
 
+(** Traced replay ([cone_trace]) serves one propagation sample at a
+    time: a forward scan over the events after the seed that recomputes
+    an event only when a value it reads differs from golden (bitwise),
+    stops past the last consumer of a differing value, runs guards at
+    their event position, and reads the (site, Δe ≠ 0) pairs off a
+    cursor over the site events. It uses the same plan (plus one word
+    per guard, its event position) and its own domain-local scratch of
+    stamped event-indexed arrays, never cleared; a scan allocates only
+    its returned pairs. It is offered wherever [cone_lanes] is, unless a
+    golden value of the plan is not finite. *)
+
 val plan : Ir.t -> Ftb_trace.Program.cone_plan
 (** Run the analysis (one golden-equivalent execution of the body) and
     build the plan. Raises (like the interpreter would) on invalid

@@ -195,7 +195,14 @@ let decode_samples path t what blob =
       let fault = s.Sample_run.fault in
       if fault.Fault.site >= t.sites || fault.Fault.bit >= width then
         fail path "sample case %d outside the model's %d-case space" (case_of_sample t s)
-          (Models.total_cases t.spec ~sites:t.sites))
+          (Models.total_cases t.spec ~sites:t.sites);
+      match s.Sample_run.propagation with
+      | Some (sites, _) when Array.length sites > 0 && sites.(Array.length sites - 1) >= t.sites
+        ->
+          (* Ascending, so the last site is the largest. *)
+          fail path "sample case %d propagates to site %d of %d" (case_of_sample t s)
+            sites.(Array.length sites - 1) t.sites
+      | Some _ | None -> ())
     samples;
   samples
 

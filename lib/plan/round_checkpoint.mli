@@ -50,7 +50,10 @@ val save : path:string -> t -> unit
 val load : path:string -> t
 (** Replay a log. Raises
     {!Ftb_inject.Persist.Format_error} on corruption or any structural
-    defect (callers quarantine and restart cold). *)
+    defect (callers quarantine and restart cold): a sample whose case or
+    propagation site lies outside the campaign's space, and a samples
+    blob of the retired dense layout ([ftbS1], named in the message),
+    included. *)
 
 (** {1 Appending} *)
 

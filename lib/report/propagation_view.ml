@@ -98,18 +98,18 @@ let phase_matrix golden samples =
       injections.(source) <- injections.(source) + 1;
       match s.Sample_run.propagation with
       | None -> ()
-      | Some (start, deviations) ->
+      | Some (sites, deviations) ->
           Array.iteri
-            (fun off d ->
-              let site = start + off in
+            (fun i site ->
               if
-                off > 0
-                && Ftb_core.Info.is_significant ~golden_value:(Golden.value golden site) d
+                site <> s.Sample_run.fault.Fault.site
+                && Ftb_core.Info.is_significant ~golden_value:(Golden.value golden site)
+                     deviations.(i)
               then begin
                 let dest = index_of (Golden.phase_of_site golden site) in
                 counts.(source).(dest) <- counts.(source).(dest) + 1
               end)
-            deviations)
+            sites)
     samples;
   { phases = Array.of_list (List.rev !order); counts; injections }
 

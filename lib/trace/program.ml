@@ -6,6 +6,7 @@ type cone_plan = {
   cone_sites : int;
   cone_case : site:int -> ((float -> float) -> cone_outcome) option;
   cone_lanes : site:int -> ((int -> float -> float) -> cone_outcome array -> unit) option;
+  cone_trace : site:int -> ((float -> float) -> cone_outcome * (int array * float array)) option;
 }
 
 type t = {

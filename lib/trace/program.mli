@@ -47,6 +47,21 @@ type cone_plan = {
           dynamic instructions, or fewer when a guard crashes it, so the
           outcome equals full replay under any fuel of at least the golden
           site count. *)
+  cone_trace : site:int -> ((float -> float) -> cone_outcome * (int array * float array)) option;
+      (** [cone_trace ~site] is the traced one-lane form: the returned
+          closure takes one corruption function and returns the case's
+          outcome together with its propagation, the pairs
+          [(sites, deviations)] of every dynamic instruction [j] whose
+          deviation [|golden_j - faulty_j|] (NaN read as [infinity]) is
+          not zero, in ascending site order. Coverage is that of a traced
+          full run: every site, or the sites before the crashing guard.
+          It scans the events after the seed once, recomputing only those
+          that read a changed value, so it costs the events between the
+          seed and the last consumer of a changed value, not the
+          program. [None] where [cone_lanes ~site] is, and for every
+          site when a golden value of the plan is not finite. The fuel,
+          lifetime and domain rules of [cone_lanes] apply; the scan
+          borrows its own domain-local scratch. *)
 }
 (** A site-suffix specializer: per-site dependent-cone replay. *)
 

@@ -20,7 +20,14 @@
 
    4. Warm start: an exact resubmission of a stored campaign is served
       [Completed] from the boundary store with zero fresh samples
-      (served_from_cache = full) and the same outcome tallies. *)
+      (served_from_cache = full) and the same outcome tallies.
+
+   5. Cone tier: the serial reference above and perfbench's oracle both
+      take the same sample tiers as the daemon, so neither sees a fault
+      in the cone trace. On the IR catalogue kernels, the serial engine
+      must give the same boundary bytes and the same samples on a golden
+      whose program has its cone capability removed (every sample on the
+      traced machine). *)
 
 module Ctx = Ftb_trace.Ctx
 module Static = Ftb_trace.Static
@@ -185,6 +192,32 @@ let check_entry_matches what (result : Adaptive.result) (entry : BS.entry) =
 let stored_entry ~state_dir (model : Models.spec) =
   let store = BS.open_ ~root:(Server.boundaries_dir ~state_dir) in
   BS.find_latest store ~bench:"adapt.drill" ~spec:model ()
+
+(* ------------------------------------------------------------------ *)
+(* Part 5: cone-tier samples against the traced machine.                *)
+
+let cone_drill bench =
+  let program = Ftb_kernels.Suite.find bench in
+  let golden = Golden.run program and traced = Golden.run { program with Program.cone = None } in
+  let fuel = (Job.default_spec ~bench).Job.fuel in
+  List.iter
+    (fun (model : Models.spec) ->
+      let run g = Adaptive.run_model ~spec:model ?fuel (Ftb_util.Rng.create ~seed) g in
+      let cone = run golden and machine = run traced in
+      let what = Printf.sprintf "%s %s" bench (Models.spec_name model) in
+      let bits (r : Adaptive.result) =
+        Array.map Int64.bits_of_float r.Adaptive.boundary.Boundary.thresholds
+      in
+      check
+        (Printf.sprintf "%s: boundary bytes identical without the cone tier (%d samples, %d rounds)"
+           what (Array.length cone.Adaptive.samples) cone.Adaptive.rounds)
+        (bits cone = bits machine
+        && cone.Adaptive.boundary.Boundary.support = machine.Adaptive.boundary.Boundary.support
+        && cone.Adaptive.rounds = machine.Adaptive.rounds);
+      check (what ^ ": samples identical without the cone tier")
+        (Ftb_inject.Sample_codec.encode cone.Adaptive.samples
+        = Ftb_inject.Sample_codec.encode machine.Adaptive.samples))
+    model_specs
 
 (* ------------------------------------------------------------------ *)
 (* Part 1 + 4: daemon SIGKILL mid-round, restart, then warm resubmit.   *)
@@ -416,6 +449,7 @@ let () =
     config.Adaptive.max_rounds;
   List.iter restart_drill model_specs;
   List.iter fleet_drill model_specs;
+  List.iter cone_drill [ "ir.cg"; "ir.lu"; "ir.fft"; "ir.stencil3" ];
   if !failures > 0 then begin
     Printf.printf "%d smoke check(s) failed\n" !failures;
     exit 1

@@ -449,8 +449,27 @@ let sample_codec_target () =
     | s -> Some (Sample_codec.encode s)
     | exception Sample_codec.Format_error _ -> None
   in
+  let masked = List.filter (fun (s : Sample_run.t) -> s.Sample_run.propagation <> None) (Array.to_list all) in
+  (* Sparse pairs at the edges: a far site, a subnormal and an infinite
+     deviation. *)
+  let edge =
+    {
+      (List.hd masked) with
+      Sample_run.propagation = Some ([| 0; 5; 1_000_000 |], [| 5e-324; infinity; 0.5 |]);
+    }
+  in
+  let s2 = Sample_codec.encode all in
   target ~name:"sample codec"
-    ~seeds:[ Sample_codec.encode all; Sample_codec.encode [| all.(1) |]; Sample_codec.encode [||] ]
+    ~seeds:
+      [
+        s2;
+        Sample_codec.encode [| all.(1) |];
+        Sample_codec.encode [||];
+        Sample_codec.encode (Array.of_list masked);
+        Sample_codec.encode [| edge |];
+        (* The retired dense magic on the same bytes. *)
+        "ftbS1" ^ String.sub s2 5 (String.length s2 - 5);
+      ]
     decode
 
 let job_target () =

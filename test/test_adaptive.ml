@@ -212,6 +212,45 @@ let test_draws_match_full_scan_planner () =
     programs;
   Alcotest.(check bool) "most campaigns run several rounds" true (!rounds > 2 * !runs)
 
+let test_incremental_fold_equals_infer () =
+  (* After every fold the state's boundary is [Boundary.infer] over all
+     samples so far, bit for bit, with the filter on (where a falling SDC
+     floor re-derives a site) and off. *)
+  let programs =
+    [
+      ("linear", small_config, Lazy.force golden);
+      ("ir.fft", Adaptive.default_config, Golden.run (Ftb_kernels.Suite.find "ir.fft"));
+    ]
+  in
+  List.iter
+    (fun (name, config, g) ->
+      List.iter
+        (fun filter ->
+          let config = { config with Adaptive.filter } in
+          let state = Adaptive.state_create ~config g in
+          let rng = Rng.create ~seed:29 in
+          let rec round r =
+            match Adaptive.plan_round state rng with
+            | None -> r
+            | Some cases ->
+                let samples = Array.map (Sample_run.run_case_model Models.default_spec g) cases in
+                let verdict = Adaptive.fold_round state ~cases ~samples in
+                let got = Adaptive.state_boundary state in
+                let want =
+                  Boundary.infer ~filter ~sites:(Golden.sites g) (Adaptive.state_samples state)
+                in
+                let bits b = Array.map Int64.bits_of_float b.Boundary.thresholds in
+                if bits got <> bits want || got.Boundary.support <> want.Boundary.support then
+                  Alcotest.failf "%s filter=%b: round %d boundary differs from infer" name filter r;
+                (match verdict with `Continue -> round (r + 1) | `Stop _ -> r)
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s filter=%b: several rounds folded" name filter)
+            true
+            (round 1 > 2))
+        [ true; false ])
+    programs
+
 let suite =
   [
     Alcotest.test_case "runs and terminates" `Quick test_runs_and_terminates;
@@ -227,4 +266,6 @@ let suite =
     Alcotest.test_case "deterministic given seed" `Quick test_deterministic_given_seed;
     Alcotest.test_case "draws match the full-scan planner" `Quick
       test_draws_match_full_scan_planner;
+    Alcotest.test_case "incremental fold = infer every round" `Quick
+      test_incremental_fold_equals_infer;
   ]

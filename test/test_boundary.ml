@@ -20,8 +20,8 @@ let test_create () =
 
 let test_add_masked_propagation_takes_max () =
   let b = Boundary.create ~sites:4 in
-  Boundary.add_masked_propagation b ~start:1 [| 0.3; 0.1 |];
-  Boundary.add_masked_propagation b ~start:1 [| 0.2; 0.4 |];
+  Boundary.add_masked_propagation b ([| 1; 2 |], [| 0.3; 0.1 |]);
+  Boundary.add_masked_propagation b ([| 1; 2 |], [| 0.2; 0.4 |]);
   Helpers.check_close "untouched site" 0. (Boundary.threshold b 0);
   Helpers.check_close "max aggregation" 0.3 (Boundary.threshold b 1);
   Helpers.check_close "max aggregation (second site)" 0.4 (Boundary.threshold b 2);
@@ -30,19 +30,25 @@ let test_add_masked_propagation_takes_max () =
 
 let test_zero_deviations_carry_no_evidence () =
   let b = Boundary.create ~sites:2 in
-  Boundary.add_masked_propagation b ~start:0 [| 0.; 0. |];
+  Boundary.add_masked_propagation b ([| 0; 1 |], [| 0.; 0. |]);
   Alcotest.(check int) "no support from zero deviation" 0 b.Boundary.support.(0)
 
 let test_coverage_bounds_checked () =
   let b = Boundary.create ~sites:2 in
-  match Boundary.add_masked_propagation b ~start:1 [| 1.; 2. |] with
+  (match Boundary.add_masked_propagation b ([| 1; 2 |], [| 1.; 2. |]) with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "out-of-range coverage accepted"
+  | _ -> Alcotest.fail "out-of-range coverage accepted");
+  (match Boundary.add_masked_propagation b ([| -1 |], [| 1. |]) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "negative site accepted");
+  match Boundary.add_masked_propagation b ([| 0; 1 |], [| 1. |]) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "pairs of unequal length accepted"
 
 let test_filter_blocks_large_deviations () =
   let b = Boundary.create ~sites:2 in
   let floor = [| 0.25; infinity |] in
-  Boundary.add_masked_propagation ~min_sdc_error:floor b ~start:0 [| 0.3; 0.3 |];
+  Boundary.add_masked_propagation ~min_sdc_error:floor b ([| 0; 1 |], [| 0.3; 0.3 |]);
   Helpers.check_close "filtered out at site 0" 0. (Boundary.threshold b 0);
   Helpers.check_close "kept where no sdc floor" 0.3 (Boundary.threshold b 1)
 
@@ -61,7 +67,7 @@ let test_min_sdc_errors () =
       mk Runner.Sdc 0 0.5 None;
       mk Runner.Sdc 0 0.2 None;
       mk Runner.Crash 1 0.1 None;
-      mk Runner.Masked 1 0.05 (Some (1, [| 0.05 |]));
+      mk Runner.Masked 1 0.05 (Some ([| 1 |], [| 0.05 |]));
     |]
   in
   let floor = Boundary.min_sdc_errors ~sites:3 samples in
@@ -123,9 +129,9 @@ let test_exhaustive_boundary_nonmonotonic_site () =
 
 let test_copy_is_independent () =
   let b = Boundary.create ~sites:2 in
-  Boundary.add_masked_propagation b ~start:0 [| 0.1 |];
+  Boundary.add_masked_propagation b ([| 0 |], [| 0.1 |]);
   let c = Boundary.copy b in
-  Boundary.add_masked_propagation b ~start:0 [| 0.9 |];
+  Boundary.add_masked_propagation b ([| 0 |], [| 0.9 |]);
   Helpers.check_close "copy unaffected" 0.1 (Boundary.threshold c 0)
 
 let prop_threshold_monotone_in_samples =
@@ -143,6 +149,29 @@ let prop_threshold_monotone_in_samples =
       done;
       !ok)
 
+let prop_accumulator_equals_infer =
+  QCheck.Test.make ~name:"the accumulator equals infer after every batch" ~count:50
+    QCheck.(
+      pair bool
+        (list_of_size (Gen.int_range 1 8)
+           (list_of_size (Gen.int_range 0 12) (int_bound ((Helpers.linear_sites * 64) - 1)))))
+    (fun (filter, batches) ->
+      let g = Lazy.force golden in
+      let sites = Helpers.linear_sites in
+      let b = Boundary.accumulator ~filter ~sites in
+      let seen = ref [||] in
+      List.for_all
+        (fun batch ->
+          let samples = Array.map (Helpers.run_case g) (Array.of_list batch) in
+          Boundary.accumulate b samples;
+          seen := Array.append !seen samples;
+          let got = Boundary.accumulated b and want = Boundary.infer ~filter ~sites !seen in
+          Array.for_all2
+            (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+            got.Boundary.thresholds want.Boundary.thresholds
+          && got.Boundary.support = want.Boundary.support)
+        batches)
+
 let suite =
   [
     Alcotest.test_case "create" `Quick test_create;
@@ -159,4 +188,5 @@ let suite =
       test_exhaustive_boundary_nonmonotonic_site;
     Alcotest.test_case "copy independent" `Quick test_copy_is_independent;
     Helpers.qcheck_to_alcotest prop_threshold_monotone_in_samples;
+    Helpers.qcheck_to_alcotest prop_accumulator_equals_infer;
   ]

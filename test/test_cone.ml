@@ -5,9 +5,12 @@
    either side of the golden step count, at every lane width, and when a
    lane batch raises; the fallbacks (fuel below the golden step count, a
    program without its cone plan) must change nothing. This is the
-   acceptance bar of the specializer: same bytes, only faster. Replay
-   must also stay small: a site allocates with its cone, not with the
-   program, and one plan is retained at a time. *)
+   acceptance bar of the specializer: same bytes, only faster. The same
+   holds for propagation samples on the cone (the traced one-lane scan):
+   outcome, crash reason, injected error and every nonzero deviation
+   equal the traced machine's. Replay must also stay small: a site
+   allocates with its cone, not with the program, and one plan is
+   retained at a time. *)
 
 module Ir = Ftb_ir.Ir
 module Pipeline = Ftb_ir.Pipeline
@@ -309,6 +312,18 @@ let test_replay_memory () =
         let minor1, promoted1, major1 = Gc.counters () in
         minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
   in
+  (* A traced scan allocates its returned pairs and a few words more. *)
+  let traced site =
+    match plan.Program.cone_trace ~site with
+    | None -> Alcotest.failf "ir.gemm site %d declined by the scan" site
+    | Some run ->
+        let corrupt = Ftb_util.Bits.flip ~bit:40 in
+        ignore (run corrupt);
+        let minor0, promoted0, major0 = Gc.counters () in
+        let _, (sites, _) = run corrupt in
+        let minor1, promoted1, major1 = Gc.counters () in
+        (Array.length sites, minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+  in
   List.iter
     (fun site ->
       let words = allocated site in
@@ -316,7 +331,12 @@ let test_replay_memory () =
         (Printf.sprintf "site %d replay allocates %.0f words (bound %d)" site words
            replay_words_bound)
         true
-        (words <= float_of_int replay_words_bound))
+        (words <= float_of_int replay_words_bound);
+      let pairs, words = traced site in
+      Alcotest.(check bool)
+        (Printf.sprintf "site %d scan allocates %.0f words for %d pairs" site words pairs)
+        true
+        (words <= float_of_int ((2 * pairs) + 16)))
     [ 0; plan.Program.cone_sites / 2; plan.Program.cone_sites - 1 ]
 
 let test_one_plan_retained () =
@@ -409,6 +429,205 @@ let test_cone_plans_exist_and_cover () =
                   plan.Program.cone_sites !accepted))
     (Lazy.force fixtures)
 
+(* ------------------------------------------------------------------ *)
+(* Traced one-lane scans: propagation samples on the cone               *)
+
+module Sample_run = Ftb_inject.Sample_run
+module Runner = Ftb_trace.Runner
+module Fault = Ftb_trace.Fault
+
+(* A spread of cases per site: the first, middle and last lane of the
+   model's width and one that moves with the site. *)
+let sample_cases spec golden =
+  let width = Models.spec_width spec in
+  List.concat_map
+    (fun site ->
+      List.sort_uniq compare [ 0; width / 2; width - 1; (site * 7) mod width ]
+      |> List.map (fun lane -> (site * width) + lane))
+    (List.init (Golden.sites golden) Fun.id)
+  |> Array.of_list
+
+let samples_on ~domains ?fuel spec golden cases =
+  if domains = 1 then Array.map (Sample_run.run_case_model ?fuel spec golden) cases
+  else begin
+    let pool = Ftb_inject.Parallel.Pool.create ~domains in
+    Fun.protect
+      ~finally:(fun () -> Ftb_inject.Parallel.Pool.shutdown pool)
+      (fun () ->
+        let out = Array.make (Array.length cases) None in
+        Ftb_inject.Parallel.Pool.run pool ~chunk:3 ~total:(Array.length cases) (fun lo hi ->
+            for i = lo to hi - 1 do
+              out.(i) <- Some (Sample_run.run_case_model ?fuel spec golden cases.(i))
+            done);
+        Array.map Option.get out)
+  end
+
+let test_cone_trace_samples () =
+  (* Samples through the cone tier equal the traced samples of the
+     cone-free program (the traced machine, zeros dropped), bit for bit:
+     outcome, crash reason, injected error and every (site, deviation)
+     pair — per model, at fuel on either side of the golden step count
+     and without fuel, on one domain and on two. *)
+  List.iter
+    (fun (name, fast, _) ->
+      let nocone = cone_free fast in
+      let steps = Golden.sites fast in
+      List.iter
+        (fun spec ->
+          let cases = sample_cases spec fast in
+          List.iter
+            (fun fuel ->
+              let expected = Array.map (Sample_run.run_case_model ?fuel spec nocone) cases in
+              List.iter
+                (fun domains ->
+                  let got = samples_on ~domains ?fuel spec fast cases in
+                  let bad = ref 0 in
+                  Array.iteri
+                    (fun i s -> if not (Helpers.sample_bits_equal expected.(i) s) then incr bad)
+                    got;
+                  Alcotest.(check int)
+                    (Printf.sprintf "%s under %s, fuel %s, %d domain(s): %d samples = traced"
+                       name (Models.spec_name spec)
+                       (match fuel with
+                       | None -> "none"
+                       | Some f -> Printf.sprintf "golden steps %+d" (f - steps))
+                       domains (Array.length cases))
+                    0 !bad)
+                [ 1; 2 ])
+            [ None; Some steps; Some (steps - 1) ])
+        (discrete_specs @ [ stochastic_spec ]))
+    (Lazy.force fixtures)
+
+let pairs_of (prop : Runner.propagation) =
+  let l = ref [] in
+  Array.iteri
+    (fun k d -> if d <> 0. then l := (prop.Runner.start + k, Int64.bits_of_float d) :: !l)
+    prop.Runner.deviations;
+  List.rev !l
+
+let test_cone_trace_pairs () =
+  (* The scan's outcome and pairs against a traced run of the cone-free
+     program with the same corruption, on every covered site, for SDC
+     and crash cases too (whose pairs a sample drops): the pairs stop at
+     the crashing guard exactly where the trace does. *)
+  List.iter
+    (fun (name, fast, _) ->
+      let plan = plan_of name fast in
+      let nocone = cone_free fast in
+      let checked = ref 0 and bad = ref [] in
+      for site = 0 to Golden.sites fast - 1 do
+        match plan.Program.cone_trace ~site with
+        | None -> ()
+        | Some run ->
+            List.iter
+              (fun corrupt ->
+                let outcome, (sites, devs) = run corrupt in
+                let prop =
+                  Runner.run_propagation_custom nocone ~fault:(Fault.make ~site ~bit:0) ~corrupt
+                in
+                let r = prop.Runner.result in
+                let same_outcome =
+                  match (outcome, r.Runner.outcome) with
+                  | Program.Cone_masked, Runner.Masked | Program.Cone_sdc, Runner.Sdc -> true
+                  | Program.Cone_crash reason, Runner.Crash -> r.Runner.crash_reason = Some reason
+                  | _ -> false
+                in
+                let got =
+                  Array.to_list (Array.mapi (fun i j -> (j, Int64.bits_of_float devs.(i))) sites)
+                in
+                incr checked;
+                if not (same_outcome && got = pairs_of prop) then bad := site :: !bad)
+              (List.map (fun bit -> Ftb_util.Bits.flip ~bit) [ 0; 30; 51; 52; 55; 61; 62; 63 ]
+              @ [ (fun _ -> Float.nan); (fun _ -> Float.infinity); (fun v -> -.v); (fun _ -> 0.) ])
+      done;
+      Alcotest.(check bool) (name ^ ": scans cover sites") true (!checked > 0);
+      Alcotest.(check (list int))
+        (Printf.sprintf "%s: %d scans = traced runs (sites that differ)" name !checked)
+        [] (List.rev !bad))
+    (Lazy.force fixtures)
+
+let test_cone_trace_gate () =
+  (* The scan is offered exactly where the lane replay is (ir.normalize's
+     branch-feeding sites take the traced machine), and Sample_run takes
+     it for every covered case under fuel of at least the golden steps,
+     for none below. *)
+  List.iter
+    (fun (name, fast, _) ->
+      let plan = plan_of name fast in
+      let sites = Golden.sites fast in
+      let declined = ref 0 in
+      for site = 0 to sites - 1 do
+        let lanes = plan.Program.cone_lanes ~site <> None in
+        let trace = plan.Program.cone_trace ~site <> None in
+        if lanes <> trace then Alcotest.failf "%s: site %d gated differently" name site;
+        if not trace then incr declined
+      done;
+      if name = "ir.normalize" then
+        Alcotest.(check bool) (name ^ ": branch-feeding sites declined") true
+          (!declined > 0 && !declined < sites)
+      else Alcotest.(check int) (name ^ ": no site declined") 0 !declined;
+      let scans = Atomic.make 0 in
+      let counted =
+        with_plan fast (fun plan ->
+            {
+              plan with
+              Program.cone_trace =
+                (fun ~site ->
+                  Option.map
+                    (fun run corrupt ->
+                      Atomic.incr scans;
+                      run corrupt)
+                    (plan.Program.cone_trace ~site));
+            })
+      in
+      let cases = sample_cases Models.default_spec fast in
+      let covered =
+        Array.fold_left
+          (fun n case -> if plan.Program.cone_trace ~site:(case / 64) <> None then n + 1 else n)
+          0 cases
+      in
+      List.iter
+        (fun (fuel, expect) ->
+          Atomic.set scans 0;
+          Array.iter (fun case -> ignore (Sample_run.run_case_model ?fuel Models.default_spec counted case)) cases;
+          Alcotest.(check int)
+            (Printf.sprintf "%s: cases scanned on the cone at fuel %s" name
+               (match fuel with None -> "none" | Some f -> string_of_int f))
+            expect (Atomic.get scans))
+        [ (None, covered); (Some sites, covered); (Some (sites - 1), 0) ])
+    (Lazy.force fixtures)
+
+let test_cone_trace_adaptive_boundaries () =
+  (* Whole adaptive campaigns, on every IR fixture under every discrete
+     model: the boundary bytes, support, rounds and samples with the cone
+     tier equal those on the traced machine alone. *)
+  let config = { Ftb_core.Adaptive.default_config with round_fraction = 0.02; max_rounds = 40 } in
+  List.iter
+    (fun (name, fast, _) ->
+      let nocone = cone_free fast in
+      List.iter
+        (fun spec ->
+          let run g =
+            Ftb_core.Adaptive.run_model ~config ~spec (Ftb_util.Rng.create ~seed:31) g
+          in
+          let a = run fast and b = run nocone in
+          let bits (r : Ftb_core.Adaptive.result) =
+            Array.map Int64.bits_of_float r.Ftb_core.Adaptive.boundary.Ftb_core.Boundary.thresholds
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s under %s: adaptive result with the cone = traced" name
+               (Models.spec_name spec))
+            true
+            (bits a = bits b
+            && a.Ftb_core.Adaptive.boundary.Ftb_core.Boundary.support
+               = b.Ftb_core.Adaptive.boundary.Ftb_core.Boundary.support
+            && a.Ftb_core.Adaptive.rounds = b.Ftb_core.Adaptive.rounds
+            && Array.length a.Ftb_core.Adaptive.samples = Array.length b.Ftb_core.Adaptive.samples
+            && Array.for_all2 Helpers.sample_bits_equal a.Ftb_core.Adaptive.samples
+                 b.Ftb_core.Adaptive.samples))
+        discrete_specs)
+    (Lazy.force fixtures)
+
 let suite =
   [
     Alcotest.test_case "discrete models: cone = interpreted bytes" `Quick
@@ -429,4 +648,9 @@ let suite =
       test_raising_batch_contained;
     Alcotest.test_case "replay allocates with the cone" `Quick test_replay_memory;
     Alcotest.test_case "one cone plan retained" `Quick test_one_plan_retained;
+    Alcotest.test_case "cone trace: samples = traced samples" `Quick test_cone_trace_samples;
+    Alcotest.test_case "cone trace: pairs = traced deviations" `Quick test_cone_trace_pairs;
+    Alcotest.test_case "cone trace: gate" `Quick test_cone_trace_gate;
+    Alcotest.test_case "cone trace: adaptive boundaries = traced" `Quick
+      test_cone_trace_adaptive_boundaries;
   ]

@@ -119,6 +119,41 @@ let test_sample_count_bounded () =
         true (allocated < 10_000.))
     [ 50_000_000l; Int32.max_int ]
 
+let test_sparse_pairs_validated () =
+  (* A masked sample's pairs must ascend strictly and carry positive,
+     non-NaN deviations; anything else is a typed error, and a blob of
+     the retired dense layout names its magic. *)
+  let masked pairs =
+    {
+      Sample_run.fault = Ftb_trace.Fault.make ~site:2 ~bit:3;
+      outcome = Ftb_trace.Runner.Masked;
+      crash_reason = None;
+      injected_error = 0.5;
+      propagation = Some pairs;
+    }
+  in
+  let good = masked ([| 2; 3; 9 |], [| 0.5; 1e-300; infinity |]) in
+  ignore (check_samples_roundtrip [| good |] : Sample_run.t array);
+  Alcotest.(check int) "12 bytes per pair" (15 + 4 + (3 * 12))
+    (String.length (Sample_codec.encode [| good |]) - 9);
+  let rejects what pairs needle =
+    match Sample_codec.decode (Sample_codec.encode [| masked pairs |]) with
+    | _ -> Alcotest.failf "%s accepted" what
+    | exception Sample_codec.Format_error msg ->
+        Alcotest.(check bool) (what ^ ": typed error") true (Helpers.contains msg needle)
+  in
+  rejects "repeated site" ([| 2; 2 |], [| 0.5; 0.5 |]) "ascending";
+  rejects "descending sites" ([| 3; 2 |], [| 0.5; 0.5 |]) "ascending";
+  rejects "negative site" ([| -1 |], [| 0.5 |]) "negative";
+  rejects "zero deviation" ([| 2; 3 |], [| 0.5; 0. |]) "deviation";
+  rejects "negative deviation" ([| 2 |], [| -0.5 |]) "deviation";
+  rejects "NaN deviation" ([| 2 |], [| Float.nan |]) "deviation";
+  let s2 = Sample_codec.encode [| good |] in
+  match Sample_codec.decode ("ftbS1" ^ String.sub s2 5 (String.length s2 - 5)) with
+  | _ -> Alcotest.fail "dense ftbS1 blob accepted"
+  | exception Sample_codec.Format_error msg ->
+      Alcotest.(check bool) "error names the retired magic" true (Helpers.contains msg "ftbS1")
+
 (* ------------------------------------------------------------------ *)
 (* Integrity envelope                                                  *)
 
@@ -273,6 +308,7 @@ let suite =
       test_samples_with_nonfinite_errors;
     Alcotest.test_case "garbage rejected" `Quick test_garbage_rejected;
     Alcotest.test_case "sample count bounded by the blob" `Quick test_sample_count_bounded;
+    Alcotest.test_case "sparse pairs validated" `Quick test_sparse_pairs_validated;
     Alcotest.test_case "crc32 known vectors" `Quick test_crc32_known_vectors;
     Alcotest.test_case "envelope roundtrip" `Quick test_envelope_roundtrip;
     Alcotest.test_case "envelope detects flipped byte" `Quick

@@ -210,6 +210,24 @@ let test_round_checkpoint_roundtrip () =
   (match (RC.load ~path).RC.stop with
   | Some Adaptive.Converged -> ()
   | _ -> Alcotest.fail "stop reason lost");
+  (* A sample that propagates past the campaign's sites is a typed
+     error: its pairs would index outside the boundary. *)
+  let masked = Array.find_opt (fun (s : Sample_run.t) -> s.Sample_run.propagation <> None) r.Adaptive.samples in
+  let masked = Option.get masked in
+  let sites = Golden.sites g in
+  RC.save ~path
+    {
+      state with
+      RC.samples =
+        [| { masked with Sample_run.propagation = Some ([| 0; sites |], [| 0.5; 0.5 |]) } |];
+      rounds = 0;
+      pending = None;
+    };
+  (match RC.load ~path with
+  | _ -> Alcotest.fail "a propagation site past the campaign's sites loaded"
+  | exception Ftb_inject.Persist.Format_error msg ->
+      Alcotest.(check bool) "error names the site" true
+        (Helpers.contains msg (Printf.sprintf "site %d of %d" sites sites)));
   Sys.remove path
 
 (* ------------------------------------------------------------------ *)

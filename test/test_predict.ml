@@ -12,7 +12,7 @@ let gt = lazy (Ground_truth.run (Lazy.force golden))
 let boundary_with thresholds =
   let b = Boundary.create ~sites:(Array.length thresholds) in
   Array.iteri
-    (fun i t -> if t > 0. then Boundary.add_masked_propagation b ~start:i [| t |])
+    (fun i t -> if t > 0. then Boundary.add_masked_propagation b ([| i |], [| t |]))
     thresholds;
   b
 

@@ -78,11 +78,11 @@ let prop_predicted_masked_monotone_in_threshold =
       let g = Lazy.force golden in
       let base = Boundary.create ~sites:Helpers.linear_sites in
       for site = 0 to Helpers.linear_sites - 1 do
-        Boundary.add_masked_propagation base ~start:site [| 0.25 |]
+        Boundary.add_masked_propagation base ([| site |], [| 0.25 |])
       done;
       let bigger = Boundary.create ~sites:Helpers.linear_sites in
       for site = 0 to Helpers.linear_sites - 1 do
-        Boundary.add_masked_propagation bigger ~start:site [| 0.25 +. extra |]
+        Boundary.add_masked_propagation bigger ([| site |], [| 0.25 +. extra |])
       done;
       let fault = Fault.of_case case in
       (not (Predict.predicted_masked base g fault)) || Predict.predicted_masked bigger g fault)

@@ -11,9 +11,22 @@ let test_masked_sample_keeps_propagation () =
   let s = Helpers.run_case (Lazy.force golden) (Fault.to_case (Fault.make ~site:0 ~bit:5)) in
   Alcotest.(check bool) "masked" true (Runner.outcome_equal s.Sample_run.outcome Runner.Masked);
   match s.Sample_run.propagation with
-  | Some (start, deviations) ->
-      Alcotest.(check int) "starts at the fault site" 0 start;
-      Alcotest.(check int) "covers to the end" Helpers.linear_sites (Array.length deviations)
+  | Some (sites, deviations) ->
+      (* The sparse pairs are the traced run's non-zero deviations, from
+         the fault site to the last site. *)
+      let dense =
+        (Runner.run_propagation (Lazy.force golden) (Fault.make ~site:0 ~bit:5))
+          .Runner.deviations
+      in
+      let expected = List.filter (fun j -> dense.(j) <> 0.) (List.init (Array.length dense) Fun.id) in
+      Alcotest.(check int) "starts at the fault site" 0 sites.(0);
+      Alcotest.(check int) "covers to the end" (Helpers.linear_sites - 1)
+        sites.(Array.length sites - 1);
+      Alcotest.(check (list int)) "exactly the non-zero sites" expected (Array.to_list sites);
+      Alcotest.(check bool) "deviations bit-identical" true
+        (Array.for_all2
+           (fun j d -> Int64.equal (Int64.bits_of_float dense.(j)) (Int64.bits_of_float d))
+           sites deviations)
   | None -> Alcotest.fail "masked sample lost its propagation data"
 
 let test_sdc_sample_drops_propagation () =
