@@ -1,9 +1,8 @@
 (* Campaign-executor throughput benchmark (dune alias @bench-smoke).
 
-   Measures exhaustive-campaign throughput (cases/sec) on a mix of
-   resumable IR kernels and closure kernels, across three configurations
-   of the one campaign path, [Executor.ground_truth_model] under the
-   default bit-flip-64 spec:
+   Measures exhaustive-campaign throughput (cases/sec) on a mix of IR
+   kernels, across three configurations of the one campaign path,
+   [Executor.ground_truth_model] under the default bit-flip-64 spec:
 
      batched_nocone  one domain, on a golden run of the program without
                      its cone capability: prefix-snapshot bit batching,
@@ -11,9 +10,8 @@
                      replay, and the base of the cone gain
      batched         one domain: prefix-snapshot batching plus
                      dependent-cone replay where the per-site forward
-                     slice is exact (IR programs lowered through
-                     Pipeline.to_program; closure kernels have no cone,
-                     so batched = batched_nocone there)
+                     slice is exact (the programs are lowered through
+                     Pipeline.to_program)
      pooled_batched  N domains, work stealing, cone replay where
                      available — quoted against batched (one domain)
 
@@ -82,12 +80,10 @@ let parse_options () =
     reps = (if !reps > 0 then !reps else if quick then 1 else 3);
   }
 
-(* Each row: name and program (the compiled machine with its cone plan
-   for IR kernels, the hand-instrumented closure program otherwise). *)
+(* Each row: name and program (the compiled machine with its cone plan). *)
 let programs ~quick =
   let open Ftb_ir in
   let ir name build = (name, Pipeline.to_program build) in
-  let closure name p = (name, p) in
   let module K = Ftb_kernels.Ir_kernels in
   if quick then
     [
@@ -95,23 +91,19 @@ let programs ~quick =
       ir "ir.stencil3" (Programs.stencil3 ~n:24 ~sweeps:3 ~seed:13 ~tolerance:1e-9);
       ir "ir.gemm" (K.gemm ~n:6 ~block:3 ~seed:21 ~tolerance:1e-3);
       ir "ir.matmul" (K.matmul ~n:6 ~seed:9 ~tolerance:1e-3);
-      closure "stencil"
-        (Ftb_kernels.Stencil.program
-           { Ftb_kernels.Stencil.size = 5; sweeps = 3; seed = 3; tolerance = 1e-4 });
     ]
   else
     [
       ir "ir.dot" (Programs.dot ~n:160 ~seed:11 ~tolerance:1e-9);
       ir "ir.stencil3" (Programs.stencil3 ~n:48 ~sweeps:8 ~seed:13 ~tolerance:1e-9);
       ir "ir.matvec" (Programs.matvec ~n:24 ~seed:14 ~tolerance:1e-9);
-      ir "ir.cg" (K.cg ~grid:6 ~iterations:8 ~tolerance:1e-4);
+      ir "ir.cg" (K.cg ~grid:6 ~iterations:8 ~tolerance:1e-4 ~record_init:false);
       ir "ir.lu" (K.lu ~n:12 ~block:4 ~seed:7 ~tolerance:1e-4);
       ir "ir.fft" (K.fft ~n1:8 ~n2:8 ~seed:11 ~tolerance:1.0);
       ir "ir.jacobi" (K.jacobi ~grid:6 ~sweeps:10 ~tolerance:1e-4);
       ir "ir.gemm" (K.gemm ~n:16 ~block:4 ~seed:21 ~tolerance:1e-3);
       ir "ir.matmul" (K.matmul ~n:16 ~seed:9 ~tolerance:1e-3);
       ir "ir.stencil" (K.stencil ~size:12 ~sweeps:6 ~seed:3 ~tolerance:1e-4);
-      closure "stencil" (Ftb_kernels.Stencil.program Ftb_kernels.Stencil.default);
     ]
 
 (* Best-of-N wall-clock: campaigns are long enough that the minimum over a
@@ -143,9 +135,7 @@ let bench_program ~opts (name, program) =
   let golden = Golden.run program in
   let nocone = cone_free golden in
   let cases = Golden.cases golden in
-  let resumable = golden.Golden.program.Ftb_trace.Program.resumable <> None in
-  Printf.printf "%-12s %6d sites, %7d cases%s\n%!" name (Golden.sites golden) cases
-    (if resumable then "" else "  (closure kernel: batching falls back)");
+  Printf.printf "%-12s %6d sites, %7d cases\n%!" name (Golden.sites golden) cases;
   let reference = Ground_truth.run golden in
   let check what (gt : Ground_truth.t) =
     if not (Bytes.equal reference.Ground_truth.outcomes gt.Ground_truth.outcomes) then begin
@@ -185,7 +175,7 @@ let bench_program ~opts (name, program) =
     (rate "pooled_batched" /. rate "batched")
     opts.domains;
 
-  (name, Golden.sites golden, cases, resumable, has_cone, results)
+  (name, Golden.sites golden, cases, has_cone, results)
 
 (* Persistence guard: the integrity-enveloped (CRC-32 checksummed)
    checkpoint stream must stay in the noise of campaign throughput.
@@ -808,12 +798,11 @@ let write_json ~opts ~guard ~models ~cone ~cache rows =
   bpf "  },\n";
   bpf "  \"programs\": [\n";
   List.iteri
-    (fun i (name, sites, cases, resumable, has_cone, results) ->
+    (fun i (name, sites, cases, has_cone, results) ->
       bpf "    {\n";
       bpf "      \"name\": \"%s\",\n" (json_escape name);
       bpf "      \"sites\": %d,\n" sites;
       bpf "      \"cases\": %d,\n" cases;
-      bpf "      \"resumable\": %b,\n" resumable;
       bpf "      \"cone\": %b,\n" has_cone;
       bpf "      \"modes\": {\n";
       List.iteri

@@ -11,7 +11,8 @@
    shrinks the benchmark inputs and trial counts for CI-speed runs. *)
 
 module Context = Ftb_core.Context
-module Kernels = Ftb_kernels
+module Suite = Ftb_kernels.Suite
+module Ir_kernels = Ftb_kernels.Ir_kernels
 
 type options = {
   quick : bool;
@@ -91,17 +92,21 @@ let parse_options () =
 (* ------------------------------------------------------------------ *)
 (* Benchmark configurations                                            *)
 
-let cg_config ~quick =
-  if quick then { Kernels.Cg.grid = 4; iterations = 6; tolerance = 1e-4 }
-  else Kernels.Cg.default
+(* CG's (grid, iterations); the full configuration is the suite default. *)
+let cg_config ~quick = if quick then (4, 6) else (8, 12)
 
-let lu_config ~quick =
-  if quick then { Kernels.Lu.n = 8; block = 2; seed = 7; tolerance = 1e-4 }
-  else Kernels.Lu.default
+let cg_program ?grid ~quick () =
+  let default_grid, iterations = cg_config ~quick in
+  let grid = Option.value grid ~default:default_grid in
+  Suite.program (Suite.cg ~grid ~iterations ~tolerance:1e-4)
 
-let fft_config ~quick =
-  if quick then { Kernels.Fft.n1 = 8; n2 = 4; seed = 11; tolerance = 1.0 }
-  else Kernels.Fft.default
+let lu_program ~quick =
+  if quick then Suite.program (Suite.lu ~n:8 ~block:2 ~seed:7 ~tolerance:1e-4)
+  else Suite.find "lu"
+
+let fft_program ~quick =
+  if quick then Suite.program (Suite.fft ~n1:8 ~n2:4 ~seed:11 ~tolerance:1.0)
+  else Suite.find "fft"
 
 let scaling_grids ~quick = if quick then (3, 6) else (6, 12)
 
@@ -124,9 +129,9 @@ let context ~name program =
 
 let paper_contexts options =
   [
-    context ~name:"cg" (Kernels.Cg.program (cg_config ~quick:options.quick));
-    context ~name:"lu" (Kernels.Lu.program (lu_config ~quick:options.quick));
-    context ~name:"fft" (Kernels.Fft.program (fft_config ~quick:options.quick));
+    context ~name:"cg" (cg_program ~quick:options.quick ());
+    context ~name:"lu" (lu_program ~quick:options.quick);
+    context ~name:"fft" (fft_program ~quick:options.quick);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -268,8 +273,7 @@ let run_table4 options =
   let small_grid, large_grid = scaling_grids ~quick:options.quick in
   let make grid =
     let label = Printf.sprintf "%dx%d" grid grid in
-    let config = { (cg_config ~quick:options.quick) with Kernels.Cg.grid = grid } in
-    (label, context ~name:(Printf.sprintf "cg-%s" label) (Kernels.Cg.program config))
+    (label, context ~name:(Printf.sprintf "cg-%s" label) (cg_program ~grid ~quick:options.quick ()))
   in
   let contexts = [| make small_grid; make large_grid |] in
   let samples = if options.quick then 200 else 1000 in
@@ -284,7 +288,7 @@ let run_table4 options =
 let run_ablation options =
   (* The ablation isolates the adaptive sampler's knobs on the CG
      benchmark (the one whose Figure 4 profile motivates them). *)
-  let cg = context ~name:"cg" (Kernels.Cg.program (cg_config ~quick:options.quick)) in
+  let cg = context ~name:"cg" (cg_program ~quick:options.quick ()) in
   let results =
     [ Ftb_core.Study_ablation.run ~trials:options.sweep_trials ~seed:options.seed cg ]
   in
@@ -299,9 +303,7 @@ let run_tolerance options =
     else [| 1e-8; 1e-6; 1e-4; 1e-2; 1.; 100. |]
   in
   let size = if options.quick then 6 else 10 in
-  let make ~tolerance =
-    Kernels.Stencil.program { Kernels.Stencil.size; sweeps = 6; seed = 3; tolerance }
-  in
+  let make ~tolerance = Suite.program (Suite.stencil ~size ~sweeps:6 ~seed:3 ~tolerance) in
   let results =
     [ Ftb_core.Study_tolerance.run ~seed:options.seed ~name:"stencil" ~tolerances make ]
   in
@@ -309,23 +311,16 @@ let run_tolerance options =
   emit_csv options (Ftb_report.Render.csv_tolerance results)
 
 let run_overhead options =
-  let cg_cfg = cg_config ~quick:options.quick in
-  let stencil_cfg =
-    if options.quick then { Kernels.Stencil.size = 6; sweeps = 4; seed = 3; tolerance = 1e-4 }
-    else Kernels.Stencil.default
-  in
+  let grid, iterations = cg_config ~quick:options.quick in
+  let size, sweeps = if options.quick then (6, 4) else (12, 8) in
   let results =
     [
       Ftb_core.Study_overhead.run ~name:"cg"
-        ~plain:(fun () ->
-          Kernels.Cg.solve_plain
-            (Kernels.Poisson.matrix ~grid:cg_cfg.Kernels.Cg.grid)
-            (Kernels.Poisson.rhs ~grid:cg_cfg.Kernels.Cg.grid)
-            ~iterations:cg_cfg.Kernels.Cg.iterations)
-        (Kernels.Cg.program cg_cfg);
+        ~plain:(fun () -> Ir_kernels.cg_oracle ~grid ~iterations)
+        (cg_program ~quick:options.quick ());
       Ftb_core.Study_overhead.run ~name:"stencil"
-        ~plain:(fun () -> Kernels.Stencil.run_plain stencil_cfg)
-        (Kernels.Stencil.program stencil_cfg);
+        ~plain:(fun () -> Ir_kernels.stencil_oracle ~size ~sweeps ~seed:3)
+        (Suite.program (Suite.stencil ~size ~sweeps ~seed:3 ~tolerance:1e-4));
     ]
   in
   print_string (Ftb_core.Study_overhead.render results)
@@ -337,7 +332,7 @@ let run_overhead options =
 let run_perf options =
   let open Bechamel in
   let quick = options.quick in
-  let cg = Kernels.Cg.program (cg_config ~quick) in
+  let cg = cg_program ~quick () in
   let golden = Ftb_trace.Golden.run cg in
   let sites = Ftb_trace.Golden.sites golden in
   let rng = Ftb_util.Rng.create ~seed:options.seed in

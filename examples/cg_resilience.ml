@@ -10,13 +10,14 @@
    Run with:  dune exec examples/cg_resilience.exe *)
 
 let () =
-  let config = { Ftb_kernels.Cg.grid = 6; iterations = 10; tolerance = 1e-4 } in
-  let program = Ftb_kernels.Cg.program config in
+  let grid = 6 and iterations = 10 in
+  let program =
+    Ftb_kernels.Suite.(program (cg ~grid ~iterations ~tolerance:1e-4))
+  in
   let golden = Ftb_trace.Golden.run program in
   let sites = Ftb_trace.Golden.sites golden in
-  Printf.printf "CG on a %dx%d Poisson grid, %d iterations: %d dynamic instructions\n\n"
-    config.Ftb_kernels.Cg.grid config.Ftb_kernels.Cg.grid config.Ftb_kernels.Cg.iterations
-    sites;
+  Printf.printf "CG on a %dx%d Poisson grid, %d iterations: %d dynamic instructions\n\n" grid
+    grid iterations sites;
 
   (* Adaptive sampling (sec. 3.4): rounds of 0.1% biased towards
      low-information sites, stopping once fresh samples are almost all

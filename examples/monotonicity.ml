@@ -13,6 +13,10 @@
 module Gt = Ftb_inject.Ground_truth
 module Runner = Ftb_trace.Runner
 module Fault = Ftb_trace.Fault
+module Suite = Ftb_kernels.Suite
+
+let stencil = lazy (Suite.program (Suite.stencil ~size:8 ~sweeps:4 ~seed:3 ~tolerance:1e-4))
+let matvec = lazy (Suite.program (Suite.matvec ~n:12 ~reps:3 ~seed:5 ~tolerance:1e-3))
 
 let check_linear_gain name program ~site =
   let golden = Ftb_trace.Golden.run program in
@@ -36,15 +40,8 @@ let check_linear_gain name program ~site =
 
 let () =
   Printf.printf "1. Linear-gain law f(e) = C*e for provably monotone kernels (sec. 5)\n\n";
-  let stencil =
-    Ftb_kernels.Stencil.program { Ftb_kernels.Stencil.size = 8; sweeps = 4; seed = 3; tolerance = 1e-4 }
-  in
-  let matvec =
-    Ftb_kernels.Matprod.matvec_program
-      { Ftb_kernels.Matprod.n = 12; reps = 3; seed = 5; tolerance = 1e-3 }
-  in
-  let s1 = check_linear_gain "stencil" stencil ~site:10 in
-  let s2 = check_linear_gain "matvec" matvec ~site:4 in
+  let s1 = check_linear_gain "stencil" (Lazy.force stencil) ~site:10 in
+  let s2 = check_linear_gain "matvec" (Lazy.force matvec) ~site:4 in
   let relative_spread s =
     (s.Ftb_util.Stats.max -. s.Ftb_util.Stats.min) /. Float.max s.Ftb_util.Stats.mean 1e-300
   in
@@ -63,12 +60,12 @@ let () =
       Printf.printf "  %-8s %10d %16d %14s\n" name (Array.length flags) bad
         (Ftb_report.Ascii.percent (float_of_int bad /. float_of_int (Array.length flags))))
     [
-      ("stencil", lazy (Ftb_kernels.Stencil.program { Ftb_kernels.Stencil.size = 8; sweeps = 4; seed = 3; tolerance = 1e-4 }));
-      ("matvec", lazy (Ftb_kernels.Matprod.matvec_program { Ftb_kernels.Matprod.n = 12; reps = 3; seed = 5; tolerance = 1e-3 }));
-      ("matmul", lazy (Ftb_kernels.Matprod.matmul_program { Ftb_kernels.Matprod.n = 8; seed = 9; tolerance = 1e-3 }));
-      ("cg", lazy (Ftb_kernels.Cg.program { Ftb_kernels.Cg.grid = 4; iterations = 8; tolerance = 1e-4 }));
-      ("lu", lazy (Ftb_kernels.Lu.program { Ftb_kernels.Lu.n = 12; block = 3; seed = 7; tolerance = 1e-4 }));
-      ("fft", lazy (Ftb_kernels.Fft.program { Ftb_kernels.Fft.n1 = 8; n2 = 4; seed = 11; tolerance = 1.0 }));
+      ("stencil", stencil);
+      ("matvec", matvec);
+      ("matmul", lazy (Suite.program (Suite.matmul ~n:8 ~seed:9 ~tolerance:1e-3)));
+      ("cg", lazy (Suite.program (Suite.cg ~grid:4 ~iterations:8 ~tolerance:1e-4)));
+      ("lu", lazy (Suite.program (Suite.lu ~n:12 ~block:3 ~seed:7 ~tolerance:1e-4)));
+      ("fft", lazy (Suite.program (Suite.fft ~n1:8 ~n2:4 ~seed:11 ~tolerance:1.0)));
     ];
   Printf.printf
     "\n\

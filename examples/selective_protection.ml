@@ -15,7 +15,7 @@ module Protection = Ftb_core.Protection
 
 let () =
   let program =
-    Ftb_kernels.Lu.program { Ftb_kernels.Lu.n = 16; block = 4; seed = 7; tolerance = 1e-4 }
+    Ftb_kernels.Suite.(program (lu ~n:16 ~block:4 ~seed:7 ~tolerance:1e-4))
   in
   let golden = Ftb_trace.Golden.run program in
   let sites = Ftb_trace.Golden.sites golden in

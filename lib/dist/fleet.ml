@@ -45,6 +45,7 @@ type active = {
   a_bench : string;
   a_fuel : int option;
   a_model : Ftb_inject.Models.spec;
+  a_sites : int;
   a_fingerprint : string;
   table : Lease.t;
   a_commit : shard:int -> Bytes.t -> unit;
@@ -385,7 +386,7 @@ let handle_result t json =
                     P.outcome_digest ~job:a.a_job ~shard ~lo ~hi
                       ~fingerprint:a.a_fingerprint data
                   in
-                  match Shard.check a.a_model work data with
+                  match Shard.check a.a_model ~sites:a.a_sites work data with
                   | Error message -> refuse "bad_result" message
                   | Ok () when digest <> sdigest () ->
                       t.bad_digest <- t.bad_digest + 1;
@@ -676,6 +677,7 @@ let drive t ~job_id ~bench ~fuel ~model ~golden ~fingerprint ~cases ~commit task
               a_bench = bench;
               a_fuel = fuel;
               a_model = model;
+              a_sites = Ftb_trace.Golden.sites golden;
               a_fingerprint = fingerprint;
               table;
               a_commit = commit;

@@ -28,7 +28,7 @@ let run ?pool ?fuel model golden = function
           done);
       Bytes.of_string (Sample_codec.encode (Array.map Option.get out))
 
-let check model shard blob =
+let check model ~sites shard blob =
   match shard with
   | Range { lo; hi } ->
       if Bytes.length blob <> hi - lo then
@@ -39,15 +39,4 @@ let check model shard blob =
   | Cases cases -> (
       match Sample_codec.decode (Bytes.to_string blob) with
       | exception Sample_codec.Format_error msg -> Error ("samples blob is corrupt: " ^ msg)
-      | samples ->
-          let width = Ftb_inject.Models.spec_width model in
-          let case_of (s : Sample_run.t) =
-            (s.fault.Ftb_trace.Fault.site * width) + s.fault.Ftb_trace.Fault.bit
-          in
-          if Array.length samples <> Array.length cases then
-            Error
-              (Printf.sprintf "%d samples; expected %d" (Array.length samples)
-                 (Array.length cases))
-          else if not (Array.for_all2 (fun s case -> case_of s = case) samples cases) then
-            Error "samples do not match the granted case list"
-          else Ok ())
+      | samples -> Sample_codec.validate model ~sites ~cases samples)

@@ -34,8 +34,10 @@ val run :
     samples for [Cases]. The cases are split over [pool] when one is
     given; the blob is the same either way. *)
 
-val check : Ftb_inject.Models.spec -> t -> Bytes.t -> (unit, string) result
-(** Validate a received blob against the shard it was granted for. A
-    [Range] blob must be exactly [hi - lo] bytes, each a valid outcome
-    byte (['\000'..'\005']). A [Cases] blob must decode to one sample per
-    granted case whose (site, bit) is that case, in grant order. *)
+val check : Ftb_inject.Models.spec -> sites:int -> t -> Bytes.t -> (unit, string) result
+(** Validate a received blob against the shard it was granted for, on a
+    program of [sites] dynamic instructions. A [Range] blob must be
+    exactly [hi - lo] bytes, each a valid outcome byte
+    (['\000'..'\005']). A [Cases] blob must decode to samples that pass
+    {!Ftb_inject.Sample_codec.validate} against the granted cases: one
+    per case, in grant order, with no propagation site past [sites]. *)

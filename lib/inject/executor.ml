@@ -56,8 +56,8 @@ let per_case ?fuel spec golden buf ~pos ~lo ~hi =
    suffix per case. Every model's corruption is a pure function of the
    golden value and the dense case — a stochastic model re-derives its
    RNG from (seed, case) — so every model batches and takes the cone
-   fast path. Programs without the [resumable] capability (hand-written
-   closure kernels) fall back to full re-execution: same bytes, just
+   fast path. Programs without the [resumable] capability (a hand-written
+   [Program.make] body) fall back to full re-execution: same bytes, just
    without the savings. *)
 let site_into ?fuel ~plan spec golden ~site buf ~pos =
   let width = Models.spec_width spec in

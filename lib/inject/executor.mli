@@ -28,8 +28,9 @@
       O(sites × (prefix + width × suffix)) instead of
       O(width × sites × run).
     + {b per-case} — one full contained run per case
-      ({!Ground_truth.case_byte_model}): closure kernels and ragged
-      shard edges.
+      ({!Ground_truth.case_byte_model}): programs without the
+      capability (a hand-written [Program.make] body) and ragged shard
+      edges.
 
     Every model takes the same tiers: a corruption is a pure function of
     the golden value and the dense case (the stochastic random-value

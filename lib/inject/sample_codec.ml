@@ -152,3 +152,33 @@ let encoded_size_upper_bound ~sites =
   (* A masked sample's propagation can hold a pair per site: 15 fixed
      bytes (flag included) + a 4-byte length + 12 bytes per pair. *)
   19 + (pair_bytes * sites)
+
+let case_of width (s : Sample_run.t) = (s.fault.Fault.site * width) + s.fault.Fault.bit
+
+let validate spec ~sites ?cases (samples : Sample_run.t array) =
+  let width = Models.spec_width spec in
+  let outside (s : Sample_run.t) =
+    if s.fault.Fault.site >= sites || s.fault.Fault.bit >= width then
+      Some
+        (Printf.sprintf "sample case %d outside the model's %d-case space" (case_of width s)
+           (Models.total_cases spec ~sites))
+    else
+      match s.propagation with
+      | Some (p, _) when Array.length p > 0 && p.(Array.length p - 1) >= sites ->
+          (* Ascending, so the last site is the largest. *)
+          Some
+            (Printf.sprintf "sample case %d propagates to site %d of %d" (case_of width s)
+               p.(Array.length p - 1) sites)
+      | Some _ | None -> None
+  in
+  match Array.find_map outside samples with
+  | Some message -> Error message
+  | None -> (
+      match cases with
+      | Some cases when Array.length cases <> Array.length samples ->
+          Error
+            (Printf.sprintf "%d samples; expected %d" (Array.length samples) (Array.length cases))
+      | Some cases when not (Array.for_all2 (fun s case -> case_of width s = case) samples cases)
+        ->
+          Error "samples do not match the granted case list"
+      | Some _ | None -> Ok ())

@@ -32,6 +32,15 @@ val decode : string -> Sample_run.t array
     negative or NaN. Sites are not checked against a program's site
     count, which the blob does not carry: callers that know it do. *)
 
+val validate :
+  Models.spec -> sites:int -> ?cases:int array -> Sample_run.t array -> (unit, string) result
+(** Check decoded samples against the campaign they are meant for, the
+    one check every reader of remote or durable samples runs before a
+    fold: each sample's (site, bit) lies in the model's case space over
+    [sites], its propagation names no site [>= sites], and, given the
+    granted [cases], there is one sample per case, in grant order. The
+    error names the first offending sample. *)
+
 val encoded_size_upper_bound : sites:int -> int
 (** Worst-case encoded bytes of one sample of a program with [sites]
     dynamic instructions — the planner's conservative shard-sizing input

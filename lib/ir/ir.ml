@@ -42,6 +42,7 @@ type t = {
   mutable arrays : (string * float array) list;  (* reverse order of declaration *)
   mutable output : array_id option;
   mutable body : stmt list option;
+  mutable statics : (string * Static.info) list;
 }
 
 let create ~name ~tolerance =
@@ -53,6 +54,7 @@ let create ~name ~tolerance =
     arrays = [];
     output = None;
     body = None;
+    statics = [];
   }
 
 let freg t =
@@ -78,6 +80,7 @@ let output_array t id =
   t.output <- Some id
 
 let set_body t body = t.body <- Some body
+let set_statics t statics = t.statics <- statics
 
 (* ------------------------------------------------------------------ *)
 (* Interpreter                                                         *)
@@ -334,14 +337,22 @@ let compile_machine (t : t) tags =
   M.create ~instrs:(Array.sub !code 0 !len) ~fregs:t.next_freg ~iregs:t.next_ireg
     ~loops:!n_loops ~arrays ~output
 
-let to_program t =
-  let body, _output = check_complete t in
+(* Every distinct label, in first-appearance order, registered as a static
+   instruction: the (phase, label) pair [set_statics] gave it, else the
+   program name as phase and the label itself. Pre-registering keeps tags
+   stable across runs; returns the table and the label -> tag map. *)
+let register_statics t body =
   let statics = Static.create_table () in
-  (* Pre-register every static instruction so tags are stable across runs. *)
   let tags = Hashtbl.create 64 in
   let register label =
-    if not (Hashtbl.mem tags label) then
-      Hashtbl.replace tags label (Static.register statics ~phase:t.name ~label)
+    if not (Hashtbl.mem tags label) then begin
+      let { Static.phase; label = shown } =
+        match List.assoc_opt label t.statics with
+        | Some info -> info
+        | None -> { Static.phase = t.name; label }
+      in
+      Hashtbl.replace tags label (Static.register statics ~phase ~label:shown)
+    end
   in
   let rec collect stmt =
     match stmt with
@@ -353,6 +364,11 @@ let to_program t =
         List.iter collect b
   in
   List.iter collect body;
+  (statics, tags)
+
+let to_program t =
+  let body, _output = check_complete t in
+  let statics, tags = register_statics t body in
   let machine = compile_machine t tags in
   (* Every mode — golden, outcome-only, propagation AND the batched
      prefix/resume path — runs through the one compiled machine, so the
@@ -370,22 +386,7 @@ let to_program t =
 
 let to_program_interpreted t =
   let body, output = check_complete t in
-  let statics = Static.create_table () in
-  let tags = Hashtbl.create 64 in
-  let register label =
-    if not (Hashtbl.mem tags label) then
-      Hashtbl.replace tags label (Static.register statics ~phase:t.name ~label)
-  in
-  let rec collect stmt =
-    match stmt with
-    | Fassign (_, _, label) | Store (_, _, _, label) -> register label
-    | Flet _ | Iassign _ | Guard _ -> ()
-    | For (_, _, _, stmts) -> List.iter collect stmts
-    | If (_, a, b) ->
-        List.iter collect a;
-        List.iter collect b
-  in
-  List.iter collect body;
+  let statics, tags = register_statics t body in
   let run ctx =
     let env =
       make_env t
@@ -400,28 +401,7 @@ let to_program_interpreted t =
     ~tolerance:t.tolerance ~statics run
 
 let to_machine t =
-  let tags = Hashtbl.create 64 in
-  let next = ref 0 in
-  let register label =
-    if not (Hashtbl.mem tags label) then begin
-      Hashtbl.replace tags label !next;
-      incr next
-    end
-  in
-  (match t.body with
-  | Some body ->
-      let rec collect stmt =
-        match stmt with
-        | Fassign (_, _, label) | Store (_, _, _, label) -> register label
-        | Flet _ | Iassign _ | Guard _ -> ()
-        | For (_, _, _, stmts) -> List.iter collect stmts
-        | If (_, a, b) ->
-            List.iter collect a;
-            List.iter collect b
-      in
-      List.iter collect body
-  | None -> ());
-  compile_machine t tags
+  compile_machine t (snd (register_statics t (Option.value t.body ~default:[])))
 
 (* ------------------------------------------------------------------ *)
 (* Pretty-printer                                                      *)
@@ -614,6 +594,7 @@ let with_body (t : t) body =
     arrays = t.arrays;
     output = t.output;
     body = Some body;
+    statics = t.statics;
   }
 
 let event_stream t =

@@ -2,8 +2,9 @@
 
     The paper deploys its instrumentation at the LLVM-IR level; this module
     shows the library is frontend-agnostic by providing a miniature typed
-    IR whose interpreter emits the same dynamic-instruction stream as the
-    hand-instrumented kernels. Floating-point assignments and array stores
+    IR whose interpreter emits the dynamic-instruction stream a
+    hand-instrumented kernel would. Every suite benchmark is an IR program
+    ([Ftb_kernels.Ir_kernels]). Floating-point assignments and array stores
     are dynamic instructions (fault injection sites); integer index
     arithmetic and control flow are not, matching the paper's data-element
     fault model (§2.1).
@@ -89,6 +90,13 @@ val output_array : t -> array_id -> unit
 val set_body : t -> stmt list -> unit
 (** Attach the program body. *)
 
+val set_statics : t -> (string * Ftb_trace.Static.info) list -> unit
+(** Attach the label table {!to_program} reads: each listed statement
+    label registers as the given static instruction (phase and shown
+    label), so a port reports the phases of the kernel it mirrors. An
+    unlisted label registers under the program name as phase. The table
+    only names sites; it changes no value, tag order or site count. *)
+
 val to_program : t -> Ftb_trace.Program.t
 (** Lower to an instrumented {!Ftb_trace.Program.t}: the body is compiled
     once to the flat {!Machine} and every run executes the compiled form,
@@ -110,7 +118,8 @@ val to_program_interpreted : t -> Ftb_trace.Program.t
 
 val to_machine : t -> Machine.t
 (** Compile to the flat machine without building a {!Ftb_trace.Program.t}
-    (tags are numbered per distinct label in first-appearance order).
+    (tags are numbered as {!to_program} numbers them: per distinct
+    static instruction, in first-appearance order).
     Mostly for tests and tools that want to drive {!Machine.prefix} /
     {!Machine.resume} directly. *)
 

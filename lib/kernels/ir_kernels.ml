@@ -1,13 +1,15 @@
 module Ir = Ftb_ir.Ir
 module Rng = Ftb_util.Rng
+module Static = Ftb_trace.Static
 
-(* IR ports of the closure benchmarks. Each builder emits a structured
-   [Ftb_ir.Ir.t] whose uninstrumented run is arithmetic-identical to the
-   closure kernel's oracle ([Cg.solve_plain], [Lu.factor_plain], ...): the
-   same operations in the same order, with reductions accumulated from
-   [0.] exactly as the closures do. Scratch values the closure kernels
-   keep in OCaml [ref]s become non-recorded [Flet]s, so the recorded
-   stream covers the same data elements the paper's fault model covers.
+(* The suite kernels, as structured [Ftb_ir.Ir.t] programs, and their
+   uninstrumented oracles ([*_oracle]). Each builder's uninstrumented run
+   is arithmetic-identical to its oracle: the same operations in the same
+   order, with reductions accumulated from [0.]. Scratch values become
+   non-recorded [Flet]s, so the recorded stream covers exactly the data
+   elements the paper's fault model covers, and a label table
+   ([Ir.set_statics]) gives every site the phase and label of the
+   hand-instrumented kernel it was ported from.
 
    The IR has no integer-array indexing, so CSR structure (CG, Jacobi)
    and FFT bit-reversal/twiddle schedules are specialized at build time:
@@ -19,14 +21,23 @@ module Rng = Ftb_util.Rng
 
 let idx2 ~cols i j = Ir.Iadd (Ir.Imul (i, Ir.Iconst cols), j)
 
-(* Left fold from [Fconst 0.] — the closures' [acc := 0.; acc +. t]
-   reduction shape, kept bit-identical. *)
+(* Left fold from [Fconst 0.] — the [acc := 0.; acc +. t] reduction
+   shape of the plain oracles, kept bit-identical. *)
 let fsum terms = List.fold_left (fun e t -> Ir.Fadd (e, t)) (Ir.Fconst 0.) terms
 
-(* ------------------------------------------------------------------ *)
-(* Conjugate gradient (port of [Cg]).                                  *)
+(* [(phase, labels)] groups: each label keeps its text and reports [phase]. *)
+let set_phases p groups =
+  Ir.set_statics p
+    (List.concat_map
+       (fun (phase, labels) -> List.map (fun label -> (label, { Static.phase; label })) labels)
+       groups)
 
-let cg ~grid ~iterations ~tolerance =
+let upto i n body = Ir.For (i, Ir.Iconst 0, Ir.Iconst n, body)
+
+(* ------------------------------------------------------------------ *)
+(* Conjugate gradient.                                                 *)
+
+let cg ~grid ~iterations ~tolerance ~record_init =
   if grid <= 0 then invalid_arg "Ir_kernels.cg: grid must be positive";
   if iterations <= 0 then invalid_arg "Ir_kernels.cg: iterations must be positive";
   let a = Poisson.matrix ~grid in
@@ -41,6 +52,19 @@ let cg ~grid ~iterations ~tolerance =
   let alpha = Ir.freg p and beta = Ir.freg p and acc = Ir.freg p in
   let it = Ir.ireg p and i = Ir.ireg p in
   let load arr ix = Ir.Fload (arr, ix) in
+  (* The recorded initialisation of x, r and p; without it the three
+     arrays start at their declared contents and the stream begins at
+     [rsold]. *)
+  let init =
+    if not record_init then []
+    else
+      let bv = Ir.array p ~name:"b" ~init:b in
+      [
+        upto i n [ Ir.Store (x, Ir.Ireg i, Ir.Fconst 0., "x[i] = 0") ];
+        upto i n [ Ir.Store (r, Ir.Ireg i, load bv (Ir.Ireg i), "r[i] = b[i]") ];
+        upto i n [ Ir.Store (pv, Ir.Ireg i, load r (Ir.Ireg i), "p[i] = r[i]") ];
+      ]
+  in
   (* One CSR row of A·p, unrolled to constant indices in entry order. *)
   let spmv_row row =
     fsum
@@ -53,14 +77,11 @@ let cg ~grid ~iterations ~tolerance =
   let dot_into ~label dst u v =
     [
       Ir.Flet (acc, Ir.Fconst 0.);
-      Ir.For
-        ( i,
-          Ir.Iconst 0,
-          Ir.Iconst n,
-          [
-            Ir.Flet
-              (acc, Ir.Fadd (Ir.Freg acc, Ir.Fmul (load u (Ir.Ireg i), load v (Ir.Ireg i))));
-          ] );
+      upto i n
+        [
+          Ir.Flet
+            (acc, Ir.Fadd (Ir.Freg acc, Ir.Fmul (load u (Ir.Ireg i), load v (Ir.Ireg i))));
+        ];
       Ir.Fassign (dst, Ir.Freg acc, label);
     ]
   in
@@ -70,58 +91,84 @@ let cg ~grid ~iterations ~tolerance =
     @ [
         Ir.Fassign (alpha, Ir.Fdiv (Ir.Freg rsold, Ir.Freg pq), "alpha = rsold/pq");
         Ir.Guard (Ir.Freg alpha, "cg.alpha");
-        Ir.For
-          ( i,
-            Ir.Iconst 0,
-            Ir.Iconst n,
-            [
-              Ir.Store
-                ( x,
-                  Ir.Ireg i,
-                  Ir.Fadd (load x (Ir.Ireg i), Ir.Fmul (Ir.Freg alpha, load pv (Ir.Ireg i))),
-                  "x[i] += alpha*p[i]" );
-            ] );
-        Ir.For
-          ( i,
-            Ir.Iconst 0,
-            Ir.Iconst n,
-            [
-              Ir.Store
-                ( r,
-                  Ir.Ireg i,
-                  Ir.Fsub (load r (Ir.Ireg i), Ir.Fmul (Ir.Freg alpha, load q (Ir.Ireg i))),
-                  "r[i] -= alpha*q[i]" );
-            ] );
+        upto i n
+          [
+            Ir.Store
+              ( x,
+                Ir.Ireg i,
+                Ir.Fadd (load x (Ir.Ireg i), Ir.Fmul (Ir.Freg alpha, load pv (Ir.Ireg i))),
+                "x[i] += alpha*p[i]" );
+          ];
+        upto i n
+          [
+            Ir.Store
+              ( r,
+                Ir.Ireg i,
+                Ir.Fsub (load r (Ir.Ireg i), Ir.Fmul (Ir.Freg alpha, load q (Ir.Ireg i))),
+                "r[i] -= alpha*q[i]" );
+          ];
       ]
     @ dot_into ~label:"rsnew = r.r" rsnew r r
     @ [
         Ir.Fassign (beta, Ir.Fdiv (Ir.Freg rsnew, Ir.Freg rsold), "beta = rsnew/rsold");
         Ir.Guard (Ir.Freg beta, "cg.beta");
-        Ir.For
-          ( i,
-            Ir.Iconst 0,
-            Ir.Iconst n,
-            [
-              Ir.Store
-                ( pv,
-                  Ir.Ireg i,
-                  Ir.Fadd (load r (Ir.Ireg i), Ir.Fmul (Ir.Freg beta, load pv (Ir.Ireg i))),
-                  "p[i] = r[i]+beta*p[i]" );
-            ] );
+        upto i n
+          [
+            Ir.Store
+              ( pv,
+                Ir.Ireg i,
+                Ir.Fadd (load r (Ir.Ireg i), Ir.Fmul (Ir.Freg beta, load pv (Ir.Ireg i))),
+                "p[i] = r[i]+beta*p[i]" );
+          ];
         Ir.Flet (rsold, Ir.Freg rsnew);
       ]
   in
   Ir.set_body p
-    (dot_into ~label:"rsold = r.r" rsold r r
+    (init
+    @ dot_into ~label:"rsold = r.r" rsold r r
     @ [ Ir.For (it, Ir.Iconst 0, Ir.Iconst iterations, iteration) ]);
   Ir.output_array p x;
+  set_phases p
+    [
+      ("cg.init", [ "x[i] = 0"; "r[i] = b[i]"; "p[i] = r[i]"; "rsold = r.r" ]);
+      ("cg.spmv", [ "q[i] = (A p)[i]" ]);
+      ("cg.reduce", [ "pq = p.q"; "alpha = rsold/pq"; "rsnew = r.r"; "beta = rsnew/rsold" ]);
+      ("cg.update", [ "x[i] += alpha*p[i]"; "r[i] -= alpha*q[i]"; "p[i] = r[i]+beta*p[i]" ]);
+    ];
   p
 
 let cg_oracle ~grid ~iterations =
-  Cg.solve_plain (Poisson.matrix ~grid) (Poisson.rhs ~grid) ~iterations
+  let a = Poisson.matrix ~grid and b = Poisson.rhs ~grid in
+  let n = Array.length b in
+  let dot u v =
+    let acc = ref 0. in
+    for i = 0 to n - 1 do
+      acc := !acc +. (u.(i) *. v.(i))
+    done;
+    !acc
+  in
+  let x = Array.make n 0. and r = Array.copy b and p = Array.copy b in
+  let rsold = ref (dot r r) in
+  for _ = 1 to iterations do
+    let q = Csr.spmv a p in
+    let alpha = !rsold /. dot p q in
+    for i = 0 to n - 1 do
+      x.(i) <- x.(i) +. (alpha *. p.(i))
+    done;
+    for i = 0 to n - 1 do
+      r.(i) <- r.(i) -. (alpha *. q.(i))
+    done;
+    let rsnew = dot r r in
+    let beta = rsnew /. !rsold in
+    for i = 0 to n - 1 do
+      p.(i) <- r.(i) +. (beta *. p.(i))
+    done;
+    rsold := rsnew
+  done;
+  x
 
 (* ------------------------------------------------------------------ *)
-(* Blocked LU without pivoting (port of [Lu]).                         *)
+(* Blocked LU without pivoting.                                        *)
 
 let lu_input ~n ~seed = Dense.random_diagonally_dominant (Rng.create ~seed) ~n
 
@@ -250,18 +297,56 @@ let lu ~n ~block ~seed ~tolerance =
           ] );
     ];
   Ir.output_array p m;
+  set_phases p
+    [
+      ("lu.panel", [ "panel elimination" ]);
+      ("lu.row_block", [ "U row block update" ]);
+      ("lu.trailing", [ "trailing update" ]);
+    ];
   p
 
-let lu_oracle ~n ~block ~seed = Dense.flatten (Lu.factor_plain (lu_input ~n ~seed) ~block)
+let lu_oracle ~n ~block ~seed =
+  let m = lu_input ~n ~seed in
+  for step = 0 to (n / block) - 1 do
+    let kb = step * block in
+    let kmax = kb + block in
+    for k = kb to kmax - 1 do
+      let pivot = m.(k).(k) in
+      for i = k + 1 to n - 1 do
+        m.(i).(k) <- m.(i).(k) /. pivot
+      done;
+      for i = k + 1 to n - 1 do
+        for j = k + 1 to kmax - 1 do
+          m.(i).(j) <- m.(i).(j) -. (m.(i).(k) *. m.(k).(j))
+        done
+      done
+    done;
+    for k = kb to kmax - 1 do
+      for i = k + 1 to kmax - 1 do
+        for j = kmax to n - 1 do
+          m.(i).(j) <- m.(i).(j) -. (m.(i).(k) *. m.(k).(j))
+        done
+      done
+    done;
+    for i = kmax to n - 1 do
+      for j = kmax to n - 1 do
+        let acc = ref 0. in
+        for k = kb to kmax - 1 do
+          acc := !acc +. (m.(i).(k) *. m.(k).(j))
+        done;
+        m.(i).(j) <- m.(i).(j) -. !acc
+      done
+    done
+  done;
+  Dense.flatten m
 
 (* ------------------------------------------------------------------ *)
-(* Six-step FFT (port of [Fft]).                                       *)
+(* Six-step FFT.                                                       *)
 
 let pi = 4. *. atan 1.
 
-(* Mirrors [Fft.make_stage_tables] (not exported): identical operations in
-   identical order, so the twiddle constants are bit-identical to the
-   closure benchmark's. *)
+(* Per-stage butterfly factors of a radix-2 FFT of length [len]: for each
+   stage size m (2, 4, ..., len) the factors w_m^k, k < m/2. *)
 let fft_stage_tables len =
   let stages = ref [] in
   let m = ref 2 in
@@ -278,8 +363,7 @@ let fft_stage_tables len =
   done;
   Array.of_list (List.rev !stages)
 
-(* The swap pairs [Fft.fft_row]'s bit-reversal permutation performs, in
-   its order. *)
+(* The swap pairs of the in-place bit-reversal permutation, in order. *)
 let bit_reversal_pairs len =
   let pairs = ref [] in
   let j = ref 0 in
@@ -294,9 +378,10 @@ let bit_reversal_pairs len =
   done;
   List.rev !pairs
 
-(* Unrolled radix-2 row FFT over [base + 0 .. base + len - 1], store
-   order exactly [Fft.fft_row]'s; butterfly temporaries are scratch
-   [Flet]s (never injection sites, like the closure's OCaml lets). *)
+(* Unrolled in-place radix-2 decimation-in-time FFT over
+   [base + 0 .. base + len - 1]: bit-reversal swaps, then the butterfly
+   stages. Butterfly temporaries are scratch [Flet]s (never injection
+   sites). *)
 let fft_row_stmts ~tmp:(tr, ti, ur, ui) ~label ~tables re im base ~len =
   let idx c = Ir.Iadd (base, Ir.Iconst c) in
   let swaps =
@@ -346,20 +431,30 @@ let fft_row_stmts ~tmp:(tr, ti, ur, ui) ~label ~tables re im base ~len =
   done;
   swaps @ List.concat (List.rev !butterflies)
 
-let fft_config ~n1 ~n2 ~seed ~tolerance = { Fft.n1; n2; seed; tolerance }
+(* The deterministic random input signal (re, im), [n1·n2] points. *)
+let fft_input ~n1 ~n2 ~seed =
+  let n = n1 * n2 in
+  let rng = Rng.create ~seed in
+  let re = Array.init n (fun _ -> -1. +. Rng.float rng 2.) in
+  let im = Array.init n (fun _ -> -1. +. Rng.float rng 2.) in
+  (re, im)
+
+(* The step-3 twiddle factors w^r for every residue r of (j2·k1) mod n. *)
+let fft_twiddles n =
+  ( Array.init n (fun r -> cos (-2. *. pi *. float_of_int r /. float_of_int n)),
+    Array.init n (fun r -> sin (-2. *. pi *. float_of_int r /. float_of_int n)) )
 
 let fft ~n1 ~n2 ~seed ~tolerance =
   let is_pow2 v = v > 0 && v land (v - 1) = 0 in
   if not (is_pow2 n1 && is_pow2 n2) then
     invalid_arg "Ir_kernels.fft: n1 and n2 must be powers of two";
   let n = n1 * n2 in
-  let input = Fft.input_signal (fft_config ~n1 ~n2 ~seed ~tolerance) in
+  let input_re, input_im = fft_input ~n1 ~n2 ~seed in
   let tables1 = fft_stage_tables n1 and tables2 = fft_stage_tables n2 in
-  let tw_re = Array.init n (fun r -> cos (-2. *. pi *. float_of_int r /. float_of_int n)) in
-  let tw_im = Array.init n (fun r -> sin (-2. *. pi *. float_of_int r /. float_of_int n)) in
+  let tw_re, tw_im = fft_twiddles n in
   let p = Ir.create ~name:"ir.fft" ~tolerance in
-  let in_re = Ir.array p ~name:"in_re" ~init:input.Fft.re in
-  let in_im = Ir.array p ~name:"in_im" ~init:input.Fft.im in
+  let in_re = Ir.array p ~name:"in_re" ~init:input_re in
+  let in_im = Ir.array p ~name:"in_im" ~init:input_im in
   let are = Ir.array p ~name:"a_re" ~init:(Array.make n 0.) in
   let aim = Ir.array p ~name:"a_im" ~init:(Array.make n 0.) in
   let bre = Ir.array p ~name:"b_re" ~init:(Array.make n 0.) in
@@ -498,15 +593,90 @@ let fft ~n1 ~n2 ~seed ~tolerance =
   in
   Ir.set_body p (step1 @ step2 @ step3 @ step4 @ step5 @ step6);
   Ir.output_array p out;
+  (* Every store of a step is one static instruction, "store", of the
+     step's phase. *)
+  Ir.set_statics p
+    (List.map
+       (fun step -> (step, { Static.phase = "fft." ^ step; label = "store" }))
+       [ "transpose1"; "fft1"; "twiddle"; "transpose2"; "fft2"; "transpose3" ]);
   p
 
+let fft_row_plain ~tables re im ~off ~len =
+  List.iter
+    (fun (a, b) ->
+      let ra = re.(off + a) and ia = im.(off + a) in
+      re.(off + a) <- re.(off + b);
+      im.(off + a) <- im.(off + b);
+      re.(off + b) <- ra;
+      im.(off + b) <- ia)
+    (bit_reversal_pairs len);
+  Array.iteri
+    (fun stage (wr_t, wi_t) ->
+      let m = 2 lsl stage in
+      let half = m / 2 in
+      for k = 0 to half - 1 do
+        let wr = wr_t.(k) and wi = wi_t.(k) in
+        let i = ref k in
+        while !i < len do
+          let lo = off + !i and hi = off + !i + half in
+          let tr = (wr *. re.(hi)) -. (wi *. im.(hi)) in
+          let ti = (wr *. im.(hi)) +. (wi *. re.(hi)) in
+          let ur = re.(lo) and ui = im.(lo) in
+          re.(lo) <- ur +. tr;
+          im.(lo) <- ui +. ti;
+          re.(hi) <- ur -. tr;
+          im.(hi) <- ui -. ti;
+          i := !i + m
+        done
+      done)
+    tables
+
 let fft_oracle ~n1 ~n2 ~seed =
-  let r = Fft.six_step_plain (fft_config ~n1 ~n2 ~seed ~tolerance:1.) in
-  Array.append r.Fft.re r.Fft.im
+  let n = n1 * n2 in
+  let input_re, input_im = fft_input ~n1 ~n2 ~seed in
+  let tw_re, tw_im = fft_twiddles n in
+  let are = Array.make n 0. and aim = Array.make n 0. in
+  for j1 = 0 to n1 - 1 do
+    for j2 = 0 to n2 - 1 do
+      are.((j2 * n1) + j1) <- input_re.((j1 * n2) + j2);
+      aim.((j2 * n1) + j1) <- input_im.((j1 * n2) + j2)
+    done
+  done;
+  let tables1 = fft_stage_tables n1 in
+  for j2 = 0 to n2 - 1 do
+    fft_row_plain ~tables:tables1 are aim ~off:(j2 * n1) ~len:n1
+  done;
+  for j2 = 0 to n2 - 1 do
+    for k1 = 0 to n1 - 1 do
+      let w = j2 * k1 mod n and ix = (j2 * n1) + k1 in
+      let vr = are.(ix) and vi = aim.(ix) in
+      are.(ix) <- (vr *. tw_re.(w)) -. (vi *. tw_im.(w));
+      aim.(ix) <- (vr *. tw_im.(w)) +. (vi *. tw_re.(w))
+    done
+  done;
+  let bre = Array.make n 0. and bim = Array.make n 0. in
+  for j2 = 0 to n2 - 1 do
+    for k1 = 0 to n1 - 1 do
+      bre.((k1 * n2) + j2) <- are.((j2 * n1) + k1);
+      bim.((k1 * n2) + j2) <- aim.((j2 * n1) + k1)
+    done
+  done;
+  let tables2 = fft_stage_tables n2 in
+  for k1 = 0 to n1 - 1 do
+    fft_row_plain ~tables:tables2 bre bim ~off:(k1 * n2) ~len:n2
+  done;
+  let out = Array.make (2 * n) 0. in
+  for k1 = 0 to n1 - 1 do
+    for k2 = 0 to n2 - 1 do
+      out.((k2 * n1) + k1) <- bre.((k1 * n2) + k2);
+      out.(n + (k2 * n1) + k1) <- bim.((k1 * n2) + k2)
+    done
+  done;
+  out
 
 (* ------------------------------------------------------------------ *)
-(* Jacobi solver (port of [Jacobi]); even sweep counts ping-pong        *)
-(* between the two grids, leaving the result in the source array.      *)
+(* Jacobi solver; even sweep counts ping-pong between the two grids,    *)
+(* leaving the result in the source array.                             *)
 
 let jacobi ~grid ~sweeps ~tolerance =
   if grid <= 0 then invalid_arg "Ir_kernels.jacobi: grid must be positive";
@@ -518,7 +688,7 @@ let jacobi ~grid ~sweeps ~tolerance =
   let p = Ir.create ~name:"ir.jacobi" ~tolerance in
   let src = Ir.array p ~name:"x" ~init:(Array.make n 0.) in
   let dst = Ir.array p ~name:"x'" ~init:(Array.make n 0.) in
-  let s = Ir.ireg p in
+  let s = Ir.ireg p and i = Ir.ireg p in
   let sweep from_a to_a =
     List.init n (fun row ->
         let off = ref (Ir.Fconst 0.) and diag = ref 1. in
@@ -537,14 +707,36 @@ let jacobi ~grid ~sweeps ~tolerance =
             "x'[i] = (b[i]-s)/d" ))
   in
   Ir.set_body p
-    [ Ir.For (s, Ir.Iconst 0, Ir.Iconst (sweeps / 2), sweep src dst @ sweep dst src) ];
+    [
+      upto i n [ Ir.Store (src, Ir.Ireg i, Ir.Fconst 0., "x[i] = 0") ];
+      Ir.For (s, Ir.Iconst 0, Ir.Iconst (sweeps / 2), sweep src dst @ sweep dst src);
+    ];
   Ir.output_array p src;
+  set_phases p [ ("jacobi.init", [ "x[i] = 0" ]); ("jacobi.sweep", [ "x'[i] = (b[i]-s)/d" ]) ];
   p
 
-let jacobi_oracle ~grid ~sweeps = Jacobi.solve_plain { Jacobi.grid; sweeps; tolerance = 1. }
+let jacobi_oracle ~grid ~sweeps =
+  let a = Poisson.matrix ~grid and b = Poisson.rhs ~grid in
+  let n = Array.length b in
+  let src = ref (Array.make n 0.) and dst = ref (Array.make n 0.) in
+  for _ = 1 to sweeps do
+    for i = 0 to n - 1 do
+      let off_diag = ref 0. and diag = ref 1. in
+      for k = a.Csr.row_ptr.(i) to a.Csr.row_ptr.(i + 1) - 1 do
+        let j = a.Csr.col_idx.(k) in
+        if j = i then diag := a.Csr.values.(k)
+        else off_diag := !off_diag +. (a.Csr.values.(k) *. !src.(j))
+      done;
+      !dst.(i) <- (b.(i) -. !off_diag) /. !diag
+    done;
+    let tmp = !src in
+    src := !dst;
+    dst := tmp
+  done;
+  !src
 
 (* ------------------------------------------------------------------ *)
-(* Blocked GEMM (port of [Gemm]).                                      *)
+(* Blocked GEMM.                                                       *)
 
 let gemm_inputs ~n ~seed =
   let rng = Rng.create ~seed in
@@ -628,19 +820,35 @@ let gemm ~n ~block ~seed ~tolerance =
           ] );
     ];
   Ir.output_array p c;
+  set_phases p [ ("gemm.update", [ "c[i][j] += block dot" ]) ];
   p
 
-let gemm_oracle ~n ~block ~seed = Gemm.multiply_plain { Gemm.n; block; seed; tolerance = 1. }
+let gemm_oracle ~n ~block ~seed =
+  let a, b = gemm_inputs ~n ~seed in
+  let c = Array.make (n * n) 0. in
+  for kb = 0 to (n / block) - 1 do
+    for ib = 0 to (n / block) - 1 do
+      for jb = 0 to (n / block) - 1 do
+        for i = ib * block to ((ib + 1) * block) - 1 do
+          for j = jb * block to ((jb + 1) * block) - 1 do
+            let acc = ref 0. in
+            for k = kb * block to ((kb + 1) * block) - 1 do
+              acc := !acc +. (a.((i * n) + k) *. b.((k * n) + j))
+            done;
+            c.((i * n) + j) <- c.((i * n) + j) +. !acc
+          done
+        done
+      done
+    done
+  done;
+  c
 
 (* ------------------------------------------------------------------ *)
-(* Register-accumulated matmul (port of [Matprod.matmul_program],      *)
-(* including its recorded input loads).                                *)
+(* Register-accumulated matmul, including the recorded input loads.    *)
 
 let matmul ~n ~seed ~tolerance =
   if n <= 0 then invalid_arg "Ir_kernels.matmul: n must be positive";
-  let rng = Rng.create ~seed in
-  let af = Dense.flatten (Dense.random rng ~rows:n ~cols:n ~lo:(-1.) ~hi:1.) in
-  let bf = Dense.flatten (Dense.random rng ~rows:n ~cols:n ~lo:(-1.) ~hi:1.) in
+  let af, bf = gemm_inputs ~n ~seed in
   let p = Ir.create ~name:"ir.matmul" ~tolerance in
   let a = Ir.array p ~name:"a" ~init:af in
   let b = Ir.array p ~name:"b" ~init:bf in
@@ -702,35 +910,37 @@ let matmul ~n ~seed ~tolerance =
           ] );
     ];
   Ir.output_array p c;
+  set_phases p
+    [
+      ("matmul.init", [ "load a[i][j]"; "load b[i][j]" ]);
+      ("matmul.prod", [ "c[i][j] = a[i].b[:][j]" ]);
+    ];
   p
 
-let matmul_oracle ~n ~seed = Matprod.matmul_plain { Matprod.n; seed; tolerance = 1. }
+let matmul_oracle ~n ~seed =
+  let rng = Rng.create ~seed in
+  let a = Dense.random rng ~rows:n ~cols:n ~lo:(-1.) ~hi:1. in
+  let b = Dense.random rng ~rows:n ~cols:n ~lo:(-1.) ~hi:1. in
+  Dense.flatten (Dense.matmul a b)
 
 (* ------------------------------------------------------------------ *)
-(* 2-D five-point stencil (port of [Stencil]) on a zero-padded          *)
-(* (size+2)² grid: the padding stands in for the closure's bounds       *)
-(* checks, the border cells are never written and never recorded, and   *)
-(* even sweep counts ping-pong so the result lands back in [src].       *)
+(* 2-D five-point stencil on a zero-padded (size+2)² grid: the padding  *)
+(* stands in for bounds checks (an out-of-grid neighbour reads 0), the  *)
+(* border cells are never written and never recorded, and even sweep   *)
+(* counts ping-pong so the result lands back in [src].                  *)
 
-let stencil_pad ~size flat =
-  let w = size + 2 in
-  let padded = Array.make (w * w) 0. in
-  for i = 0 to size - 1 do
-    for j = 0 to size - 1 do
-      padded.(((i + 1) * w) + j + 1) <- flat.((i * size) + j)
-    done
-  done;
-  padded
+let stencil_input ~size ~seed =
+  let rng = Rng.create ~seed in
+  Array.init (size * size) (fun _ -> Rng.float rng 1.)
 
 let stencil ~size ~sweeps ~seed ~tolerance =
   if size <= 0 then invalid_arg "Ir_kernels.stencil: size must be positive";
   if sweeps <= 0 || sweeps mod 2 <> 0 then
     invalid_arg "Ir_kernels.stencil: sweeps must be positive and even";
-  let rng = Rng.create ~seed in
-  let init = Array.init (size * size) (fun _ -> Rng.float rng 1.) in
   let w = size + 2 in
   let p = Ir.create ~name:"ir.stencil" ~tolerance in
-  let src = Ir.array p ~name:"grid" ~init:(stencil_pad ~size init) in
+  let input = Ir.array p ~name:"input" ~init:(stencil_input ~size ~seed) in
+  let src = Ir.array p ~name:"grid" ~init:(Array.make (w * w) 0.) in
   let dst = Ir.array p ~name:"grid'" ~init:(Array.make (w * w) 0.) in
   let s = Ir.ireg p and i = Ir.ireg p and j = Ir.ireg p in
   let sweep from_a to_a =
@@ -765,13 +975,113 @@ let stencil ~size ~sweeps ~seed ~tolerance =
           ] );
     ]
   in
+  let load_input =
+    upto i size
+      [
+        upto j size
+          [
+            Ir.Store
+              ( src,
+                idx2 ~cols:w (Ir.Iadd (Ir.Ireg i, Ir.Iconst 1)) (Ir.Iadd (Ir.Ireg j, Ir.Iconst 1)),
+                Ir.Fload (input, idx2 ~cols:size (Ir.Ireg i) (Ir.Ireg j)),
+                "grid[i][j] = random" );
+          ];
+      ]
+  in
   Ir.set_body p
-    [ Ir.For (s, Ir.Iconst 0, Ir.Iconst (sweeps / 2), sweep src dst @ sweep dst src) ];
+    [
+      load_input;
+      Ir.For (s, Ir.Iconst 0, Ir.Iconst (sweeps / 2), sweep src dst @ sweep dst src);
+    ];
   Ir.output_array p src;
+  set_phases p
+    [ ("stencil.init", [ "grid[i][j] = random" ]); ("stencil.sweep", [ "grid'[i][j] = avg" ]) ];
   p
 
 let stencil_oracle ~size ~sweeps ~seed =
-  stencil_pad ~size (Stencil.run_plain { Stencil.size; sweeps; seed; tolerance = 1. })
+  let w = size + 2 in
+  let input = stencil_input ~size ~seed in
+  let src = ref (Array.make (w * w) 0.) and dst = ref (Array.make (w * w) 0.) in
+  for i = 0 to size - 1 do
+    for j = 0 to size - 1 do
+      !src.(((i + 1) * w) + j + 1) <- input.((i * size) + j)
+    done
+  done;
+  for _ = 1 to sweeps do
+    let from = !src in
+    let at i j = from.((i * w) + j) in
+    for i = 1 to size do
+      for j = 1 to size do
+        !dst.((i * w) + j) <-
+          0.2 *. (at i j +. at (i - 1) j +. at (i + 1) j +. at i (j - 1) +. at i (j + 1))
+      done
+    done;
+    src := !dst;
+    dst := from
+  done;
+  !src
+
+(* ------------------------------------------------------------------ *)
+(* Chained dense mat-vec y <- A y: the input vector's recorded loads,  *)
+(* then [reps] products, each a fresh vector (ping-pong buffers).      *)
+
+(* Row-sum-normalised random matrix (flattened) and input vector: every
+   |row| sums to <= 1, so the chain is non-expansive and the golden
+   values stay O(1). *)
+let matvec_inputs ~n ~seed =
+  let rng = Rng.create ~seed in
+  let m = Dense.random rng ~rows:n ~cols:n ~lo:(-1.) ~hi:1. in
+  Array.iter
+    (fun row ->
+      let sum = Array.fold_left (fun acc v -> acc +. abs_float v) 0. row in
+      if sum > 0. then Array.iteri (fun j v -> row.(j) <- v /. sum) row)
+    m;
+  let x = Array.init n (fun _ -> -1. +. Rng.float rng 2.) in
+  (m, x)
+
+let matvec ~n ~reps ~seed ~tolerance =
+  if n <= 0 then invalid_arg "Ir_kernels.matvec: n must be positive";
+  if reps <= 0 then invalid_arg "Ir_kernels.matvec: reps must be positive";
+  let m, xv = matvec_inputs ~n ~seed in
+  let p = Ir.create ~name:"matvec" ~tolerance in
+  let a = Ir.array p ~name:"a" ~init:(Dense.flatten m) in
+  let x = Ir.array p ~name:"x" ~init:xv in
+  let buf =
+    [| Ir.array p ~name:"y" ~init:(Array.make n 0.); Ir.array p ~name:"y'" ~init:(Array.make n 0.) |]
+  in
+  let acc = Ir.freg p in
+  let i = Ir.ireg p and j = Ir.ireg p in
+  let product src dst =
+    upto i n
+      [
+        Ir.Flet (acc, Ir.Fconst 0.);
+        upto j n
+          [
+            Ir.Flet
+              ( acc,
+                Ir.Fadd
+                  ( Ir.Freg acc,
+                    Ir.Fmul
+                      ( Ir.Fload (a, idx2 ~cols:n (Ir.Ireg i) (Ir.Ireg j)),
+                        Ir.Fload (src, Ir.Ireg j) ) ) );
+          ];
+        Ir.Store (dst, Ir.Ireg i, Ir.Freg acc, "y'[i] = (A y)[i]");
+      ]
+  in
+  Ir.set_body p
+    (upto i n [ Ir.Store (buf.(0), Ir.Ireg i, Ir.Fload (x, Ir.Ireg i), "y[i] = x[i]") ]
+    :: List.init reps (fun r -> product buf.(r mod 2) buf.((r + 1) mod 2)));
+  Ir.output_array p buf.(reps mod 2);
+  set_phases p [ ("matvec.init", [ "y[i] = x[i]" ]); ("matvec.prod", [ "y'[i] = (A y)[i]" ]) ];
+  p
+
+let matvec_oracle ~n ~reps ~seed =
+  let m, x = matvec_inputs ~n ~seed in
+  let y = ref x in
+  for _ = 1 to reps do
+    y := Dense.matvec m !y
+  done;
+  !y
 
 (* ------------------------------------------------------------------ *)
 (* The suite registry: every IR kernel at its campaign configuration,  *)
@@ -785,7 +1095,7 @@ let suite : (string * (unit -> Ir.t)) list =
     ("ir.stencil3", fun () -> Ftb_ir.Programs.stencil3 ~n:32 ~sweeps:4 ~seed:13 ~tolerance:1e-9);
     ("ir.matvec", fun () -> Ftb_ir.Programs.matvec ~n:16 ~seed:14 ~tolerance:1e-9);
     ("ir.normalize", fun () -> Ftb_ir.Programs.normalize ~n:24 ~seed:15 ~tolerance:1e-9);
-    ("ir.cg", fun () -> cg ~grid:6 ~iterations:8 ~tolerance:1e-4);
+    ("ir.cg", fun () -> cg ~grid:6 ~iterations:8 ~tolerance:1e-4 ~record_init:false);
     ("ir.lu", fun () -> lu ~n:12 ~block:4 ~seed:7 ~tolerance:1e-4);
     ("ir.fft", fun () -> fft ~n1:8 ~n2:8 ~seed:11 ~tolerance:1.0);
     ("ir.jacobi", fun () -> jacobi ~grid:6 ~sweeps:10 ~tolerance:1e-4);

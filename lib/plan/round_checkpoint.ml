@@ -1,5 +1,4 @@
 module Adaptive = Ftb_core.Adaptive
-module Fault = Ftb_trace.Fault
 module Models = Ftb_inject.Models
 module Persist = Ftb_inject.Persist
 module Sample_codec = Ftb_inject.Sample_codec
@@ -180,31 +179,15 @@ let parse_identity path = function
       }
   | _ -> fail path "malformed checkpoint header"
 
-let case_of_sample t (s : Sample_run.t) =
-  (s.Sample_run.fault.Fault.site * Models.spec_width t.spec) + s.Sample_run.fault.Fault.bit
-
-let decode_samples path t what blob =
+let decode_samples ?cases path t what blob =
   let samples =
     match Sample_codec.decode blob with
     | samples -> samples
     | exception Sample_codec.Format_error msg -> fail path "%s: %s" what msg
   in
-  let width = Models.spec_width t.spec in
-  Array.iter
-    (fun (s : Sample_run.t) ->
-      let fault = s.Sample_run.fault in
-      if fault.Fault.site >= t.sites || fault.Fault.bit >= width then
-        fail path "sample case %d outside the model's %d-case space" (case_of_sample t s)
-          (Models.total_cases t.spec ~sites:t.sites);
-      match s.Sample_run.propagation with
-      | Some (sites, _) when Array.length sites > 0 && sites.(Array.length sites - 1) >= t.sites
-        ->
-          (* Ascending, so the last site is the largest. *)
-          fail path "sample case %d propagates to site %d of %d" (case_of_sample t s)
-            sites.(Array.length sites - 1) t.sites
-      | Some _ | None -> ())
-    samples;
-  samples
+  match Sample_codec.validate t.spec ~sites:t.sites ?cases samples with
+  | Ok () -> samples
+  | Error msg -> fail path "%s: %s" what msg
 
 let check_pending path t cases =
   let total = Models.total_cases t.spec ~sites:t.sites in
@@ -270,11 +253,7 @@ let load_log path data =
               rounds_rev next
         | 'D', Some _ -> fail path "two draws without a folded round"
         | 'R', Some cases ->
-            let samples = decode_samples path t "round" payload in
-            if
-              Array.length samples <> Array.length cases
-              || not (Array.for_all2 (fun s case -> case_of_sample t s = case) samples cases)
-            then fail path "round record does not match the pending draw";
+            let samples = decode_samples ~cases path t "round record" payload in
             replay { t with rounds = t.rounds + 1; pending = None } (samples :: rounds_rev) next
         | 'R', None -> fail path "round record without a pending draw"
         | 'E', None -> (

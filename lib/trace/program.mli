@@ -76,8 +76,10 @@ type t = {
           under [ctx] until it is about to record dynamic instruction
           [stop_at], then snapshots the interpreter state and pauses.
           Backs the batched campaign executor, which runs the shared prefix
-          of a site's cases once. [None] for closure kernels, which
-          the executor transparently re-runs in full. *)
+          of a site's cases once. [None] for a program built directly
+          with {!make} around a hand-written body (the test oracles and
+          fixtures), which the executor transparently re-runs in full;
+          every suite program carries it. *)
   cone : (unit -> cone_plan option) option;
       (** dependent-cone capability: forces the cone analysis, built
           lazily on first use and retained while this is the program

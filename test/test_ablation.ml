@@ -4,7 +4,7 @@ module Context = Ftb_core.Context
 let context =
   lazy
     (Context.prepare ~name:"cg"
-       (Ftb_kernels.Cg.program { Ftb_kernels.Cg.grid = 3; iterations = 4; tolerance = 1e-4 }))
+       (Ftb_oracle.Cg.program { Ftb_oracle.Cg.grid = 3; iterations = 4; tolerance = 1e-4 }))
 
 let result = lazy (Study_ablation.run ~trials:2 ~seed:5 (Lazy.force context))
 

@@ -1,4 +1,4 @@
-module Cg = Ftb_kernels.Cg
+module Cg = Ftb_oracle.Cg
 module Poisson = Ftb_kernels.Poisson
 module Csr = Ftb_kernels.Csr
 module Golden = Ftb_trace.Golden

@@ -27,13 +27,14 @@ module Programs = Ftb_ir.Programs
    forces cone fallback on branch-feeding sites. *)
 let kernels =
   [
-    ("ir.cg", fun () -> Ir_kernels.cg ~grid:3 ~iterations:3 ~tolerance:1e-4);
+    ("ir.cg", fun () -> Ir_kernels.cg ~grid:3 ~iterations:3 ~tolerance:1e-4 ~record_init:true);
     ("ir.lu", fun () -> Ir_kernels.lu ~n:6 ~block:3 ~seed:7 ~tolerance:1e-4);
     ("ir.fft", fun () -> Ir_kernels.fft ~n1:4 ~n2:4 ~seed:11 ~tolerance:1.0);
     ("ir.jacobi", fun () -> Ir_kernels.jacobi ~grid:3 ~sweeps:2 ~tolerance:1e-4);
     ("ir.gemm", fun () -> Ir_kernels.gemm ~n:4 ~block:2 ~seed:21 ~tolerance:1e-3);
     ("ir.matmul", fun () -> Ir_kernels.matmul ~n:4 ~seed:9 ~tolerance:1e-3);
     ("ir.stencil", fun () -> Ir_kernels.stencil ~size:4 ~sweeps:2 ~seed:3 ~tolerance:1e-4);
+    ("matvec", fun () -> Ir_kernels.matvec ~n:4 ~reps:3 ~seed:5 ~tolerance:1e-3);
     ("ir.normalize", fun () -> Programs.normalize ~n:12 ~seed:15 ~tolerance:1e-9);
     ("ir.dot", fun () -> Programs.dot ~n:8 ~seed:11 ~tolerance:1e-9);
     ("ir.saxpy", fun () -> Programs.saxpy ~n:8 ~seed:12 ~tolerance:1e-9);

@@ -22,7 +22,7 @@ let test_cg_guard_can_fire () =
   (* Exponent-range flips on reduction scalars can blow alpha/beta up to
      non-finite values; somewhere in the space the guard must trap. *)
   let program =
-    Ftb_kernels.Cg.program { Ftb_kernels.Cg.grid = 4; iterations = 6; tolerance = 1e-4 }
+    Ftb_oracle.Cg.program { Ftb_oracle.Cg.grid = 4; iterations = 6; tolerance = 1e-4 }
   in
   let golden = Golden.run program in
   let crashes =
@@ -37,7 +37,7 @@ let test_lu_pivot_guard () =
      division produce huge values; bit 62 on a pivot-feeding site must be
      able to crash the factorisation. *)
   let program =
-    Ftb_kernels.Lu.program { Ftb_kernels.Lu.n = 8; block = 4; seed = 7; tolerance = 1e-4 }
+    Ftb_oracle.Lu.program { Ftb_oracle.Lu.n = 8; block = 4; seed = 7; tolerance = 1e-4 }
   in
   let golden = Golden.run program in
   let crashes =
@@ -69,7 +69,7 @@ let test_nonfinite_output_without_guard_is_crash () =
   (* FFT has no guards; a non-finite value reaching the spectrum must be
      classified Crash via the output check, not SDC. *)
   let program =
-    Ftb_kernels.Fft.program { Ftb_kernels.Fft.n1 = 4; n2 = 4; seed = 11; tolerance = 1.0 }
+    Ftb_oracle.Fft.program { Ftb_oracle.Fft.n1 = 4; n2 = 4; seed = 11; tolerance = 1.0 }
   in
   let golden = Golden.run program in
   (* Find a site whose value has the top exponent bit clear so bit 62

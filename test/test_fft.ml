@@ -1,4 +1,4 @@
-module Fft = Ftb_kernels.Fft
+module Fft = Ftb_oracle.Fft
 module Golden = Ftb_trace.Golden
 module Norms = Ftb_util.Norms
 module Rng = Ftb_util.Rng

@@ -1,5 +1,5 @@
-module Gemm = Ftb_kernels.Gemm
-module Matprod = Ftb_kernels.Matprod
+module Gemm = Ftb_oracle.Gemm
+module Matprod = Ftb_oracle.Matprod
 module Dense = Ftb_kernels.Dense
 module Golden = Ftb_trace.Golden
 module Norms = Ftb_util.Norms

@@ -12,8 +12,8 @@ module Context = Ftb_core.Context
 
 let stencil_program =
   lazy
-    (Ftb_kernels.Stencil.program
-       { Ftb_kernels.Stencil.size = 5; sweeps = 3; seed = 3; tolerance = 1e-4 })
+    (Ftb_oracle.Stencil.program
+       { Ftb_oracle.Stencil.size = 5; sweeps = 3; seed = 3; tolerance = 1e-4 })
 
 let context = lazy (Context.prepare ~name:"stencil" (Lazy.force stencil_program))
 

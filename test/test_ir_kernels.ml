@@ -21,7 +21,7 @@ let check_bits what expected actual =
    campaigns. *)
 let tiny =
   [
-    ("ir.cg", (fun () -> Ir_kernels.cg ~grid:3 ~iterations:3 ~tolerance:1e-4),
+    ("ir.cg", (fun () -> Ir_kernels.cg ~grid:3 ~iterations:3 ~tolerance:1e-4 ~record_init:true),
      fun () -> Ir_kernels.cg_oracle ~grid:3 ~iterations:3);
     ("ir.lu", (fun () -> Ir_kernels.lu ~n:6 ~block:3 ~seed:7 ~tolerance:1e-4),
      fun () -> Ir_kernels.lu_oracle ~n:6 ~block:3 ~seed:7);
@@ -35,6 +35,8 @@ let tiny =
      fun () -> Ir_kernels.matmul_oracle ~n:4 ~seed:9);
     ("ir.stencil", (fun () -> Ir_kernels.stencil ~size:4 ~sweeps:2 ~seed:3 ~tolerance:1e-4),
      fun () -> Ir_kernels.stencil_oracle ~size:4 ~sweeps:2 ~seed:3);
+    ("matvec", (fun () -> Ir_kernels.matvec ~n:4 ~reps:3 ~seed:5 ~tolerance:1e-3),
+     fun () -> Ir_kernels.matvec_oracle ~n:4 ~reps:3 ~seed:5);
   ]
 
 let test_oracle_identity () =

@@ -1,4 +1,4 @@
-module Jacobi = Ftb_kernels.Jacobi
+module Jacobi = Ftb_oracle.Jacobi
 module Poisson = Ftb_kernels.Poisson
 module Csr = Ftb_kernels.Csr
 module Golden = Ftb_trace.Golden

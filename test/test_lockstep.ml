@@ -76,8 +76,8 @@ let test_streaming_consumer_sees_all_deviations () =
 let test_works_on_real_kernel () =
   (* Cross-check on a kernel with loops and mutable state. *)
   let p =
-    Ftb_kernels.Stencil.program
-      { Ftb_kernels.Stencil.size = 5; sweeps = 2; seed = 3; tolerance = 1e-4 }
+    Ftb_oracle.Stencil.program
+      { Ftb_oracle.Stencil.size = 5; sweeps = 2; seed = 3; tolerance = 1e-4 }
   in
   let g = Golden.run p in
   List.iter

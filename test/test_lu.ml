@@ -1,4 +1,4 @@
-module Lu = Ftb_kernels.Lu
+module Lu = Ftb_oracle.Lu
 module Dense = Ftb_kernels.Dense
 module Golden = Ftb_trace.Golden
 module Norms = Ftb_util.Norms

@@ -1,4 +1,4 @@
-module Matprod = Ftb_kernels.Matprod
+module Matprod = Ftb_oracle.Matprod
 module Golden = Ftb_trace.Golden
 module Norms = Ftb_util.Norms
 

@@ -1,12 +1,12 @@
 module Study_overhead = Ftb_core.Study_overhead
 
-let config = { Ftb_kernels.Stencil.size = 5; sweeps = 2; seed = 3; tolerance = 1e-4 }
+let config = { Ftb_oracle.Stencil.size = 5; sweeps = 2; seed = 3; tolerance = 1e-4 }
 
 let result =
   lazy
     (Study_overhead.run ~repetitions:3 ~name:"stencil"
-       ~plain:(fun () -> Ftb_kernels.Stencil.run_plain config)
-       (Ftb_kernels.Stencil.program config))
+       ~plain:(fun () -> Ftb_oracle.Stencil.run_plain config)
+       (Ftb_oracle.Stencil.program config))
 
 let test_fields_positive () =
   let r = Lazy.force result in
@@ -28,7 +28,7 @@ let test_fields_positive () =
 let test_without_plain_oracle () =
   let r =
     Study_overhead.run ~repetitions:2 ~name:"stencil"
-      (Ftb_kernels.Stencil.program config)
+      (Ftb_oracle.Stencil.program config)
   in
   Alcotest.(check bool) "plain is nan" true (Float.is_nan r.Study_overhead.plain_ns)
 
@@ -45,7 +45,7 @@ let test_render () =
 
 let test_invalid_repetitions () =
   match
-    Study_overhead.run ~repetitions:0 ~name:"x" (Ftb_kernels.Stencil.program config)
+    Study_overhead.run ~repetitions:0 ~name:"x" (Ftb_oracle.Stencil.program config)
   with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "0 repetitions accepted"

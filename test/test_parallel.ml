@@ -28,8 +28,8 @@ let test_parallel_on_real_kernel () =
   (* A kernel with internal mutable working state must still be re-entrant
      across domains (fresh state per run). *)
   let program =
-    Ftb_kernels.Stencil.program
-      { Ftb_kernels.Stencil.size = 5; sweeps = 3; seed = 3; tolerance = 1e-4 }
+    Ftb_oracle.Stencil.program
+      { Ftb_oracle.Stencil.size = 5; sweeps = 3; seed = 3; tolerance = 1e-4 }
   in
   let g = Golden.run program in
   let serial = Ground_truth.run g in

@@ -1,4 +1,4 @@
-module Stencil = Ftb_kernels.Stencil
+module Stencil = Ftb_oracle.Stencil
 module Golden = Ftb_trace.Golden
 module Norms = Ftb_util.Norms
 

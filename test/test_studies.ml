@@ -9,7 +9,7 @@ module Ground_truth = Ftb_inject.Ground_truth
 (* A tiny CG instance keeps the exhaustive campaigns inside the test budget
    while exercising the full pipeline end to end. *)
 let tiny_cg grid =
-  Ftb_kernels.Cg.program { Ftb_kernels.Cg.grid; iterations = 4; tolerance = 1e-4 }
+  Ftb_oracle.Cg.program { Ftb_oracle.Cg.grid; iterations = 4; tolerance = 1e-4 }
 
 let context = lazy (Context.prepare ~name:"cg" (tiny_cg 3))
 let linear_context = lazy (Context.prepare ~name:"linear" (Helpers.linear_program ()))

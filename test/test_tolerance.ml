@@ -1,8 +1,8 @@
 module Study_tolerance = Ftb_core.Study_tolerance
 
 let make ~tolerance =
-  Ftb_kernels.Stencil.program
-    { Ftb_kernels.Stencil.size = 5; sweeps = 3; seed = 3; tolerance }
+  Ftb_oracle.Stencil.program
+    { Ftb_oracle.Stencil.size = 5; sweeps = 3; seed = 3; tolerance }
 
 let result =
   lazy (Study_tolerance.run ~fraction:0.05 ~seed:9 ~name:"stencil"

@@ -2,7 +2,8 @@
 # Full local gate: build, the whole test suite, and every end-to-end
 # smoke alias, on a bounded domain count so the run is reproducible on
 # small CI machines. FTB_DOMAINS can be overridden from the environment.
-# Ends by printing the source line totals of lib/, bin/, test/ and bench/.
+# Ends by printing the source line totals of lib/, bin/, test/, bench/ and
+# examples/.
 #
 # The build must be silent: dune only prints when something is wrong,
 # so any build output (warnings included) fails the gate loudly instead
@@ -30,11 +31,16 @@ dune runtest
 echo "== smoke aliases"
 dune build @campaign-smoke @bench-smoke @service-smoke @chaos-smoke @fleet-smoke @model-smoke @ir-smoke @compose-smoke @audit-smoke @adaptive-smoke @decode-fuzz --force
 
+echo "== paper harness (--quick)"
+csv_dir="$(mktemp -d)"
+trap 'rm -f "$build_log"; rm -rf "$csv_dir"' EXIT
+dune exec bench/main.exe -- --quick --csv "$csv_dir" > /dev/null
+
 echo "all checks passed"
 
 # Size on record: each change's growth or shrinkage shows up here.
 echo "== size (lines of *.ml + *.mli)"
-for dir in lib bin test bench; do
+for dir in lib bin test bench examples; do
   lines=$(find "$dir" \( -name '*.ml' -o -name '*.mli' \) -print0 | xargs -0 cat | wc -l)
-  printf '%-5s %7d\n' "$dir" "$lines"
+  printf '%-9s %7d\n' "$dir" "$lines"
 done
