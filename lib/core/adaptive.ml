@@ -60,9 +60,13 @@ type state = {
   round_size : int;
   errors : float array;  (* injected error per dense case, computed once *)
   sampled : Bytes.t;  (* bitmap over dense cases *)
-  mutable samples : Sample_run.t array;  (* draw order; replaced, never mutated *)
+  mutable samples : Sample_run.t array;  (* draw order: the first [count], grown by doubling *)
+  mutable count : int;
   boundary : Boundary.accumulator;
   info : float array;  (* S_i, the bias term, updated per folded sample *)
+  floors : float array;  (* per-site significance floors of [info] *)
+  weights : float array;  (* 1 / max S_i 1 per site, refreshed by each plan *)
+  run : int array;  (* one site's candidates, while a plan scans *)
   mutable rounds : int;
 }
 
@@ -83,13 +87,18 @@ let state_create ?(config = default_config) ?(spec = Models.default_spec) golden
     errors = Array.init total (fun case -> Ground_truth.injected_error_model spec golden ~case);
     sampled = Bytes.make ((total + 7) / 8) '\000';
     samples = [||];
+    count = 0;
     boundary = Boundary.accumulator ~filter:config.filter ~sites;
     info = Array.make sites 0.;
+    floors = Info.significance_floors golden;
+    weights = Array.make sites 1.;
+    run = Array.make (Models.spec_width spec) 0;
     rounds = 0;
   }
 
-let is_sampled state case =
-  Char.code (Bytes.unsafe_get state.sampled (case lsr 3)) land (1 lsl (case land 7)) <> 0
+(* 1 when [case] is sampled, else 0. *)
+let[@inline] sampled_bit state case =
+  (Char.code (Bytes.unsafe_get state.sampled (case lsr 3)) lsr (case land 7)) land 1
 
 let mark_sampled state case =
   let i = case lsr 3 in
@@ -97,14 +106,21 @@ let mark_sampled state case =
     (Char.chr (Char.code (Bytes.get state.sampled i) lor (1 lsl (case land 7))))
 
 (* Add freshly executed samples (their cases already marked): extend the
-   draw-order array, the information and the boundary. The boundary
+   draw-order samples, the information and the boundary. The boundary
    accumulator re-derives only the sites whose SDC floor the batch lowered
    (the filter operation can retroactively disqualify earlier
    propagation data there), so a fold costs its batch, not the campaign
    so far, and still equals [Boundary.infer] over every sample. *)
 let absorb state samples =
-  Array.iter (Info.add_total state.golden state.info) samples;
-  state.samples <- Array.append state.samples samples;
+  let n = Array.length samples in
+  Array.iter (Info.add_total ~floors:state.floors state.info) samples;
+  if state.count + n > Array.length state.samples then begin
+    let grown = Array.make (max (2 * Array.length state.samples) (state.count + n)) samples.(0) in
+    Array.blit state.samples 0 grown 0 state.count;
+    state.samples <- grown
+  end;
+  Array.blit samples 0 state.samples state.count n;
+  state.count <- state.count + n;
   Boundary.accumulate state.boundary samples
 
 let state_restore ?config ?spec golden ~rounds samples =
@@ -119,43 +135,74 @@ let state_restore ?config ?spec golden ~rounds samples =
   state
 
 let state_rounds state = state.rounds
-let state_sample_count state = Array.length state.samples
+let state_sample_count state = state.count
 let state_total state = state.total
 let state_boundary state = Boundary.accumulated state.boundary
-let state_samples state = state.samples
+let state_samples state = Array.sub state.samples 0 state.count
 
-let plan_round state rng =
-  (* Candidate pool, in ascending case order: unsampled cases the current
-     boundary does not already predict masked — injecting those would
-     teach us nothing new about the boundary's upper side. *)
+(* Candidates, in ascending case order: unsampled cases the current
+   boundary does not already predict masked — injecting those would teach
+   us nothing new about the boundary's upper side. No array of them is
+   built: [f site run n] sees one site's candidates at a time, in [run]'s
+   first [n] slots (a buffer reused for every site). The biased draw
+   offers each run to a reservoir; the uniform one counts them, draws
+   ordinals, and maps those to cases in a second scan. Either way a plan
+   allocates O(round size), whatever the space's size. *)
+let iter_candidates state f =
   let width = state.width in
-  let pool = Array.make state.total 0 in
-  let count = ref 0 in
-  let boundary = Boundary.accumulated state.boundary in
+  let thresholds = (Boundary.accumulated state.boundary).Boundary.thresholds in
+  let run = state.run in
   for site = 0 to (state.total / width) - 1 do
-    let threshold = Boundary.threshold boundary site in
+    let threshold = thresholds.(site) and n = ref 0 in
     for case = site * width to ((site + 1) * width) - 1 do
-      if (not (is_sampled state case)) && not (state.errors.(case) <= threshold) then begin
-        pool.(!count) <- case;
-        incr count
-      end
-    done
+      (* Without a branch: whether a case is a candidate is as good as a
+         coin flip to the branch predictor, and most cases are scanned,
+         not candidates. [run.(!n)] is overwritten until one is. *)
+      let masked = Bool.to_int (state.errors.(case) <= threshold) in
+      run.(!n) <- case;
+      n := !n + (1 - (sampled_bit state case lor masked))
+    done;
+    if !n > 0 then f site run !n
+  done
+
+let plan_biased state rng =
+  (* The paper's weight, p ∝ 1 / max(S_i, 1), is constant over a site's
+     cases: the reservoir reads it per site from [weights]. *)
+  let weights = state.weights in
+  for site = 0 to Array.length weights - 1 do
+    let s = state.info.(site) in
+    weights.(site) <- 1. /. if s >= 1. || s <> s then s else 1. (* Float.max s 1. *)
   done;
+  let r = Ftb_util.Sampling.reservoir ~k:state.round_size ~weights in
+  iter_candidates state (fun site run len -> Ftb_util.Sampling.offer r rng ~group:site run ~len);
+  match Ftb_util.Sampling.drawn r with [||] -> None | cases -> Some cases
+
+let plan_uniform state rng =
+  let count = ref 0 in
+  iter_candidates state (fun _ _ n -> count := !count + n);
   if !count = 0 then None
   else begin
-    let pool = Array.sub pool 0 !count in
     let k = min state.round_size !count in
-    let drawn_indices =
-      if state.config.bias then begin
-        let weights =
-          Array.map (fun case -> 1. /. Float.max state.info.(case / width) 1.) pool
-        in
-        Ftb_util.Sampling.weighted_without_replacement rng ~weights ~k
-      end
-      else Ftb_util.Sampling.uniform rng ~n:!count ~k
-    in
-    Some (Array.map (fun idx -> pool.(idx)) drawn_indices)
+    let ordinals = Ftb_util.Sampling.uniform rng ~n:!count ~k in
+    (* Draw order is kept: [by_ordinal] visits the draws in candidate
+       order, and each lands at its own position. *)
+    let by_ordinal = Array.init k Fun.id in
+    Array.sort (fun a b -> compare ordinals.(a) ordinals.(b)) by_ordinal;
+    let cases = Array.make k 0 in
+    let ordinal = ref 0 and next = ref 0 in
+    iter_candidates state (fun _ run n ->
+        for i = 0 to n - 1 do
+          if !next < k && ordinals.(by_ordinal.(!next)) = !ordinal then begin
+            cases.(by_ordinal.(!next)) <- run.(i);
+            incr next
+          end;
+          incr ordinal
+        done);
+    Some cases
   end
+
+let plan_round state rng =
+  if state.config.bias then plan_biased state rng else plan_uniform state rng
 
 let round_verdict config ~rounds samples =
   let masked, sdc, _ = Sample_run.count_outcomes samples in
@@ -184,9 +231,9 @@ let fold_round ?on_round state ~cases ~samples =
 let finish state stop_reason =
   {
     boundary = Boundary.accumulated state.boundary;
-    samples = state.samples;
+    samples = state_samples state;
     rounds = state.rounds;
-    sample_fraction = float_of_int (Array.length state.samples) /. float_of_int state.total;
+    sample_fraction = float_of_int state.count /. float_of_int state.total;
     stop_reason;
   }
 

@@ -81,7 +81,9 @@ val run_model :
     A round costs its own work: each case's injected error is computed
     once, in {!state_create}, the information is updated per folded
     sample, and the boundary incrementally ({!Boundary.accumulator}), so it
-    equals {!Boundary.infer} over every sample so far, bit for bit. *)
+    equals {!Boundary.infer} over every sample so far, bit for bit. A
+    plan streams the candidates into {!Ftb_util.Sampling.reservoir} and
+    allocates O(round size), whatever the size of the case space. *)
 
 type state
 (** Mutable campaign state: sampled set, accumulated samples (draw
@@ -143,5 +145,5 @@ val state_boundary : state -> Boundary.t
     own, updated in place by later folds: copy it to keep a snapshot. *)
 
 val state_samples : state -> Ftb_inject.Sample_run.t array
-(** Accumulated samples in draw order. Shared with the state, which
-    never mutates it in place: do not mutate it either. *)
+(** Accumulated samples in draw order, as a fresh array (the state grows
+    its own by doubling). *)

@@ -80,7 +80,9 @@ let accumulator ~filter ~sites =
     fell = Bytes.make (if filter then sites else 0) '\000';
   }
 
-let keep b j d =
+(* Inlined into the fold's loop: a float argument to a call is boxed,
+   an allocation per folded pair. *)
+let[@inline] keep b j d =
   let n = b.kept_n.(j) in
   if n = Array.length b.kept.(j) then begin
     let grown = Array.make (max 4 (2 * n)) 0. in
@@ -90,63 +92,80 @@ let keep b j d =
   b.kept.(j).(n) <- d;
   b.kept_n.(j) <- n + 1
 
+(* Site [j]'s floor fell to [floor]: drop the kept deviations at or above
+   it, and re-derive the site from the rest. *)
+let rebuild b floor j =
+  let t = b.boundary in
+  let kept = b.kept.(j) and below = ref 0 and best = ref 0. in
+  for i = 0 to b.kept_n.(j) - 1 do
+    let d = kept.(i) in
+    if d < floor then begin
+      kept.(!below) <- d;
+      incr below;
+      if d > !best then best := d
+    end
+  done;
+  b.kept_n.(j) <- !below;
+  t.thresholds.(j) <- !best;
+  t.support.(j) <- !below
+
+(* One pass over the batch, one loop per sample's pairs. A floor that
+   falls part-way through the batch is handled by the rebuild at the end,
+   which re-derives the site from what it kept, so a site's deviations
+   may be folded before the sample that lowers its floor. *)
 let accumulate b samples =
-  match b.floor with
-  | None ->
-      Array.iter
-        (fun (s : Sample_run.t) ->
-          Option.iter (add_masked_propagation b.boundary) s.Sample_run.propagation)
-        samples
-  | Some floor ->
-      let t = b.boundary in
-      let fell = ref [] in
-      Array.iter
-        (fun (s : Sample_run.t) ->
-          match s.Sample_run.outcome with
-          | Runner.Sdc ->
-              let j = s.Sample_run.fault.Fault.site in
-              if s.Sample_run.injected_error < floor.(j) then begin
-                floor.(j) <- s.Sample_run.injected_error;
+  let t = b.boundary in
+  let n = sites t in
+  let fell = ref [] in
+  for si = 0 to Array.length samples - 1 do
+    let s = samples.(si) in
+    (match (b.floor, s.Sample_run.outcome) with
+    | Some floor, Runner.Sdc ->
+        let j = s.Sample_run.fault.Fault.site in
+        if s.Sample_run.injected_error < floor.(j) then begin
+          floor.(j) <- s.Sample_run.injected_error;
+          if Bytes.get b.fell j = '\000' then begin
+            Bytes.set b.fell j '\001';
+            fell := j :: !fell
+          end
+        end
+    | _, (Runner.Sdc | Runner.Masked | Runner.Crash) -> ());
+    match s.Sample_run.propagation with
+    | None -> ()
+    | Some (js, ds) -> (
+        let m = Array.length js in
+        (* Sites ascend (Sample_run's invariant), so the ends bound them;
+           the checked accesses below catch any other disorder. *)
+        if Array.length ds <> m || (m > 0 && (js.(0) < 0 || js.(m - 1) >= n)) then
+          invalid_arg "Boundary.accumulate: coverage out of range";
+        match b.floor with
+        | None ->
+            for i = 0 to m - 1 do
+              let j = js.(i) and d = ds.(i) in
+              if d > 0. then begin
+                if d > t.thresholds.(j) then t.thresholds.(j) <- d;
+                t.support.(j) <- t.support.(j) + 1
+              end
+            done
+        | Some floor ->
+            for i = 0 to m - 1 do
+              let j = js.(i) and d = ds.(i) in
+              if d > 0. && d < floor.(j) then begin
+                keep b j d;
                 if Bytes.get b.fell j = '\000' then begin
-                  Bytes.set b.fell j '\001';
-                  fell := j :: !fell
+                  if d > t.thresholds.(j) then t.thresholds.(j) <- d;
+                  t.support.(j) <- t.support.(j) + 1
                 end
               end
-          | Runner.Masked | Runner.Crash -> ())
-        samples;
-      Array.iter
-        (fun (s : Sample_run.t) ->
-          match s.Sample_run.propagation with
-          | None -> ()
-          | Some ((js, ds) as pairs) ->
-              check_pairs "Boundary.accumulate" t pairs;
-              Array.iteri
-                (fun i j ->
-                  let d = ds.(i) in
-                  if d > 0. && d < floor.(j) then begin
-                    keep b j d;
-                    if Bytes.get b.fell j = '\000' then begin
-                      if d > t.thresholds.(j) then t.thresholds.(j) <- d;
-                      t.support.(j) <- t.support.(j) + 1
-                    end
-                  end)
-                js)
-        samples;
+            done)
+  done;
+  match b.floor with
+  | None -> ()
+  | Some floor ->
       List.iter
         (fun j ->
           Bytes.set b.fell j '\000';
-          let kept = b.kept.(j) and below = ref 0 and best = ref 0. in
-          for i = 0 to b.kept_n.(j) - 1 do
-            let d = kept.(i) in
-            if d < floor.(j) then begin
-              kept.(!below) <- d;
-              incr below;
-              if d > !best then best := d
-            end
-          done;
-          b.kept_n.(j) <- !below;
-          t.thresholds.(j) <- !best;
-          t.support.(j) <- !below)
+          rebuild b floor.(j) j)
         !fell
 
 let accumulated b = b.boundary

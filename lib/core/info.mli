@@ -25,9 +25,15 @@ val collect : Ftb_trace.Golden.t -> Ftb_inject.Sample_run.t array -> t
 val total : t -> float array
 (** [injected + propagated] per site — the [S_i] of the §3.4 bias term. *)
 
-val add_total : Ftb_trace.Golden.t -> float array -> Ftb_inject.Sample_run.t -> unit
-(** [add_total golden s sample] adds one sample's information to the
-    per-site totals [s] in place. Folding every sample of a set this way
+val significance_floors : Ftb_trace.Golden.t -> float array
+(** Per site, the deviation a significant one must exceed:
+    [is_significant ~golden_value e] is [e > (significance_floors g).(j)]
+    for [golden_value] the golden value of site [j], bit for bit. *)
+
+val add_total : floors:float array -> float array -> Ftb_inject.Sample_run.t -> unit
+(** [add_total ~floors s sample] adds one sample's information to the
+    per-site totals [s] in place, [floors] being
+    [significance_floors golden]. Folding every sample of a set this way
     gives exactly [total (collect golden samples)]: the counts are integer
     sums, so the order of addition does not matter. *)
 

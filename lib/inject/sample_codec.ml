@@ -39,29 +39,47 @@ let outcome_byte (s : Sample_run.t) =
   | Runner.Crash, Some reason -> Ground_truth.crash_byte reason
   | Runner.Crash, None -> '\002'
 
-let encode (samples : Sample_run.t array) =
-  let buf = Buffer.create (64 + (32 * Array.length samples)) in
-  Buffer.add_string buf magic;
-  Buffer.add_int32_le buf (Int32.of_int (Array.length samples));
+let encoded_size (samples : Sample_run.t array) =
+  Array.fold_left
+    (fun acc (s : Sample_run.t) ->
+      acc + min_record
+      + match s.Sample_run.propagation with
+        | None -> 0
+        | Some (sites, _) -> 4 + (pair_bytes * Array.length sites))
+    (String.length magic + 4) samples
+
+let write (samples : Sample_run.t array) b ~pos =
+  let m = String.length magic in
+  Bytes.blit_string magic 0 b pos m;
+  Bytes.set_int32_le b (pos + m) (Int32.of_int (Array.length samples));
+  let pos = ref (pos + m + 4) in
   Array.iter
     (fun (s : Sample_run.t) ->
-      let fault = s.Sample_run.fault in
-      Buffer.add_int32_le buf (Int32.of_int fault.Fault.site);
-      Buffer.add_char buf (Char.chr fault.Fault.bit);
-      Buffer.add_char buf (outcome_byte s);
-      Buffer.add_int64_le buf (Int64.bits_of_float s.Sample_run.injected_error);
+      let p = !pos in
+      Bytes.set_int32_le b p (Int32.of_int s.Sample_run.fault.Fault.site);
+      Bytes.set b (p + 4) (Char.chr s.Sample_run.fault.Fault.bit);
+      Bytes.set b (p + 5) (outcome_byte s);
+      Bytes.set_int64_le b (p + 6) (Int64.bits_of_float s.Sample_run.injected_error);
       match s.Sample_run.propagation with
-      | None -> Buffer.add_char buf '\000'
+      | None ->
+          Bytes.set b (p + 14) '\000';
+          pos := p + min_record
       | Some (sites, deviations) ->
-          Buffer.add_char buf '\001';
-          Buffer.add_int32_le buf (Int32.of_int (Array.length sites));
-          Array.iteri
-            (fun i j ->
-              Buffer.add_int32_le buf (Int32.of_int j);
-              Buffer.add_int64_le buf (Int64.bits_of_float deviations.(i)))
-            sites)
+          Bytes.set b (p + 14) '\001';
+          Bytes.set_int32_le b (p + 15) (Int32.of_int (Array.length sites));
+          let p = p + min_record + 4 in
+          for i = 0 to Array.length sites - 1 do
+            Bytes.set_int32_le b (p + (pair_bytes * i)) (Int32.of_int sites.(i));
+            Bytes.set_int64_le b (p + (pair_bytes * i) + 4) (Int64.bits_of_float deviations.(i))
+          done;
+          pos := p + (pair_bytes * Array.length sites))
     samples;
-  Buffer.contents buf
+  !pos
+
+let encode samples =
+  let b = Bytes.create (encoded_size samples) in
+  ignore (write samples b ~pos:0 : int);
+  Bytes.unsafe_to_string b
 
 let decode blob =
   let len = String.length blob in

@@ -24,6 +24,14 @@ val encode : Sample_run.t array -> string
 (** Serialize samples in order. [decode (encode s)] reproduces [s] with
     bit-identical floats. *)
 
+val encoded_size : Sample_run.t array -> int
+(** [String.length (encode samples)], computed without encoding. *)
+
+val write : Sample_run.t array -> Bytes.t -> pos:int -> int
+(** [write samples b ~pos] writes [encode samples] into [b] at [pos] and
+    returns the position after it, so a caller can frame a blob without
+    copying it. [b] must have {!encoded_size} bytes free at [pos]. *)
+
 val decode : string -> Sample_run.t array
 (** Parse a blob; raises {!Format_error} on any structural defect,
     including a sample count or pair count the remaining bytes cannot

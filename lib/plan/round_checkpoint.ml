@@ -95,24 +95,45 @@ let save ~path t =
   Option.iter (fun reason -> add_frame buf 'E' (Adaptive.stop_reason_to_string reason)) t.stop;
   Persist.with_out_atomic path (fun oc -> Buffer.output_buffer oc buf)
 
-type log = { oc : out_channel; buf : Buffer.t }
+(* An open log frames each record in one reusable byte buffer: the
+   payload is written in place (a round's samples straight from the
+   codec), checksummed in place, and the frame written with one output
+   call — the bytes [add_frame] would produce, without building the
+   payload as a string first. *)
+type log = { oc : out_channel; mutable buf : Bytes.t }
 
 let open_log ~path t =
   save ~path t;
   {
     oc = open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path;
-    buf = Buffer.create 4096;
+    buf = Bytes.create 4096;
   }
 
-let append log kind payload =
-  Buffer.clear log.buf;
-  add_frame log.buf kind payload;
-  Buffer.output_buffer log.oc log.buf;
+(* [write buf pos] fills the [len] payload bytes at [pos]. *)
+let append log kind len write =
+  if Bytes.length log.buf < frame_overhead + len then
+    log.buf <- Bytes.create (max (frame_overhead + len) (2 * Bytes.length log.buf));
+  let b = log.buf in
+  Bytes.set b 0 kind;
+  Bytes.set_int32_be b 1 (Int32.of_int len);
+  let crc pos len = Persist.crc32_sub (Bytes.unsafe_to_string b) ~pos ~len in
+  Bytes.set_int32_be b 5 (Int32.of_int (crc 0 5));
+  write b 9;
+  Bytes.set_int32_be b (9 + len) (Int32.of_int (crc 9 len));
+  output log.oc b 0 (frame_overhead + len);
   flush log.oc
 
-let append_draw log ~rng_state cases = append log 'D' (draw_payload ~rng_state cases)
-let append_round log samples = append log 'R' (Sample_codec.encode samples)
-let append_stop log reason = append log 'E' (Adaptive.stop_reason_to_string reason)
+let append_string log kind payload =
+  append log kind (String.length payload) (fun b pos ->
+      Bytes.blit_string payload 0 b pos (String.length payload))
+
+let append_draw log ~rng_state cases = append_string log 'D' (draw_payload ~rng_state cases)
+
+let append_round log samples =
+  append log 'R' (Sample_codec.encoded_size samples) (fun b pos ->
+      ignore (Sample_codec.write samples b ~pos : int))
+
+let append_stop log reason = append_string log 'E' (Adaptive.stop_reason_to_string reason)
 let close_log log = close_out log.oc
 
 (* ------------------------------------------------------------------ *)
@@ -210,15 +231,14 @@ let load_log path data =
   let frame pos =
     if pos + 9 > n then None
     else begin
-      if get32 (pos + 5) <> Persist.crc32 (String.sub data pos 5) then
+      if get32 (pos + 5) <> Persist.crc32_sub data ~pos ~len:5 then
         fail path "frame header checksum mismatch at byte %d" pos;
       let len = get32 (pos + 1) in
       if len > n - pos - frame_overhead then None
       else begin
-        let payload = String.sub data (pos + 9) len in
-        if get32 (pos + 9 + len) <> Persist.crc32 payload then
+        if get32 (pos + 9 + len) <> Persist.crc32_sub data ~pos:(pos + 9) ~len then
           fail path "frame checksum mismatch at byte %d" pos;
-        Some (data.[pos], payload, pos + frame_overhead + len)
+        Some (data.[pos], String.sub data (pos + 9) len, pos + frame_overhead + len)
       end
     end
   in

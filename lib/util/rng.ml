@@ -1,44 +1,59 @@
-type t = { mutable state : int64 }
+(* The 64-bit state as two 32-bit halves in immediate fields, rather than
+   a [mutable int64] field: storing an [int64] in a record field boxes
+   it, once per draw. The halves are joined and split with unboxed
+   [Int64] operations, so a draw allocates nothing, and a generator is an
+   ordinary small record (a [Bytes] state would cost a C call to create,
+   once per case for the random-value model). *)
+type t = { mutable hi : int; mutable lo : int }
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create ~seed = { state = mix (Int64.of_int seed) }
-let copy t = { state = t.state }
-let state t = t.state
-let of_state state = { state }
+let[@inline] get t = Int64.logor (Int64.shift_left (Int64.of_int t.hi) 32) (Int64.of_int t.lo)
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] set t s =
+  t.hi <- Int64.to_int (Int64.shift_right_logical s 32);
+  t.lo <- Int64.to_int s land 0xFFFFFFFF
 
-let split t =
-  let seed = next_int64 t in
-  { state = mix seed }
+let of_state state =
+  let t = { hi = 0; lo = 0 } in
+  set t state;
+  t
+
+let create ~seed = of_state (mix (Int64.of_int seed))
+let copy t = { hi = t.hi; lo = t.lo }
+let state t = get t
+
+let[@inline] next t =
+  let s = Int64.add (get t) golden_gamma in
+  set t s;
+  mix s
+
+let next_int64 t = next t
+let split t = of_state (mix (next t))
+let[@inline] bits53 t = Int64.to_int (Int64.shift_right_logical (next t) 11)
 
 let int t n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* Rejection sampling to avoid modulo bias. *)
+  (* Rejection sampling to avoid modulo bias. A loop, not a local
+     recursive closure, so a draw allocates nothing. *)
   let n64 = Int64.of_int n in
-  let rec draw () =
-    let raw = Int64.shift_right_logical (next_int64 t) 1 in
+  let limit = Int64.sub (Int64.sub Int64.max_int n64) 1L in
+  let result = ref (-1) in
+  while !result < 0 do
+    let raw = Int64.shift_right_logical (next t) 1 in
     let candidate = Int64.rem raw n64 in
-    if Int64.sub raw candidate > Int64.sub (Int64.sub Int64.max_int n64) 1L then draw ()
-    else Int64.to_int candidate
-  in
-  draw ()
+    if not (Int64.sub raw candidate > limit) then result := Int64.to_int candidate
+  done;
+  !result
 
-let float t x =
-  (* 53 random mantissa bits -> uniform in [0,1). *)
-  let raw = Int64.shift_right_logical (next_int64 t) 11 in
-  let unit = Int64.to_float raw *. 0x1.0p-53 in
-  unit *. x
-
-let bool t = Int64.logand (next_int64 t) 1L = 1L
+(* 53 random mantissa bits -> uniform in [0,1); exact, since they fit. *)
+let float t x = float_of_int (bits53 t) *. 0x1.0p-53 *. x
+let bool t = Int64.logand (next t) 1L = 1L
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

@@ -28,6 +28,12 @@ val split : t -> t
 val next_int64 : t -> int64
 (** Next raw 64-bit output. *)
 
+val bits53 : t -> int
+(** The next 53 random bits, in [\[0, 2{^53})]: the draw behind
+    {!float}, [float t x = float_of_int (bits53 t) *. 0x1.0p-53 *. x].
+    It allocates nothing, where {!float}'s result is boxed across a
+    module boundary, so hot loops draw through it. *)
+
 val int : t -> int -> int
 (** [int t n] is uniform in [\[0, n)]. Raises [Invalid_argument] if
     [n <= 0]. *)

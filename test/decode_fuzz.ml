@@ -472,6 +472,100 @@ let sample_codec_target () =
       ]
     decode
 
+(* Past the decoder: well-formed sample blobs whose values are out of
+   range for the round they answer — a site at or past the program's
+   site count, a bit outside the model, samples for cases outside the
+   grant or in the wrong order, deviations of 0, NaN or below 0 — sent
+   through [Shard.check] as a worker's reply would be. What it accepts is
+   folded into a fresh state and the next round planned: every input is
+   refused or folds cleanly (to [Boundary.infer]'s bits), and nothing
+   raises. *)
+let fold_target () =
+  let g = Lazy.force golden in
+  let sites = Golden.sites g in
+  let rounds =
+    List.map
+      (fun model ->
+        let spec = { Models.model; seed = 0 } in
+        let state = Adaptive.state_create ~config ~spec g in
+        let grant = Option.get (Adaptive.plan_round state (Ftb_util.Rng.create ~seed:11)) in
+        (spec, grant, Array.map (Sample_run.run_case_model spec g) grant))
+      [ Models.Bit_flip_64; Models.Bit_flip_32 ]
+  in
+  let open QCheck.Gen in
+  let edit (spec, grant, samples) =
+    let n = Array.length samples in
+    let width = Models.spec_width spec in
+    let with_sample i f =
+      let samples = Array.copy samples in
+      samples.(i) <- f samples.(i);
+      return (spec, grant, samples)
+    in
+    let with_pairs i f =
+      with_sample i (fun (s : Sample_run.t) ->
+          match s.Sample_run.propagation with
+          | Some (js, ds) when Array.length js > 0 ->
+              let js = Array.copy js and ds = Array.copy ds in
+              f js ds;
+              { s with Sample_run.propagation = Some (js, ds) }
+          | Some _ | None -> { s with Sample_run.propagation = Some ([| sites - 1 |], [| 0.5 |]) })
+    in
+    let site_bit site bit (s : Sample_run.t) =
+      { s with Sample_run.fault = Ftb_trace.Fault.make ~site ~bit }
+    in
+    int_bound (n - 1) >>= fun i ->
+    int_bound (n - 1) >>= fun i' ->
+    oneofl [ 0.; Float.nan; -1.; infinity; 5e-324; -0. ] >>= fun bad ->
+    frequency
+      [
+        (2, int_range sites (sites + 3) >>= fun site -> with_sample i (site_bit site 0));
+        ( 1,
+          (* A bit past a 32-bit model's width; the 64-bit model has none. *)
+          int_range (min width 63) 63 >>= fun bit ->
+          with_sample i (fun s -> site_bit s.Sample_run.fault.Ftb_trace.Fault.site bit s) );
+        (2, return (spec, grant, Array.mapi (fun j s -> if j = i then samples.(i') else if j = i' then samples.(i) else s) samples));
+        (2, int_bound ((sites * width) - 1) >>= fun case ->
+            with_sample i (fun _ -> Sample_run.run_case_model spec g case));
+        (1, return (spec, Array.sub grant 0 (max 1 (n - 1)), samples));
+        (1, return (spec, grant, Array.sub samples 0 (max 1 (n - 1))));
+        (3, with_pairs i (fun _ ds -> ds.(Array.length ds - 1) <- bad));
+        (2, int_range sites (sites + 2) >>= fun j -> with_pairs i (fun js _ -> js.(Array.length js - 1) <- j));
+        (1, with_pairs i (fun js _ -> js.(0) <- js.(Array.length js - 1)));
+        (2, oneofl [ Ftb_trace.Runner.Masked; Ftb_trace.Runner.Sdc ] >>= fun outcome ->
+            with_sample i (fun s -> { s with Sample_run.outcome; crash_reason = None }));
+        (1, with_sample i (fun s -> { s with Sample_run.injected_error = bad }));
+      ]
+  in
+  let gen = oneofl rounds >>= fun r -> int_range 1 3 >>= fun k ->
+    let rec go r k = if k = 0 then return r else edit r >>= fun r -> go r (k - 1) in
+    go r k
+  in
+  let folded = ref 0 and refused = ref 0 in
+  tallies := ("samples past Shard.check", folded, refused) :: !tallies;
+  let print (spec, grant, samples) =
+    Printf.sprintf "%s grant [%s], blob %s" (Models.spec_to_string spec)
+      (String.concat ";" (Array.to_list (Array.map string_of_int grant)))
+      (print (Sample_codec.encode samples))
+  in
+  QCheck.Test.make ~name:"samples past Shard.check" ~count (QCheck.make ~print gen)
+    (fun (spec, grant, samples) ->
+      let blob = Bytes.of_string (Sample_codec.encode samples) in
+      match Ftb_dist.Shard.check spec ~sites (Ftb_dist.Shard.Cases grant) blob with
+      | Error _ ->
+          incr refused;
+          true
+      | Ok () ->
+          let samples = Sample_codec.decode (Bytes.to_string blob) in
+          let state = Adaptive.state_create ~config ~spec g in
+          ignore (Adaptive.fold_round state ~cases:grant ~samples : [ `Stop of _ | `Continue ]);
+          ignore (Adaptive.plan_round state (Ftb_util.Rng.create ~seed:12) : int array option);
+          incr folded;
+          (* Cleanly: the incremental fold is still [infer], bit for bit. *)
+          let got = Adaptive.state_boundary state
+          and want = Ftb_core.Boundary.infer ~filter:config.Adaptive.filter ~sites samples in
+          let bits b = Array.map Int64.bits_of_float b.Ftb_core.Boundary.thresholds in
+          bits got = bits want && got.Ftb_core.Boundary.support = want.Ftb_core.Boundary.support)
+
 let job_target () =
   let info = job_info in
   let adaptive =
@@ -520,6 +614,7 @@ let () =
           profile_target ();
           boundary_entry_target ();
           sample_codec_target ();
+          fold_target ();
           job_target ();
         ];
       ]

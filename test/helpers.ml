@@ -145,3 +145,19 @@ let save_complete ~path (gt : Ftb_inject.Ground_truth.t) =
 let load_complete ~path golden =
   let module Checkpoint = Ftb_campaign.Checkpoint in
   Checkpoint.ground_truth golden (Checkpoint.load ~path ~shard_size:4096 golden)
+
+(* CRC-32 (IEEE, reflected) one byte at a time: the loop every durable
+   format was first written with, kept as the oracle of
+   [Ftb_inject.Persist.crc32]. *)
+let crc32_bytewise s =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let c = ref 0xFFFFFFFF in
+  String.iter (fun ch -> c := table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8)) s;
+  !c lxor 0xFFFFFFFF land 0xFFFFFFFF

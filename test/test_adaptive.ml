@@ -123,7 +123,7 @@ let full_sort_weighted rng ~weights ~k =
   Array.sort compare keys;
   Array.init k (fun j -> snd keys.(j))
 
-let full_scan_plan ~config ~spec golden state rng =
+let full_scan_plan ?errors ~config ~spec golden state rng =
   let width = Models.spec_width spec in
   let total = Adaptive.state_total state in
   let samples = Adaptive.state_samples state in
@@ -141,7 +141,11 @@ let full_scan_plan ~config ~spec golden state rng =
   let candidates = ref [] and count = ref 0 in
   for case = total - 1 downto 0 do
     if not (Hashtbl.mem sampled case) then begin
-      let err = Ground_truth.injected_error_model spec golden ~case in
+      let err =
+        match errors with
+        | Some errors -> errors.(case)
+        | None -> Ground_truth.injected_error_model spec golden ~case
+      in
       if not (err <= Boundary.threshold boundary (case / width)) then begin
         candidates := case :: !candidates;
         incr count
@@ -166,6 +170,34 @@ let full_scan_plan ~config ~spec golden state rng =
     Some (Array.map (fun i -> pool.(i)) drawn)
   end
 
+(* Every round of a campaign, to its stop: the planner's draw and RNG
+   state against [full_scan_plan]'s. Returns the rounds planned. *)
+let check_against_full_scan ~what ~config ~spec ~seed g =
+  let state = Adaptive.state_create ~config ~spec g in
+  (* Errors are a pure function of the case: computed once, not per round. *)
+  let errors =
+    Array.init (Adaptive.state_total state) (fun case ->
+        Ground_truth.injected_error_model spec g ~case)
+  in
+  let rng = Rng.create ~seed in
+  let rec round r =
+    let old_rng = Rng.copy rng in
+    let expected = full_scan_plan ~errors ~config ~spec g state old_rng in
+    let drawn = Adaptive.plan_round state rng in
+    Alcotest.(check (option (array int))) (Printf.sprintf "%s: round %d draw" what r) expected drawn;
+    Alcotest.(check int64)
+      (Printf.sprintf "%s: round %d rng" what r)
+      (Rng.state old_rng) (Rng.state rng);
+    match drawn with
+    | None -> r
+    | Some cases -> (
+        let samples = Array.map (Sample_run.run_case_model spec g) cases in
+        match Adaptive.fold_round state ~cases ~samples with
+        | `Continue -> round (r + 1)
+        | `Stop _ -> r)
+  in
+  round 1
+
 let test_draws_match_full_scan_planner () =
   let programs =
     [ ("linear", Lazy.force golden); ("ir.dot", Golden.run (Ftb_kernels.Suite.find "ir.dot")) ]
@@ -185,32 +217,71 @@ let test_draws_match_full_scan_planner () =
               let what =
                 Printf.sprintf "%s %s bias=%b" name (Models.spec_to_string spec) bias
               in
-              let state = Adaptive.state_create ~config ~spec g in
-              let rng = Rng.create ~seed:23 in
-              let rec round r =
-                let old_rng = Rng.copy rng in
-                let expected = full_scan_plan ~config ~spec g state old_rng in
-                let drawn = Adaptive.plan_round state rng in
-                Alcotest.(check (option (array int)))
-                  (Printf.sprintf "%s: round %d draw" what r)
-                  expected drawn;
-                Alcotest.(check int64)
-                  (Printf.sprintf "%s: round %d rng" what r)
-                  (Rng.state old_rng) (Rng.state rng);
-                match drawn with
-                | None -> r
-                | Some cases -> (
-                    let samples = Array.map (Sample_run.run_case_model spec g) cases in
-                    match Adaptive.fold_round state ~cases ~samples with
-                    | `Continue -> round (r + 1)
-                    | `Stop _ -> r)
-              in
               incr runs;
-              rounds := !rounds + round 1)
+              rounds := !rounds + check_against_full_scan ~what ~config ~spec ~seed:23 g)
             [ true; false ])
         specs)
     programs;
   Alcotest.(check bool) "most campaigns run several rounds" true (!rounds > 2 * !runs)
+
+(* At paper scale: the default 0.1 % rounds over ir.fft and ir.cg, so the
+   reservoir is full for most of the scan and its maximum key falls as
+   better keys arrive — the path where draws are screened before [log]. *)
+let test_draws_match_full_scan_at_scale () =
+  let config = Adaptive.default_config in
+  List.iter
+    (fun name ->
+      let g = Golden.run (Ftb_kernels.Suite.find name) in
+      List.iter
+        (fun model ->
+          let spec = { Models.model; seed = 0 } in
+          List.iter
+            (fun bias ->
+              List.iter
+                (fun seed ->
+                  let config = { config with Adaptive.bias } in
+                  let what =
+                    Printf.sprintf "%s %s bias=%b seed=%d" name (Models.spec_to_string spec)
+                      bias seed
+                  in
+                  ignore (check_against_full_scan ~what ~config ~spec ~seed g : int))
+                [ 3; 17; 41 ])
+            [ true; false ])
+        [ Models.Bit_flip_64; Models.Bit_flip_32 ])
+    [ "ir.fft"; "ir.cg" ]
+
+(* A plan streams its candidates: what it allocates is bounded by the
+   round, not by the space (90,112 cases on ir.fft, 91 per round). Both
+   minor words and words allocated directly in the major heap count. *)
+let test_plan_allocation_is_per_round () =
+  let g = Golden.run (Ftb_kernels.Suite.find "ir.fft") in
+  List.iter
+    (fun bias ->
+      let config = { Adaptive.default_config with Adaptive.bias } in
+      let state = Adaptive.state_create ~config g in
+      let rng = Rng.create ~seed:5 in
+      for _ = 1 to 3 do
+        match Adaptive.plan_round state rng with
+        | None -> Alcotest.fail "pool exhausted early"
+        | Some cases ->
+            let samples = Array.map (Sample_run.run_case_model Models.default_spec g) cases in
+            ignore (Adaptive.fold_round state ~cases ~samples : [ `Stop of _ | `Continue ])
+      done;
+      let round_size = int_of_float (Float.ceil (0.001 *. float_of_int (Adaptive.state_total state))) in
+      let direct_major () =
+        let _, promoted, major = Gc.counters () in
+        major -. promoted
+      in
+      let minor0 = Gc.minor_words () and major0 = direct_major () in
+      let drawn = Adaptive.plan_round state rng in
+      let minor1 = Gc.minor_words () and major1 = direct_major () in
+      Alcotest.(check bool) "a round was drawn" true (drawn <> None);
+      let words = minor1 -. minor0 +. (major1 -. major0) in
+      let budget = float_of_int ((16 * round_size) + 512) in
+      if words > budget then
+        Alcotest.failf "bias=%b: plan_round allocated %.0f words, budget %.0f (%d cases)" bias
+          words budget (Adaptive.state_total state))
+    [ true; false ]
 
 let test_incremental_fold_equals_infer () =
   (* After every fold the state's boundary is [Boundary.infer] over all
@@ -266,6 +337,9 @@ let suite =
     Alcotest.test_case "deterministic given seed" `Quick test_deterministic_given_seed;
     Alcotest.test_case "draws match the full-scan planner" `Quick
       test_draws_match_full_scan_planner;
+    Alcotest.test_case "draws match the full-scan planner at scale" `Slow
+      test_draws_match_full_scan_at_scale;
+    Alcotest.test_case "plan allocation is per round" `Quick test_plan_allocation_is_per_round;
     Alcotest.test_case "incremental fold = infer every round" `Quick
       test_incremental_fold_equals_infer;
   ]

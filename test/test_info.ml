@@ -67,10 +67,23 @@ let test_add_total_matches_collect () =
         Helpers.run_case g (Fault.to_case (Fault.make ~site:(bit mod 3) ~bit)))
   in
   let expected = Info.total (Info.collect g samples) in
+  let floors = Info.significance_floors g in
+  (* The floors are [is_significant]'s cut-off, site by site. *)
+  Array.iteri
+    (fun j floor ->
+      let golden_value = Golden.value g j in
+      List.iter
+        (fun e ->
+          Alcotest.(check bool)
+            (Printf.sprintf "site %d: %h significant" j e)
+            (Info.is_significant ~golden_value e)
+            (e > floor))
+        [ 0.; floor; Float.succ floor; Float.pred floor; 1.; infinity ])
+    floors;
   List.iter
     (fun order ->
       let total = Array.make (Array.length expected) 0. in
-      Array.iter (Info.add_total g total) order;
+      Array.iter (Info.add_total ~floors total) order;
       Array.iteri
         (fun i e ->
           Alcotest.(check int64)

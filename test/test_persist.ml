@@ -172,6 +172,43 @@ let test_crc32_known_vectors () =
       (String.make 32 '\000', 0x190A55AD);
     ]
 
+let test_crc32_matches_bytewise () =
+  (* Slicing-by-8 against the byte-at-a-time oracle: every length 0-300
+     at every alignment 0-7, so every tail length and word phase. *)
+  let rng = Ftb_util.Rng.create ~seed:12 in
+  let data = String.init 320 (fun _ -> Char.chr (Ftb_util.Rng.int rng 256)) in
+  Alcotest.(check int) "check value" 0xCBF43926 (Persist.crc32 "123456789");
+  for pos = 0 to 7 do
+    for len = 0 to 300 do
+      let sub = String.sub data pos len in
+      let want = Helpers.crc32_bytewise sub in
+      if Persist.crc32 sub <> want || Persist.crc32_sub data ~pos ~len <> want then
+        Alcotest.failf "crc32 differs from the byte-wise loop at offset %d, length %d" pos len
+    done
+  done;
+  Alcotest.check_raises "range outside the string" (Invalid_argument "Persist.crc32_sub")
+    (fun () -> ignore (Persist.crc32_sub data ~pos:300 ~len:21))
+
+let test_envelope_bytewise_reference () =
+  (* A checkpoint enveloped with the byte-wise CRC is the same file, and
+     loads unchanged. *)
+  let g = Lazy.force golden in
+  let gt = Ground_truth.run g in
+  let path = temp_path "bytewise_envelope" in
+  Helpers.save_complete ~path gt;
+  let written = In_channel.with_open_bin path In_channel.input_all in
+  let payload = Persist.load_enveloped ~path in
+  let reference =
+    Printf.sprintf "ftb-envelope-v1 %d %08x\n%s" (String.length payload)
+      (Helpers.crc32_bytewise payload) payload
+  in
+  Alcotest.(check string) "same envelope bytes" reference written;
+  Out_channel.with_open_bin path (fun oc -> output_string oc reference);
+  let back = Helpers.load_complete ~path g in
+  Alcotest.(check bool) "loads unchanged" true
+    (Bytes.equal back.Ground_truth.outcomes gt.Ground_truth.outcomes);
+  Sys.remove path
+
 let test_envelope_roundtrip () =
   let path = temp_path "envelope" in
   let payload = "line one\nbinary \000\001\255 tail" in
@@ -310,6 +347,9 @@ let suite =
     Alcotest.test_case "sample count bounded by the blob" `Quick test_sample_count_bounded;
     Alcotest.test_case "sparse pairs validated" `Quick test_sparse_pairs_validated;
     Alcotest.test_case "crc32 known vectors" `Quick test_crc32_known_vectors;
+    Alcotest.test_case "crc32 = byte-wise loop" `Quick test_crc32_matches_bytewise;
+    Alcotest.test_case "envelope by the byte-wise crc loads" `Quick
+      test_envelope_bytewise_reference;
     Alcotest.test_case "envelope roundtrip" `Quick test_envelope_roundtrip;
     Alcotest.test_case "envelope detects flipped byte" `Quick
       test_envelope_detects_flipped_byte;

@@ -340,6 +340,93 @@ let test_round_log_write_size () =
   Alcotest.(check int) "every round executed" (Array.length rounds) result.Adaptive.rounds;
   Sys.remove path
 
+(* A frame as the log's format defines it, checksummed by the byte-wise
+   reference CRC. *)
+let reference_frame kind payload =
+  let be32 n =
+    let b = Bytes.create 4 in
+    Bytes.set_int32_be b 0 (Int32.of_int n);
+    Bytes.to_string b
+  in
+  let head = String.make 1 kind ^ be32 (String.length payload) in
+  head ^ be32 (Helpers.crc32_bytewise head) ^ payload ^ be32 (Helpers.crc32_bytewise payload)
+
+let test_round_log_bytewise_reference () =
+  (* Every frame of a finished log, re-framed with the byte-wise CRC, is
+     the same bytes: a log written before the CRC was sliced loads
+     unchanged. *)
+  let _, data = finished_log "bytewise_src.ckpt" ~seed:22 in
+  let starts, eof = frames data in
+  let ends = List.tl starts @ [ eof ] in
+  let magic = String.sub data 0 (List.hd starts) in
+  let reframed =
+    magic
+    ^ String.concat ""
+        (List.map2
+           (fun start stop ->
+             reference_frame data.[start] (String.sub data (start + 9) (stop - start - 13)))
+           starts ends)
+  in
+  Alcotest.(check string) "same log bytes" data reframed;
+  let path = tmp "bytewise.ckpt" in
+  write_file path reframed;
+  let loaded = RC.load ~path in
+  Alcotest.(check bool) "finished" true (loaded.RC.stop <> None);
+  Sys.remove path
+
+let test_round_log_append_frames () =
+  (* Appends frame in place; the bytes are a frame of the codec's blob. *)
+  let g = Lazy.force golden in
+  let spec = Models.default_spec in
+  let samples = Array.map (Sample_run.run_case_model spec g) [| 3; 70; 130; 200; 447 |] in
+  let t =
+    {
+      RC.name = "lin";
+      sites = Golden.sites g;
+      spec;
+      fuel = None;
+      fingerprint = Ftb_util.Fingerprint.of_floats g.Golden.values;
+      config = small_config;
+      seed = 4;
+      rng_state = 0x1234L;
+      rounds = 0;
+      samples = [||];
+      pending = None;
+      stop = None;
+    }
+  in
+  let path = tmp "append.ckpt" in
+  let log = RC.open_log ~path t in
+  let size () = (Unix.stat path).Unix.st_size in
+  let appended f =
+    let before = size () in
+    f ();
+    String.sub (read_file path) before (size () - before)
+  in
+  let cases = Array.map (fun (s : Sample_run.t) -> Fault.to_case s.Sample_run.fault) samples in
+  let draw = appended (fun () -> RC.append_draw log ~rng_state:0x55L cases) in
+  let payload = Bytes.create (8 * (Array.length cases + 1)) in
+  Bytes.set_int64_le payload 0 0x55L;
+  Array.iteri (fun i c -> Bytes.set_int64_le payload (8 * (i + 1)) (Int64.of_int c)) cases;
+  Alcotest.(check string) "draw frame" (reference_frame 'D' (Bytes.to_string payload)) draw;
+  (* Twice: the second append reuses, and the big one grows, the buffer. *)
+  let round = appended (fun () -> RC.append_round log samples) in
+  Alcotest.(check string) "round frame"
+    (reference_frame 'R' (Ftb_inject.Sample_codec.encode samples))
+    round;
+  let stop = appended (fun () -> RC.append_stop log Adaptive.Converged) in
+  Alcotest.(check string) "stop frame" (reference_frame 'E' "converged") stop;
+  RC.close_log log;
+  let big = Array.concat (List.init 200 (fun _ -> samples)) in
+  let log = RC.open_log ~path t in
+  ignore (appended (fun () -> RC.append_draw log ~rng_state:0x56L cases));
+  let round = appended (fun () -> RC.append_round log big) in
+  RC.close_log log;
+  Alcotest.(check string) "grown round frame"
+    (reference_frame 'R' (Ftb_inject.Sample_codec.encode big))
+    round;
+  Sys.remove path
+
 (* The old v1 writer, kept to lay down its bytes: one enveloped text
    snapshot, samples as hex. *)
 let save_v1 ~path (t : RC.t) =
@@ -643,6 +730,9 @@ let suite =
       test_round_log_write_size;
     Alcotest.test_case "round log: v1 snapshot is a typed error, restarts cold" `Quick
       test_round_log_v1_snapshot_unsupported;
+    Alcotest.test_case "round log: byte-wise crc reference loads" `Quick
+      test_round_log_bytewise_reference;
+    Alcotest.test_case "round log: appended frames" `Quick test_round_log_append_frames;
     Alcotest.test_case "round checkpoint round-trip" `Quick
       test_round_checkpoint_roundtrip;
     Alcotest.test_case "store put/find round-trip" `Quick test_store_put_find_roundtrip;

@@ -160,8 +160,82 @@ let prop_weighted_matches_full_sort =
       Sampling.weighted_without_replacement rng ~weights ~k = expected
       && Rng.state rng = Rng.state reference)
 
+(* The reservoir against the full sort on weights that stress its
+   screen: equal keys (ties by index), keys that overflow to infinity
+   (a huge information count, so exp (-K·w) underflows to 0), and a
+   maximum key of 0 (infinite weights), where every finite-weight draw
+   is screened. *)
+let full_sort rng ~weights ~k =
+  let keys =
+    Array.mapi
+      (fun i w ->
+        if w = 0. then (infinity, i)
+        else
+          let u = 1. -. Rng.float rng 1. in
+          (-.log u /. w, i))
+      weights
+  in
+  Array.sort compare keys;
+  Array.init k (fun j -> snd keys.(j))
+
+let test_reservoir_adversarial_weights () =
+  let tiny = 5e-324 and huge_info = 1. /. 1e300 in
+  let cases =
+    [
+      ("all keys infinite", Array.make 40 tiny, 7);
+      ("huge info beside unit weights", Array.init 60 (fun i -> if i mod 3 = 0 then 1. else huge_info), 15);
+      ("huge info only", Array.init 50 (fun i -> if i mod 2 = 0 then tiny else huge_info), 10);
+      ("K = 0", Array.init 80 (fun i -> if i mod 5 = 0 then infinity else 1. /. float_of_int (i + 1)), 16);
+      ("equal weights", Array.make 200 0.25, 30);
+      ("zeros among them", Array.init 30 (fun i -> if i mod 2 = 0 then 0. else 2.), 15);
+    ]
+  in
+  List.iter
+    (fun (what, weights, k) ->
+      for seed = 0 to 19 do
+        let reference = Rng.create ~seed and rng = Rng.create ~seed in
+        let expected = full_sort reference ~weights ~k in
+        Alcotest.(check (array int))
+          (Printf.sprintf "%s, seed %d: draw" what seed)
+          expected
+          (Sampling.weighted_without_replacement rng ~weights ~k);
+        Alcotest.(check int64)
+          (Printf.sprintf "%s, seed %d: rng" what seed)
+          (Rng.state reference) (Rng.state rng)
+      done)
+    cases;
+  (* Streamed by hand, with one weight per group and more items than k,
+     in ascending order: what the adaptive planner does. *)
+  let weights = [| 1.; 1e-3; 1. /. 1e300; infinity |] in
+  let reference = Rng.create ~seed:3 and rng = Rng.create ~seed:3 in
+  let flat = Array.init 400 (fun i -> weights.(i / 100)) in
+  let r = Sampling.reservoir ~k:25 ~weights in
+  for group = 0 to 3 do
+    (* Runs of uneven length, to cross the heap filling up mid-run. *)
+    let items = Array.init 100 (fun j -> (100 * group) + j) in
+    Sampling.offer r rng ~group (Array.sub items 0 7) ~len:7;
+    Sampling.offer r rng ~group (Array.sub items 7 93) ~len:93
+  done;
+  Alcotest.(check (array int)) "grouped stream" (full_sort reference ~weights:flat ~k:25) (Sampling.drawn r);
+  Alcotest.(check int64) "grouped stream rng" (Rng.state reference) (Rng.state rng)
+
+let test_reservoir_short_stream () =
+  (* Fewer positive items than k: all of them, in key order. *)
+  let weights = [| 1.; 0.; 3. |] in
+  let r = Sampling.reservoir ~k:5 ~weights in
+  let rng = Rng.create ~seed:8 in
+  List.iter (fun i -> Sampling.offer r rng ~group:i [| i; -1 |] ~len:1) [ 0; 1; 2 ];
+  let drawn = Sampling.drawn r in
+  Alcotest.(check int) "two positive items" 2 (Array.length drawn);
+  Alcotest.(check (list int)) "both of them" [ 0; 2 ] (List.sort compare (Array.to_list drawn));
+  Alcotest.check_raises "NaN weight" (Invalid_argument "Sampling.offer: invalid weight")
+    (fun () ->
+      Sampling.offer (Sampling.reservoir ~k:1 ~weights:[| Float.nan |]) rng ~group:0 [| 0 |] ~len:1)
+
 let suite =
   [
+    Alcotest.test_case "reservoir: adversarial weights" `Quick test_reservoir_adversarial_weights;
+    Alcotest.test_case "reservoir: short stream" `Quick test_reservoir_short_stream;
     Alcotest.test_case "uniform delegates" `Quick test_uniform_delegates;
     Alcotest.test_case "weighted distinct/positive" `Quick test_weighted_distinct_and_positive;
     Alcotest.test_case "weighted bias" `Quick test_weighted_bias;
