@@ -560,25 +560,25 @@ let models_run () name exhaustive samples_per_site seed fuel domains csv =
              (Ftb_report.Render.csv_model_table [ result ]))
   end
   else begin
-    let rng = Ftb_util.Rng.create ~seed in
-    let models =
-      Ftb_inject.Models.all_discrete
-      @ [ Ftb_inject.Models.Random_value { lo = -1e3; hi = 1e3 } ]
+    let result =
+      Ftb_core.Study_models.sample ?fuel ~samples_per_site (Ftb_util.Rng.create ~seed) ~name
+        golden
+        (Ftb_core.Study_models.default_specs ~seed)
     in
     Printf.printf "%s: SDC sensitivity to the fault model (%d injections per site)\n" name
       samples_per_site;
     let table = Ftb_util.Table.create [ "model"; "runs"; "masked"; "sdc"; "crash" ] in
     List.iter
-      (fun (c : Ftb_inject.Models.campaign) ->
+      (fun (row : Ftb_core.Study_models.row) ->
         Ftb_util.Table.add_row table
           [
-            Ftb_inject.Models.name c.Ftb_inject.Models.model;
-            string_of_int c.Ftb_inject.Models.total.Ftb_inject.Models.runs;
-            pct c.Ftb_inject.Models.masked_ratio;
-            pct c.Ftb_inject.Models.sdc_ratio;
-            pct c.Ftb_inject.Models.crash_ratio;
+            Ftb_inject.Models.name row.model.Ftb_inject.Models.model;
+            string_of_int row.cases;
+            pct row.masked_ratio;
+            pct row.sdc_ratio;
+            pct row.crash_ratio;
           ])
-      (Ftb_inject.Models.compare_models ~samples_per_site rng golden models);
+      result.Ftb_core.Study_models.rows;
     print_string (Ftb_util.Table.render table)
   end
 
@@ -726,10 +726,10 @@ let serve_run () state socket tcp capacity domains checkpoint_every stuck_after
     exit 2
   end;
   (* Every daemon is fleet-capable: remote `ftb worker` processes may
-     attach at any time and jobs submitted while workers are live run on
-     the fleet. The fleet's own dense shard executions (the local
-     fallback, audits) share the daemon's pool; adaptive rounds with no
-     worker attached run serially on the scheduler thread. *)
+     attach at any time and exhaustive jobs submitted while workers are
+     live run on the fleet. The fleet's own shard executions (the local
+     fallback, audits) share the daemon's pool. Adaptive rounds never
+     leave the daemon: they run serially on the scheduler thread. *)
   let pool =
     if domains > 1 then Some (Ftb_inject.Parallel.Pool.global ~domains ()) else None
   in
@@ -744,7 +744,6 @@ let serve_run () state socket tcp capacity domains checkpoint_every stuck_after
       cache = not no_cache;
       extension = Some (Ftb_dist.Fleet.extension fleet);
       wave_runner = Some (Ftb_dist.Fleet.wave_runner fleet);
-      round_runner = Some (Ftb_dist.Fleet.round_runner fleet);
       provenance =
         Some
           (fun ~job_id ->

@@ -37,3 +37,27 @@ let run ?pool ?domains ?fuel ~name golden specs =
       specs
   in
   { name; sites = Ftb_trace.Golden.sites golden; rows }
+
+let sample ?fuel ~samples_per_site rng ~name golden specs =
+  if samples_per_site <= 0 then
+    invalid_arg "Study_models.sample: samples_per_site must be positive";
+  let sites = Ftb_trace.Golden.sites golden in
+  let row spec =
+    let width = Models.spec_width spec in
+    let k = min samples_per_site width in
+    let outcomes = Bytes.create (sites * k) in
+    for site = 0 to sites - 1 do
+      let locals =
+        if k = width then Array.init width Fun.id
+        else Ftb_util.Rng.sample_without_replacement rng ~n:width ~k
+      in
+      Array.iteri
+        (fun i local ->
+          Bytes.set outcomes ((site * k) + i)
+            (Ground_truth.case_byte_model ?fuel spec golden ((site * width) + local)))
+        locals
+    done;
+    (* [k] bytes per site: the sample is itself a dense outcome table. *)
+    row_of_ground_truth spec (Ground_truth.of_outcomes ~width:k golden outcomes)
+  in
+  { name; sites; rows = List.map row specs }

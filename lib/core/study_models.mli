@@ -38,3 +38,22 @@ val run :
 (** One exhaustive campaign per spec ({!Ftb_inject.Executor.ground_truth_model});
     outcome bytes are bit-identical to the campaign engine's under the
     same spec. *)
+
+val sample :
+  ?fuel:int ->
+  samples_per_site:int ->
+  Ftb_util.Rng.t ->
+  name:string ->
+  Ftb_trace.Golden.t ->
+  Ftb_inject.Models.spec list ->
+  result
+(** The sampled counterpart of {!run} ([models] without [--exhaustive]):
+    per spec, then per site, draw [min samples_per_site width] distinct
+    local cases of the spec's dense width (the 64 replicas of a
+    stochastic model included) with
+    {!Ftb_util.Rng.sample_without_replacement} — every case, without a
+    draw, when the budget covers the site — and classify each with the
+    contained {!Ftb_inject.Ground_truth.case_byte_model}, so a kernel
+    exception counts as a crash. A row's [cases] is the number of
+    injections run. Deterministic given the RNG; raises
+    [Invalid_argument] when [samples_per_site] is not positive. *)

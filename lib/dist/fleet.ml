@@ -18,14 +18,12 @@ type worker_info = {
 (* One committed remote shard, recorded for audit re-execution and cache
    provenance. [r_digest] is the attestation digest, checked server-side
    against the blob that committed. [r_commit] writes an oracle blob over the
-   shard in the wave it committed to; a round that has already returned
-   ignores it. [r_overwritten] marks a disputed shard whose blob the
-   local oracle replaced. *)
+   shard in the wave it committed to. [r_overwritten] marks a disputed
+   shard whose blob the local oracle replaced. *)
 type audit_record = {
   r_shard : int;
   r_lo : int;
   r_hi : int;
-  r_work : Shard.t;
   r_wid : int;
   r_name : string;
   r_digest : string;
@@ -35,21 +33,17 @@ type audit_record = {
 }
 
 (* The wave currently being executed for the scheduler thread blocked in
-   [drive]. [a_commit] writes a shard's validated blob into the wave's
-   destination (the engine's outcome buffer, or a round's sample slots);
-   it is called only under the fleet mutex and only when the lease table
-   answered [`Committed] for that shard. [a_cases] is the adaptive
-   round's drawn case list, [None] for a dense wave. *)
+   [drive]. [a_commit] writes a shard's validated blob into the engine's
+   outcome buffer; it is called only under the fleet mutex and only when
+   the lease table answered [`Committed] for that shard. *)
 type active = {
   a_job : int;
   a_bench : string;
   a_fuel : int option;
   a_model : Ftb_inject.Models.spec;
-  a_sites : int;
   a_fingerprint : string;
   table : Lease.t;
   a_commit : shard:int -> Bytes.t -> unit;
-  a_cases : int array option;
 }
 
 type stats = {
@@ -303,11 +297,6 @@ let handle_lease t json =
                     lo = g.Lease.lo;
                     hi = g.Lease.hi;
                     ttl = t.lease_ttl;
-                    cases =
-                      Option.map
-                        (fun cases ->
-                          Array.sub cases g.Lease.lo (g.Lease.hi - g.Lease.lo))
-                        a.a_cases;
                   }))
 
 let handle_heartbeat t json =
@@ -352,9 +341,9 @@ let handle_result t json =
              first-result-wins stays sound; across jobs they are dropped. *)
           stale ()
       | Some a -> (
-          (* A refused blob fails its lease, so the shard is re-run (by the
-             engine's retry, or the round's local pass); a refusal of a
-             lease that is no longer current changes nothing. *)
+          (* A refused blob fails its lease, so the engine's retry re-runs
+             the shard; a refusal of a lease that is no longer current
+             changes nothing. *)
           let refuse code message =
             ignore (Lease.fail a.table ~lease_id ~message : [ `Committed | `Stale ]);
             P.error_frame code (Printf.sprintf "shard %d: %s" shard message)
@@ -374,19 +363,17 @@ let handle_result t json =
               match Lease.bounds a.table ~shard with
               | None -> stale ()
               | Some (lo, hi) -> (
-                  let work = Shard.of_wave a.a_cases ~lo ~hi in
                   (* Validation, then attestation: a blob that does not fit
-                     its grant never reaches the campaign or a boundary
-                     fold, and neither does one whose frame digest
-                     disagrees with the server's recomputation — that
-                     frame was corrupted in transit or encoding, which is
-                     not a dispute (the worker's execution is not in
-                     question, its frame is). *)
+                     its grant never reaches the campaign, and neither does
+                     one whose frame digest disagrees with the server's
+                     recomputation — that frame was corrupted in transit or
+                     encoding, which is not a dispute (the worker's
+                     execution is not in question, its frame is). *)
                   let sdigest () =
                     P.outcome_digest ~job:a.a_job ~shard ~lo ~hi
                       ~fingerprint:a.a_fingerprint data
                   in
-                  match Shard.check a.a_model ~sites:a.a_sites work data with
+                  match Shard.check ~lo ~hi data with
                   | Error message -> refuse "bad_result" message
                   | Ok () when digest <> sdigest () ->
                       t.bad_digest <- t.bad_digest + 1;
@@ -408,7 +395,6 @@ let handle_result t json =
                               r_shard = shard;
                               r_lo = lo;
                               r_hi = hi;
-                              r_work = work;
                               r_wid = wid;
                               r_name;
                               r_digest = digest;
@@ -498,8 +484,7 @@ let quarantine_locked t ~wid ~name ~disputes =
 
 (* ------------------------------------------------------------------ *)
 (* The scheduler side (scheduler thread): one lease-driving loop, with
-   the engine's dense waves and the adaptive planner's rounds as thin
-   adapters over it. *)
+   the engine's dense waves as a thin adapter over it. *)
 
 let local_holder = 0 (* worker ids start at 1 *)
 
@@ -514,33 +499,22 @@ let audit_hash t ~job ~shard =
   let h = h lxor (h lsr 13) in
   h land max_int
 
-(* The scheduler's own shard executions: the local fallback, the audit
-   oracle and a round's failed slices. A dense range splits over the
-   daemon's pool; a drawn slice runs on the scheduler thread alone. Its
-   traced samples allocate heavily, and on a shared 2-vCPU host pooled
-   daemon-local rounds ran 1.0–1.4x the serial speed from one daemon to
-   the next (perfbench adaptive_cold, 10 runs: interquartile spread 16 %
-   of the median pooled, 4 % serial). Same bytes either way. *)
-let run_local_shard t ?fuel model golden shard =
-  let pool = match shard with Shard.Range _ -> t.pool | Shard.Cases _ -> None in
-  Shard.run ?pool ?fuel model golden shard
-
 (* Audit and adjudicate the current job's committed shards. Runs on the
    scheduler thread after a wave's lease table is closed ([t.active] is
    [None]), so the record list is quiescent and the wave's consumer (the
-   engine's checkpoint, the planner's fold) has not seen the wave yet: a
-   disputed shard's blob is replaced before it can be persisted or
-   folded. The local executor is the oracle — a shard's blob is a pure
-   function of the golden trace, so a recomputed blob that disagrees
-   with a worker's digest is a 2-of-2 quorum against it (honest-worker
-   agreement is checked the same way, shard by shard). *)
+   engine's checkpoint) has not seen the wave yet: a disputed shard's blob
+   is replaced before it can be persisted. The local executor, on the
+   daemon's pool, is the oracle — a shard's blob is a pure function of
+   the golden trace, so a recomputed blob that disagrees with a worker's
+   digest is a 2-of-2 quorum against it (honest-worker agreement is
+   checked the same way, shard by shard). *)
 let audit_job_locked_free t ~fuel ~model ~golden ~fingerprint =
   if t.audit_rate <= 0. then []
   else begin
     let job = match t.audit_job with Some j -> j | None -> -1 in
     let audit_one r =
       with_lock t (fun () -> t.audited <- t.audited + 1);
-      let blob = run_local_shard t ?fuel model golden r.r_work in
+      let blob = Shard.run ?pool:t.pool ?fuel model golden ~lo:r.r_lo ~hi:r.r_hi in
       let expect =
         P.outcome_digest ~job ~shard:r.r_shard ~lo:r.r_lo ~hi:r.r_hi ~fingerprint blob
       in
@@ -651,8 +625,7 @@ let job_provenance t ~job_id =
         in
         Some { jp_workers; jp_audited })
 
-(* Drive one wave — [tasks] are (shard, lo, hi) of a dense campaign when
-   [cases] is [None], else slices of the drawn round [cases] — to
+(* Drive one wave — [tasks] are (shard, lo, hi) of a dense campaign — to
    completion. Workers lease the wave's shards through [handle_lease]
    and commit validated blobs through [handle_result]; this loop expires
    dead workers' leases, prunes the registry, and runs on the local
@@ -661,7 +634,7 @@ let job_provenance t ~job_id =
    completes), and shards whose blob could not fit a wire frame at any
    time. Then it audits the wave's remote commits and fires the
    quarantine hook before handing the per-shard results back. *)
-let drive t ~job_id ~bench ~fuel ~model ~golden ~fingerprint ~cases ~commit tasks =
+let drive t ~job_id ~bench ~fuel ~model ~golden ~fingerprint ~commit tasks =
   let table =
     with_lock t (fun () ->
         if t.audit_job <> Some job_id then begin
@@ -677,11 +650,9 @@ let drive t ~job_id ~bench ~fuel ~model ~golden ~fingerprint ~cases ~commit task
               a_bench = bench;
               a_fuel = fuel;
               a_model = model;
-              a_sites = Ftb_trace.Golden.sites golden;
               a_fingerprint = fingerprint;
               table;
               a_commit = commit;
-              a_cases = cases;
             };
         table)
   in
@@ -690,7 +661,7 @@ let drive t ~job_id ~bench ~fuel ~model ~golden ~fingerprint ~cases ~commit task
      (byte-identical anyway for an honest worker) and this one is
      dropped as stale. *)
   let run_local (g : Lease.grant) =
-    match run_local_shard t ?fuel model golden (Shard.of_wave cases ~lo:g.lo ~hi:g.hi) with
+    match Shard.run ?pool:t.pool ?fuel model golden ~lo:g.lo ~hi:g.hi with
     | blob ->
         with_lock t (fun () ->
             match Lease.commit table ~shard:g.shard with
@@ -754,57 +725,7 @@ let wave_runner t ~job_id ~bench ~fuel ~model ~golden =
     (* The engine's post-wave checkpoint only ever persists adjudicated
        bytes: [drive] audits before it returns. *)
     let run_wave (tasks : Engine.shard_task array) ~commit ~run_local:_ =
-      drive t ~job_id ~bench ~fuel ~model ~golden ~fingerprint ~cases:None ~commit
+      drive t ~job_id ~bench ~fuel ~model ~golden ~fingerprint ~commit
         (Array.map (fun (task : Engine.shard_task) -> (task.shard, task.lo, task.hi)) tasks)
     in
     Some { Engine.wave_size; run_wave }
-
-(* One round's drawn case list, sliced into shards sized so a worst-case
-   codec blob still fits a wire frame (a masked sample can carry a
-   deviation per site; the hex doubling is the same arithmetic as the
-   dense [max_result_cases]). The samples come back aligned
-   index-for-index with the draw — the planner folds them in draw order,
-   so the distributed round is bit-identical to the serial one. With no
-   live worker, [drive] runs every slice on the local executor. *)
-let round_runner t ~job_id ~bench ~fuel ~model ~golden =
-  let fingerprint = Checkpoint.fingerprint_of_golden golden in
-  let per_sample =
-    Ftb_inject.Sample_codec.encoded_size_upper_bound ~sites:(Ftb_trace.Golden.sites golden)
-  in
-  let shard_cap = max 1 (P.max_result_cases / per_sample) in
-  fun ~round:_ ~cases ->
-    let n = Array.length cases in
-    let tasks =
-      Array.init ((n + shard_cap - 1) / shard_cap) (fun i ->
-          (i, i * shard_cap, min n ((i + 1) * shard_cap)))
-    in
-    (* Blobs arrive validated by [Shard.check] or straight from the
-       oracle, so they decode. The slots are emptied once the round
-       returns: a late audit overwrite of this round's shard then lands
-       nowhere (its samples are folded already) instead of in a later
-       round, and the round's samples are not kept alive by its audit
-       records. *)
-    let slots = ref (Array.make (Array.length tasks) None) in
-    let commit ~shard blob =
-      if shard < Array.length !slots then
-        !slots.(shard) <- Some (Ftb_inject.Sample_codec.decode (Bytes.to_string blob))
-    in
-    ignore
-      (drive t ~job_id ~bench ~fuel ~model ~golden ~fingerprint ~cases:(Some cases) ~commit
-         tasks
-        : (int * (unit, string) result) list);
-    (* A failed slice ([Lease.fail] is final within the wave) has no
-       engine retry to fall back on: the oracle runs it here, so the
-       round always completes. *)
-    Array.iteri
-      (fun shard slot ->
-        if Option.is_none slot then begin
-          let _, lo, hi = tasks.(shard) in
-          commit ~shard
-            (run_local_shard t ?fuel model golden (Shard.of_wave (Some cases) ~lo ~hi));
-          with_lock t (fun () -> t.local_committed <- t.local_committed + 1)
-        end)
-      !slots;
-    let samples = Array.concat (Array.to_list (Array.map Option.get !slots)) in
-    slots := [||];
-    samples

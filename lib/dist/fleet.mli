@@ -9,14 +9,16 @@
     - {!wave_runner} is the {!Ftb_campaign.Engine.wave_runner} factory the
       scheduler thread queries per job: when at least one live worker is
       attached, the engine's shard waves are executed by leasing shards to
-      workers instead of running them on the local pool; {!round_runner}
-      does the same for an adaptive job's rounds.
+      workers instead of running them on the local pool.
 
-    Both are thin adapters over one lease-driving loop, and both shard
-    kinds ({!Shard.t}: a dense case range, a slice of a round's drawn
-    case list) share one execution function ({!Shard.run} — on the
-    worker, in the local fallback and in the audit oracle) and one blob
-    check ({!Shard.check}, before anything commits).
+    Every shard is a dense case range of an exhaustive campaign, with one
+    execution function ({!Shard.run} — on the worker, in the local
+    fallback and in the audit oracle) and one blob check ({!Shard.check},
+    before anything commits). Adaptive (§3.4) rounds never leave the
+    daemon: a round draws 0.1 % of the case space and waits on the
+    previous round's fold, so shipping it to a worker costs more in
+    round trips than its samples take to run. They run on
+    {!Ftb_plan.Adaptive_engine.run}'s own serial executor.
 
     {2 Lease lifecycle}
 
@@ -65,9 +67,8 @@
     guaranteed) and compares digests. The local executor is the
     adjudicating oracle — a shard's blob is a pure function of the
     golden trace — so a mismatch is a {e dispute}: the oracle's blob
-    replaces the worker's (before the engine can checkpoint it or the
-    planner fold it), and every remaining commit by that worker in the
-    job is re-executed. (3) {e Quarantine}: a worker
+    replaces the worker's (before the engine can checkpoint it), and
+    every remaining commit by that worker in the job is re-executed. (3) {e Quarantine}: a worker
     accumulating [quarantine_after] disputes is quarantined — leases
     revoked and refused, results refused, its operator-facing name barred
     from re-registration until cleared ([ftb workers --clear]). The
@@ -88,12 +89,9 @@ val create :
   ?quarantine_after:int ->
   unit ->
   t
-(** [pool] (default none: serial) is where the scheduler's own dense
-    shard executions run — the local fallback and the audit oracle; the
-    daemon passes its warm pool. Drawn case slices (adaptive rounds) run
-    on the scheduler thread alone: pooled, their allocation-heavy traced
-    samples made a daemon's round speed swing from run to run on a
-    shared host. [lease_ttl] (default 5s) bounds how long a dead
+(** [pool] (default none: serial) is where the scheduler's own shard
+    executions run — the local fallback and the audit oracle; the daemon
+    passes its warm pool. [lease_ttl] (default 5s) bounds how long a dead
     worker can sit on a shard; [poll] (default 0.05s) is the wait hint returned to idle
     workers. [audit_rate] (default 0.02) is the fraction of each wave's
     remote commits re-executed locally for verification — [0.] disables
@@ -130,29 +128,6 @@ val wave_runner :
     otherwise a runner whose wave size tracks the fleet's live domain
     slots and whose [run_wave] leases shards out, renews/expires
     deadlines, reassigns abandoned shards and merges results. *)
-
-val round_runner :
-  t ->
-  job_id:int ->
-  bench:string ->
-  fuel:int option ->
-  model:Ftb_inject.Models.spec ->
-  golden:Ftb_trace.Golden.t ->
-  round:int ->
-  cases:int array ->
-  Ftb_inject.Sample_run.t array
-(** Adaptive-round counterpart of {!wave_runner}: an
-    {!Ftb_plan.Adaptive_engine.exec}-shaped executor that runs one
-    round's drawn case list through the same lease loop. The draw is
-    sliced into shards (sized so a worst-case {!Ftb_inject.Sample_codec}
-    blob fits a wire frame); with live workers the slices are leased,
-    validated, attested and audited exactly like dense shards, and with
-    none every slice runs on the local executor, serially on the
-    scheduler thread. Slices a worker failed run on the local oracle
-    too: the round always completes. The samples come back aligned
-    index-for-index with [cases], so folding them is bit-identical to
-    the serial planner. Partially apply through [golden] once per job and
-    hand the closure to the engine. *)
 
 val live_workers : t -> int
 (** Workers currently attached and heard from within the liveness

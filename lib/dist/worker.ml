@@ -137,12 +137,9 @@ let run cfg =
                      "golden fingerprint mismatch for %S (worker binary diverges from daemon)"
                      g.P.bench)
               else
-                let work =
-                  match g.P.cases with
-                  | None -> Shard.Range { lo = g.P.lo; hi = g.P.hi }
-                  | Some cases -> Shard.Cases cases
+                let data =
+                  Shard.run ?pool ?fuel:g.P.fuel g.P.model golden ~lo:g.P.lo ~hi:g.P.hi
                 in
-                let data = Shard.run ?pool ?fuel:g.P.fuel g.P.model golden work in
                 (* The tamper hook models a silently-corrupt worker (chaos
                    drills): corruption happens before the digest, exactly
                    like bad RAM upstream of the hash, so the frame-layer

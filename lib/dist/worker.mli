@@ -4,8 +4,8 @@
     [config.connect] — a control channel (register, lease polls, results,
     detach) and a heartbeat channel driven by a dedicated thread, so lease
     renewal keeps flowing while a shard computes on the worker's own
-    domain pool. Each granted shard — a dense range or a drawn case
-    slice — is executed by {!Shard.run}, the same function the daemon's
+    domain pool. Each granted shard, a dense case range, is executed by
+    {!Shard.run}, the same function the daemon's
     local fallback and audit oracle call, so the returned blob is
     bit-identical to what the daemon would have computed itself; the
     grant's golden fingerprint is verified first and a mismatch is

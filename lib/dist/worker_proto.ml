@@ -184,9 +184,6 @@ type grant = {
   lo : int;
   hi : int;
   ttl : float;
-  cases : int array option;
-      (* [Some cases] marks a drawn shard: positions lo..hi of the
-         planner's round, so |cases| = hi - lo. *)
 }
 
 type lease_reply = Granted of grant | Wait of float
@@ -208,12 +205,7 @@ let grant_frame (g : grant) =
              ("hi", Json.Int g.hi);
              ("ttl", Json.Float g.ttl);
            ]
-          @ (match g.fuel with Some f -> [ ("fuel", Json.Int f) ] | None -> [])
-          @
-          match g.cases with
-          | Some cases ->
-              [ ("cases", Json.List (Array.to_list (Array.map (fun c -> Json.Int c) cases))) ]
-          | None -> []) );
+          @ match g.fuel with Some f -> [ ("fuel", Json.Int f) ] | None -> []) );
     ]
 
 let wait_frame ~poll =
@@ -222,6 +214,11 @@ let wait_frame ~poll =
 let parse_lease_reply json =
   check_ok json;
   match Json.member "grant" json with
+  | Some g when Json.member "cases" g <> None ->
+      (* A daemon that still leases adaptive rounds as case lists: the
+         grant's range indexes its draw, not the case space, so running it
+         as a dense range would compute the wrong cases. *)
+      raise (Decode_error "grant carries a drawn case list; only dense ranges are leased")
   | Some g ->
       Granted
         {
@@ -238,19 +235,6 @@ let parse_lease_reply json =
           lo = req_int "lo" g;
           hi = req_int "hi" g;
           ttl = req_float "ttl" g;
-          cases =
-            (match Json.member "cases" g with
-            | Some (Json.List items) ->
-                Some
-                  (Array.of_list
-                     (List.map
-                        (fun item ->
-                          match Json.to_int item with
-                          | Some c -> c
-                          | None -> raise (Decode_error "non-integer case in sparse grant"))
-                        items))
-            | Some _ -> raise (Decode_error "sparse grant cases must be a list")
-            | None -> None);
         }
   | None ->
       if flag "wait" json then Wait (req_float "poll" json)

@@ -12,11 +12,10 @@
     server's protocol-extension hook; the reply is one [{"ok":...}]
     frame.
 
-    Both shard kinds ({!Shard.t}: a dense range of an exhaustive
-    campaign, a slice of an adaptive round's draw) travel in the same
-    frames. A grant names its range and, for a drawn slice, its cases; a
-    result carries one hex blob (["data"]) and its mandatory
-    attestation digest (["digest"]), or a typed failure (["error"]):
+    A shard is a dense case range of an exhaustive campaign ({!Shard}):
+    a grant names its range, and a result carries one hex blob of
+    outcome bytes (["data"]) and its mandatory attestation digest
+    (["digest"]), or a typed failure (["error"]):
 
     {v
     {"cmd":"worker_result","worker":W,"job":J,"lease":L,"shard":S,
@@ -71,10 +70,9 @@ val heartbeat : worker:int -> lease:int option -> Ftb_service.Json.t
 
 type result_payload =
   | Blob of { data : Bytes.t; digest : string }
-      (** the shard's result blob ({!Shard.run}: outcome bytes for a dense
-          range, a {!Ftb_inject.Sample_codec} blob for a drawn slice) and
-          its {!outcome_digest} attestation — wire fields ["data"] (hex)
-          and ["digest"], the same for both shard kinds *)
+      (** the shard's outcome bytes ({!Shard.run}) and their
+          {!outcome_digest} attestation — wire fields ["data"] (hex) and
+          ["digest"] *)
   | Failed of string  (** typed worker-side failure; the shard is retried *)
 
 val result :
@@ -127,11 +125,6 @@ type grant = {
   lo : int;
   hi : int;
   ttl : float;  (** renew the lease at least this often *)
-  cases : int array option;
-      (** [Some cases] marks a drawn shard (an adaptive round's case
-          list): positions [lo..hi) of the planner's round, so
-          [Array.length cases = hi - lo]. [None] for a dense range shard.
-          Either way the worker replies with the {!Shard.run} blob. *)
 }
 
 type lease_reply =
@@ -141,6 +134,11 @@ type lease_reply =
 val grant_frame : grant -> Ftb_service.Json.t
 val wait_frame : poll:float -> Ftb_service.Json.t
 val parse_lease_reply : Ftb_service.Json.t -> lease_reply
+(** Raises {!Decode_error} on a malformed reply, and on a grant that
+    carries a ["cases"] field: a daemon of an older protocol leasing an
+    adaptive round's drawn case list, whose [lo, hi) index the draw and
+    not the case space. *)
+
 val heartbeat_reply : valid:bool -> Ftb_service.Json.t
 val parse_heartbeat_reply : Ftb_service.Json.t -> bool
 

@@ -1,7 +1,5 @@
 module Bits = Ftb_util.Bits
 module Rng = Ftb_util.Rng
-module Golden = Ftb_trace.Golden
-module Runner = Ftb_trace.Runner
 
 type t =
   | Bit_flip_64
@@ -22,24 +20,6 @@ let cases_per_site = function
   | Bit_flip_32 -> Some 32
   | Adjacent_burst_2 -> Some 63
   | Random_value _ -> None
-
-let check_case model ~case =
-  match cases_per_site model with
-  | None -> ()
-  | Some n ->
-      if case < 0 || case >= n then
-        invalid_arg
-          (Printf.sprintf "Models.corrupt: case %d out of range for %s" case (name model))
-
-let corrupt model ~rng ~case v =
-  check_case model ~case;
-  match model with
-  | Bit_flip_64 -> Bits.flip ~bit:case v
-  | Bit_flip_32 -> Bits.flip32 ~bit:case v
-  | Adjacent_burst_2 -> Bits.flip ~bit:case (Bits.flip ~bit:(case + 1) v)
-  | Random_value { lo; hi } ->
-      if hi <= lo then invalid_arg "Models.corrupt: empty random-value range";
-      lo +. Rng.float rng (hi -. lo)
 
 let is_stochastic model = cases_per_site model = None
 
@@ -129,48 +109,3 @@ let spec_of_string s =
           | spec -> Ok spec
           | exception _ -> fail ())
       | _ -> fail ())
-
-type site_stats = { runs : int; masked : int; sdc : int; crash : int }
-
-type campaign = {
-  model : t;
-  total : site_stats;
-  sdc_ratio : float;
-  masked_ratio : float;
-  crash_ratio : float;
-}
-
-let monte_carlo ?(samples_per_site = 4) rng golden model =
-  if samples_per_site <= 0 then
-    invalid_arg "Models.monte_carlo: samples_per_site must be positive";
-  let sites = Golden.sites golden in
-  let runs = ref 0 and masked = ref 0 and sdc = ref 0 and crash = ref 0 in
-  for site = 0 to sites - 1 do
-    let cases =
-      match cases_per_site model with
-      | Some n when n <= samples_per_site -> Array.init n Fun.id
-      | Some n -> Rng.sample_without_replacement rng ~n ~k:samples_per_site
-      | None -> Array.make samples_per_site 0
-    in
-    Array.iter
-      (fun case ->
-        let corrupt_value = corrupt model ~rng ~case in
-        let result = Runner.run_outcome_custom golden ~site ~corrupt:corrupt_value in
-        incr runs;
-        match result.Runner.outcome with
-        | Runner.Masked -> incr masked
-        | Runner.Sdc -> incr sdc
-        | Runner.Crash -> incr crash)
-      cases
-  done;
-  let total_f = float_of_int !runs in
-  {
-    model;
-    total = { runs = !runs; masked = !masked; sdc = !sdc; crash = !crash };
-    sdc_ratio = float_of_int !sdc /. total_f;
-    masked_ratio = float_of_int !masked /. total_f;
-    crash_ratio = float_of_int !crash /. total_f;
-  }
-
-let compare_models ?samples_per_site rng golden models =
-  List.map (fun model -> monte_carlo ?samples_per_site rng golden model) models

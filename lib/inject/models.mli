@@ -5,8 +5,8 @@
     span multiple bits. This module parameterises campaigns by fault model
     so a user can measure how sensitive a program's SDC profile is to the
     model assumption. Discrete models enumerate a fixed number of cases
-    per site (like the 64 flips); stochastic models draw corruptions from
-    an explicit RNG. *)
+    per site (like the 64 flips); stochastic models draw each case's
+    corruption from an RNG seeded by the case ({!case_corrupt}). *)
 
 type t =
   | Bit_flip_64  (** the paper's model: one of 64 bit flips *)
@@ -27,11 +27,6 @@ val all_discrete : t list
 val cases_per_site : t -> int option
 (** Number of enumerable corruptions per site; [None] for stochastic
     models. *)
-
-val corrupt : t -> rng:Ftb_util.Rng.t -> case:int -> float -> float
-(** [corrupt model ~rng ~case v] applies the model's [case]-th corruption
-    to [v]. Discrete models ignore [rng] and require
-    [0 <= case < cases_per_site]; stochastic models ignore [case]. *)
 
 val is_stochastic : t -> bool
 (** [true] iff {!cases_per_site} is [None]. *)
@@ -81,37 +76,3 @@ val spec_to_string : spec -> string
 val spec_of_string : string -> (spec, string) result
 (** Inverse of {!spec_to_string}; also accepts decimal floats and an
     omitted seed (default 0) in [random-value:LO:HI[:SEED]]. *)
-
-type site_stats = {
-  runs : int;
-  masked : int;
-  sdc : int;
-  crash : int;
-}
-
-type campaign = {
-  model : t;
-  total : site_stats;  (** aggregate over all injections *)
-  sdc_ratio : float;
-  masked_ratio : float;
-  crash_ratio : float;
-}
-
-val monte_carlo :
-  ?samples_per_site:int ->
-  Ftb_util.Rng.t ->
-  Ftb_trace.Golden.t ->
-  t ->
-  campaign
-(** Monte-Carlo campaign under a fault model: for every dynamic
-    instruction, draw [samples_per_site] corruptions (default 4 — or every
-    case when the model is discrete and has at most that many) and
-    classify each outcome-only run. Deterministic given the RNG. *)
-
-val compare_models :
-  ?samples_per_site:int ->
-  Ftb_util.Rng.t ->
-  Ftb_trace.Golden.t ->
-  t list ->
-  campaign list
-(** Run {!monte_carlo} for each model on the same golden run. *)

@@ -166,11 +166,6 @@ let decode blob =
   if !pos <> len then fail "trailing garbage: %d bytes past sample %d" (len - !pos) count;
   samples
 
-let encoded_size_upper_bound ~sites =
-  (* A masked sample's propagation can hold a pair per site: 15 fixed
-     bytes (flag included) + a 4-byte length + 12 bytes per pair. *)
-  19 + (pair_bytes * sites)
-
 let case_of width (s : Sample_run.t) = (s.fault.Fault.site * width) + s.fault.Fault.bit
 
 let validate spec ~sites ?cases (samples : Sample_run.t array) =

@@ -2,9 +2,10 @@
 
     Decomposes each §3.4 round into plan → execute → fold, where the
     execute step is an injected [exec] function: the serial default runs
-    the drawn cases in-process, the daemon passes the fleet's round
-    runner, and both produce the same bytes — outcomes are pure functions
-    of (golden, model, case), and the RNG is consumed only by the planner.
+    the drawn cases in-process (the CLI's and the daemon's executor), and
+    any other [exec] — a test's reordering one, a harness's timing shim —
+    produces the same bytes: outcomes are pure functions of (golden,
+    model, case), and the RNG is consumed only by the planner.
 
     With a [checkpoint] path the driver is kill-safe at round
     granularity: it keeps a {!Round_checkpoint} log, writing the campaign

@@ -366,10 +366,9 @@ let publish_progress t id ~heartbeat ~(p : Engine.progress) ~rate =
   in
   stream_to_subs t id ~seq (progress_event ~id ~seq ~p ~rate)
 
-(* Provenance token for a fleet-assisted campaign (the exhaustive
-   harvest's and the adaptive store entry's): [prov_local] unless remote workers computed
-   surviving bytes, then the compose [fleet:*] token so downstream trust
-   decisions see audit coverage. *)
+(* Provenance token for an exhaustive campaign's harvest: [prov_local]
+   unless remote workers computed surviving bytes, then the compose
+   [fleet:*] token so downstream trust decisions see audit coverage. *)
 let prov_of_job t ~job_id =
   match t.config.provenance with
   | None -> Bstore.prov_local
@@ -681,11 +680,11 @@ let run_adaptive t (job : Job.info) cancel ~heartbeat ~aconfig ~seed =
           | None -> ()
           | Some bs -> (
               try
+                (* Adaptive rounds never leave the daemon, so the entry
+                   keeps the default [local] provenance. *)
                 Bstore.put bs
-                  (Bstore.entry_of_result
-                     ~prov:(prov_of_job t ~job_id:job.Job.id)
-                     ~bench:spec.Job.bench ~spec:spec.Job.model ~fuel:spec.Job.fuel
-                     ~config:aconfig ~seed ~created:(now ()) golden result)
+                  (Bstore.entry_of_result ~bench:spec.Job.bench ~spec:spec.Job.model
+                     ~fuel:spec.Job.fuel ~config:aconfig ~seed ~created:(now ()) golden result)
               with _ -> ()));
           { job with Job.status = Job.Completed; counts; finished = Some (now ()) }
       | exception Adaptive_engine.Cancelled -> (

@@ -130,14 +130,15 @@ type config = {
     golden:Ftb_trace.Golden.t ->
     Ftb_plan.Adaptive_engine.exec)
     option;
-      (** pluggable round execution for adaptive jobs, queried once per
-          job start: the returned {!Ftb_plan.Adaptive_engine.exec} runs
-          each round's drawn case list. [None] runs rounds in-process on
-          the scheduler thread (the engine's serial default).
-          {!Ftb_dist.Fleet.round_runner} leases each round's draw to
-          attached workers as sparse shards and falls back to the local
-          oracle when none are live — either way the samples are
-          bit-identical to the serial run. *)
+      (** a seam for in-process harnesses: an
+          {!Ftb_plan.Adaptive_engine.exec} that runs each adaptive
+          round's drawn case list, queried once per job start (a timing
+          shim sets it). It must return the samples of
+          {!Ftb_inject.Sample_run.run_case_model}, aligned with the draw.
+          [None], what the CLI daemon uses, runs rounds on the engine's
+          own serial executor on the scheduler thread. Adaptive rounds
+          never go to fleet workers, so the boundary-store entry of an
+          adaptive job always has [local] provenance. *)
   provenance : (job_id:int -> (string list * bool) option) option;
       (** who computed a just-finished job's bytes, queried once at
           harvest time: [Some (workers, audited)] stamps every profile

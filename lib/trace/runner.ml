@@ -84,11 +84,6 @@ let run_outcome ?fuel (golden : Golden.t) fault =
   check_fault golden fault;
   finish_outcome golden fault (Ctx.outcome_only ?fuel ~fault ())
 
-let run_outcome_custom ?fuel (golden : Golden.t) ~site ~corrupt =
-  let fault = Fault.make ~site ~bit:0 in
-  check_fault golden fault;
-  finish_outcome golden fault (Ctx.outcome_custom ?fuel ~site ~corrupt ())
-
 let run_outcome_custom_contained ?fuel (golden : Golden.t) ~site ~corrupt =
   let fault = Fault.make ~site ~bit:0 in
   check_fault golden fault;

@@ -47,22 +47,17 @@ val run_outcome : ?fuel:int -> Golden.t -> Fault.t -> result
     tolerance, else SDC. Raises [Invalid_argument] when the fault site is
     outside the program's dynamic range. *)
 
-val run_outcome_custom :
-  ?fuel:int -> Golden.t -> site:int -> corrupt:(float -> float) -> result
-(** Like {!run_outcome} but with an arbitrary corruption function applied
-    to the value produced at [site] — used by alternative fault models.
-    The returned [fault] field carries [site] with bit 0 as a placeholder
-    (custom corruptions have no single bit). *)
-
 val run_outcome_custom_contained :
   ?fuel:int -> Golden.t -> site:int -> corrupt:(float -> float) -> result
-(** {!run_outcome_custom} that additionally contains *any* exception
-    escaping the kernel body — not only the cooperative [Ctx.Crash] —
-    classifying it as Crash with reason {!Ctx.Exception_raised}. This is
-    the campaign engine's unit of work under every fault model: one broken
-    case must never abort a campaign. [Out_of_memory] and errors raised
-    before the body starts (e.g. an out-of-range site) still
-    propagate. *)
+(** Like {!run_outcome} but with an arbitrary corruption function applied
+    to the value produced at [site] — the per-case unit of work of every
+    fault model. The returned [fault] field carries [site] with bit 0 as
+    a placeholder (custom corruptions have no single bit). Any exception
+    escaping the kernel body — not only the cooperative [Ctx.Crash] — is
+    contained and classified as Crash with reason
+    {!Ctx.Exception_raised}: one broken case must never abort a campaign.
+    [Out_of_memory] and errors raised before the body starts (e.g. an
+    out-of-range site) still propagate. *)
 
 val outcome_of_run_contained :
   Golden.t -> Fault.t -> Ctx.t -> (Ctx.t -> float array) -> result
@@ -93,7 +88,8 @@ val run_propagation_custom :
   corrupt:(float -> float) ->
   propagation
 (** {!run_propagation} with an arbitrary corruption function applied at the
-    fault's site, mirroring {!run_outcome_custom}: the model-aware adaptive
-    sampler traces propagation under any fault model's cases. [fault]
+    fault's site, mirroring {!run_outcome_custom_contained}: the
+    model-aware adaptive sampler traces propagation under any fault
+    model's cases. [fault]
     carries the case's (site, local-bit) identity for bookkeeping; the
     corruption actually applied is [corrupt], not the fault's bit flip. *)

@@ -13,10 +13,11 @@
       count and stop reason identical to the serial oracle. Watchers see
       §3.4 convergence live via "round" events.
 
-   3. Fleet: the same campaign again with two worker processes attached
-      and one SIGKILLed mid-round — expired leases re-run elsewhere (or
-      on the local oracle of last resort) and the boundary still matches
-      the serial run bit for bit.
+   3. Fleet attached: the same campaign again on a daemon with two worker
+      processes attached, one SIGKILLed during the job. Adaptive rounds
+      never leave the daemon: the job grants no lease, its boundary
+      matches the serial run bit for bit, and its store entry has local
+      provenance.
 
    4. Warm start: an exact resubmission of a stored campaign is served
       [Completed] from the boundary store with zero fresh samples
@@ -222,24 +223,32 @@ let cone_drill bench =
 (* ------------------------------------------------------------------ *)
 (* Part 1 + 4: daemon SIGKILL mid-round, restart, then warm resubmit.   *)
 
-let spawn_daemon ?fleet ~state_dir sock =
+(* With [granted_w], the daemon carries a worker fleet and, once drained,
+   writes the number of leases it granted over its life to that pipe. *)
+let spawn_daemon ?granted_w ~state_dir sock =
   match Unix.fork () with
   | 0 ->
+      let fleet = Option.map (fun _ -> Fleet.create ~lease_ttl ()) granted_w in
+      let config = { (Server.default_config ~state_dir) with Server.resolve } in
       let config =
         match fleet with
-        | None -> { (Server.default_config ~state_dir) with Server.resolve }
+        | None -> config
         | Some fleet ->
             {
-              (Server.default_config ~state_dir) with
-              Server.resolve;
-              extension = Some (Fleet.extension fleet);
+              config with
+              Server.extension = Some (Fleet.extension fleet);
               wave_runner = Some (Fleet.wave_runner fleet);
-              round_runner = Some (Fleet.round_runner fleet);
             }
       in
       let t = Server.create config in
       (match Server.run ~socket:sock t with
-      | () -> Unix._exit 0
+      | () ->
+          (match (fleet, granted_w) with
+          | Some fleet, Some w ->
+              let line = Printf.sprintf "%d\n" (Fleet.stats fleet).Fleet.granted in
+              ignore (Unix.write_substring w line 0 (String.length line) : int)
+          | _ -> ());
+          Unix._exit 0
       | exception _ -> Unix._exit 1)
   | pid -> pid
 
@@ -342,7 +351,7 @@ let restart_drill (model : Models.spec) =
   Client.close client2
 
 (* ------------------------------------------------------------------ *)
-(* Part 3: fleet with one worker SIGKILLed mid-round.                   *)
+(* Part 3: two workers attached, one SIGKILLed during the job.          *)
 
 let connect_fd_with_retry sock =
   let rec go attempts =
@@ -382,53 +391,89 @@ let wait_worker_ready what ready_r =
       check what true
   | _ -> check what false
 
+(* The daemon's registry, read with the [ftb workers] request. *)
+let registered_workers sock =
+  let fd = connect_fd_with_retry sock in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Wire.write fd Ftb_dist.Worker_proto.workers_request;
+      List.length (fst (Ftb_dist.Worker_proto.parse_workers (Wire.read fd))))
+
 let fleet_drill (model : Models.spec) =
   let what = Printf.sprintf "fleet[%s]" (Models.spec_name model) in
   let reference = oracle model in
   let state_dir = fresh_dir ("fleet_" ^ Models.spec_name model) in
   let sock = Filename.concat state_dir "daemon.sock" in
   let ready_r, ready_w = Unix.pipe () in
-  let fleet = Fleet.create ~lease_ttl () in
-  let daemon = spawn_daemon ~fleet ~state_dir sock in
+  let granted_r, granted_w = Unix.pipe () in
+  let daemon = spawn_daemon ~granted_w ~state_dir sock in
+  Unix.close granted_w;
   let w1 = spawn_worker sock ready_w in
   let w2 = spawn_worker sock ready_w in
   wait_worker_ready (what ^ ": first worker attached") ready_r;
   wait_worker_ready (what ^ ": second worker attached") ready_r;
+  check (what ^ ": two workers registered") (registered_workers sock = 2);
 
   let client = connect_with_retry sock in
+  (* As in the restart drill, the job waits behind a blocker until the
+     watch is attached. The blocker is adaptive too, so it leases nothing
+     either: the daemon grants no lease at all over its life. *)
+  let blocker =
+    get_ok (what ^ ": submit blocker")
+      (Client.submit client
+         {
+           (job_spec model) with
+           Job.bench = "adapt.block";
+           mode =
+             Job.Adaptive
+               { config = { config with Adaptive.max_rounds = 1000; stop_sdc_fraction = 1.0 }; seed };
+         })
+  in
   let id = get_ok (what ^ ": submit") (Client.submit client (job_spec model)) in
+  let control = connect_with_retry sock in
+  let released = ref false in
   let killed = ref false in
   let rounds_seen = ref 0 in
   let final =
     get_ok (what ^ ": watch")
       (Client.watch client id ~on_event:(function
+        | Client.Progress _ when not !released ->
+            released := true;
+            check (what ^ ": blocker cancelled after the watch attached")
+              (match Client.cancel control blocker with Ok _ -> true | Error _ -> false)
         | Client.Round _ ->
             incr rounds_seen;
-            (* Kill one of two workers while rounds are still being
-               leased: its abandoned lease expires and the round's cases
-               re-run on the survivor (or the daemon's local oracle). *)
             if not !killed then begin
               killed := true;
               Unix.kill w1 Sys.sigkill
             end
         | Client.Progress _ | Client.Worker_quarantined _ -> ()))
   in
-  check (what ^ ": worker SIGKILLed mid-round") !killed;
+  check (what ^ ": worker SIGKILLed during the job") !killed;
   if not !killed then (try Unix.kill w1 Sys.sigkill with Unix.Unix_error _ -> ());
-  check (what ^ ": job completed despite worker death")
-    (final.Job.status = Job.Completed);
+  check (what ^ ": job completed") (final.Job.status = Job.Completed);
   check (what ^ ": watch streamed round events") (!rounds_seen >= 1);
   check
     (what ^ ": sample count matches the oracle")
     (final.Job.counts.Job.cases_done = Array.length reference.Adaptive.samples);
   (match stored_entry ~state_dir model with
-  | Some entry -> check_entry_matches what reference entry
+  | Some entry ->
+      check_entry_matches what reference entry;
+      check (what ^ ": store entry has local provenance") (entry.BS.prov = BS.prov_local)
   | None -> check (what ^ ": boundary published to the store") false);
 
   get_ok (what ^ ": shutdown") (Client.shutdown client);
   (match Unix.waitpid [] daemon with
   | _, Unix.WEXITED 0 -> check (what ^ ": daemon exited cleanly") true
   | _, _ -> check (what ^ ": daemon exited cleanly") false);
+  (* The adaptive job was the daemon's only job: no lease, ever. *)
+  let granted =
+    let ic = Unix.in_channel_of_descr granted_r in
+    Fun.protect ~finally:(fun () -> close_in ic) (fun () -> String.trim (In_channel.input_all ic))
+  in
+  check (Printf.sprintf "%s: no lease granted for the adaptive job (%s)" what granted)
+    (granted = "0");
   (match Unix.waitpid [] w1 with
   | _, Unix.WSIGNALED s when s = Sys.sigkill ->
       check (what ^ ": first worker died by SIGKILL") true
@@ -437,6 +482,7 @@ let fleet_drill (model : Models.spec) =
   | _, Unix.WEXITED 0 -> check (what ^ ": surviving worker exited cleanly") true
   | _, _ -> check (what ^ ": surviving worker exited cleanly") false);
   Client.close client;
+  Client.close control;
   Unix.close ready_r;
   Unix.close ready_w
 

@@ -249,8 +249,15 @@ let grant =
     lo = 10;
     hi = 13;
     ttl = 1.5;
-    cases = Some [| 5; 99; 130 |];
   }
+
+(* A grant as a daemon that still leased adaptive rounds wrote it: its
+   [lo, hi) index a drawn case list, not the case space. *)
+let grant_with_cases cases =
+  match P.grant_frame grant with
+  | Json.Obj [ ok; ("grant", Json.Obj fields) ] ->
+      Json.Obj [ ok; ("grant", Json.Obj (fields @ [ ("cases", cases) ])) ]
+  | _ -> invalid_arg "grant_with_cases: unexpected grant frame shape"
 
 let worker_replies_targets () =
   let row =
@@ -268,7 +275,7 @@ let worker_replies_targets () =
   let frames =
     [
       P.grant_frame grant;
-      P.grant_frame { grant with cases = None; fuel = None };
+      P.grant_frame { grant with fuel = None };
       P.wait_frame ~poll:0.125;
       P.registered ~worker:3 ~ttl:2.5;
       P.heartbeat_reply ~valid:true;
@@ -297,6 +304,30 @@ let worker_replies_targets () =
     parser "workers" P.parse_workers (fun (rows, barred) -> P.workers_frame rows ~barred);
     parser "cleared" P.parse_cleared (fun cleared -> P.cleared_frame ~cleared);
   ]
+
+(* Mixed-version grants: a grant that still carries a ["cases"] field must
+   be a typed [Decode_error], never a dense range; mutants that lose the
+   field are ordinary grants and must round-trip. *)
+let mixed_grant_target () =
+  let seeds =
+    List.map
+      (fun cases -> Json.to_string (grant_with_cases cases))
+      [ Json.List [ Json.Int 5; Json.Int 99; Json.Int 130 ]; Json.List []; Json.Int 3 ]
+  in
+  let decode s =
+    let json = Json.of_string s in
+    let carries_cases =
+      match Json.member "grant" json with
+      | Some g -> Json.member "cases" g <> None
+      | None -> false
+    in
+    match P.parse_lease_reply json with
+    | P.Granted _ when carries_cases ->
+        raise (Round_trip "a grant carrying a case list decoded to a dense range")
+    | P.Granted g -> Json.to_string (P.grant_frame g)
+    | P.Wait poll -> Json.to_string (P.wait_frame ~poll)
+  in
+  target ~name:"worker_proto reply: cased grant" ~seeds (typed_json decode)
 
 let worker_results_target () =
   let blob = Bytes.of_string (Sample_codec.encode (Lazy.force samples)) in
@@ -475,11 +506,13 @@ let sample_codec_target () =
 (* Past the decoder: well-formed sample blobs whose values are out of
    range for the round they answer — a site at or past the program's
    site count, a bit outside the model, samples for cases outside the
-   grant or in the wrong order, deviations of 0, NaN or below 0 — sent
-   through [Shard.check] as a worker's reply would be. What it accepts is
-   folded into a fresh state and the next round planned: every input is
-   refused or folds cleanly (to [Boundary.infer]'s bits), and nothing
-   raises. *)
+   draw or in the wrong order, deviations of 0, NaN or below 0 — framed
+   as a round record after their draw in a round log, the one reader of
+   sample bytes the daemon does not hold in memory, and read back by
+   [Round_checkpoint.load] (which runs [Sample_codec.validate] against
+   the draw). What it accepts is folded into a fresh state and the next
+   round planned: every input is refused or folds cleanly (to
+   [Boundary.infer]'s bits), and nothing raises. *)
 let fold_target () =
   let g = Lazy.force golden in
   let sites = Golden.sites g in
@@ -541,21 +574,41 @@ let fold_target () =
     go r k
   in
   let folded = ref 0 and refused = ref 0 in
-  tallies := ("samples past Shard.check", folded, refused) :: !tallies;
+  tallies := ("samples past the round log", folded, refused) :: !tallies;
+  let path = scratch "fold-log" in
+  let header spec =
+    {
+      RC.name = "fuzz";
+      sites;
+      spec;
+      fuel = None;
+      fingerprint = Fingerprint.of_string "golden";
+      config;
+      seed = 11;
+      rng_state = 0L;
+      rounds = 0;
+      samples = [||];
+      pending = None;
+      stop = None;
+    }
+  in
   let print (spec, grant, samples) =
     Printf.sprintf "%s grant [%s], blob %s" (Models.spec_to_string spec)
       (String.concat ";" (Array.to_list (Array.map string_of_int grant)))
       (print (Sample_codec.encode samples))
   in
-  QCheck.Test.make ~name:"samples past Shard.check" ~count (QCheck.make ~print gen)
+  QCheck.Test.make ~name:"samples past the round log" ~count (QCheck.make ~print gen)
     (fun (spec, grant, samples) ->
-      let blob = Bytes.of_string (Sample_codec.encode samples) in
-      match Ftb_dist.Shard.check spec ~sites (Ftb_dist.Shard.Cases grant) blob with
-      | Error _ ->
+      let log = RC.open_log ~path (header spec) in
+      RC.append_draw log ~rng_state:1L grant;
+      RC.append_round log samples;
+      RC.close_log log;
+      match RC.load ~path with
+      | exception Persist.Format_error _ ->
           incr refused;
           true
-      | Ok () ->
-          let samples = Sample_codec.decode (Bytes.to_string blob) in
+      | loaded ->
+          let samples = loaded.RC.samples in
           let state = Adaptive.state_create ~config ~spec g in
           ignore (Adaptive.fold_round state ~cases:grant ~samples : [ `Stop of _ | `Continue ]);
           ignore (Adaptive.plan_round state (Ftb_util.Rng.create ~seed:12) : int array option);
@@ -607,6 +660,7 @@ let () =
         [ json_target (); wire_target () ];
         worker_replies_targets ();
         [
+          mixed_grant_target ();
           worker_results_target ();
           envelope_target ();
           checkpoint_target ();

@@ -103,7 +103,7 @@ let test_outcome_custom_identity_is_masked () =
   (* A corruption that changes nothing must classify as Masked with zero
      injected error. *)
   let golden = Golden.run (Helpers.linear_program ()) in
-  let r = Runner.run_outcome_custom golden ~site:3 ~corrupt:Fun.id in
+  let r = Runner.run_outcome_custom_contained golden ~site:3 ~corrupt:Fun.id in
   Alcotest.(check bool) "masked" true (Runner.outcome_equal r.Runner.outcome Runner.Masked);
   Helpers.check_close "zero injected error" 0. r.Runner.injected_error;
   Helpers.check_close "zero output error" 0. r.Runner.output_error

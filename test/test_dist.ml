@@ -36,7 +36,6 @@ let test_grant_roundtrip () =
       lo = 12288;
       hi = 16384;
       ttl = 2.5;
-      cases = None;
     }
   in
   (match P.parse_lease_reply (P.grant_frame g) with
@@ -45,10 +44,20 @@ let test_grant_roundtrip () =
   (match P.parse_lease_reply (P.wait_frame ~poll:0.25) with
   | P.Wait poll -> Alcotest.(check (float 1e-9)) "poll" 0.25 poll
   | P.Granted _ -> Alcotest.fail "wait parsed as grant");
-  (let sparse = { g with P.lo = 0; hi = 4; cases = Some [| 9; 131; 7; 4096 |] } in
-   match P.parse_lease_reply (P.grant_frame sparse) with
-   | P.Granted g' -> Alcotest.(check bool) "sparse grant round-trips" true (sparse = g')
-   | P.Wait _ -> Alcotest.fail "sparse grant parsed as wait");
+  (* A daemon that still leases adaptive rounds sends a drawn case list
+     whose [lo, hi) index the draw: never run it as a dense range. *)
+  List.iter
+    (fun cases ->
+      let with_cases =
+        match P.grant_frame g with
+        | Json.Obj [ ok; ("grant", Json.Obj fields) ] ->
+            Json.Obj [ ok; ("grant", Json.Obj (fields @ [ ("cases", cases) ])) ]
+        | _ -> Alcotest.fail "unexpected grant frame shape"
+      in
+      match P.parse_lease_reply with_cases with
+      | _ -> Alcotest.fail "a grant with a case list was accepted"
+      | exception P.Decode_error _ -> ())
+    [ Json.List [ Json.Int 9; Json.Int 131 ]; Json.List []; Json.Null ];
   let no_fuel = { g with P.fuel = None } in
   match P.parse_lease_reply (P.grant_frame no_fuel) with
   | P.Granted g' -> Alcotest.(check bool) "fuel-less grant" true (no_fuel = g')
@@ -568,55 +577,18 @@ let test_local_executor_never_self_quarantined () =
 (* ------------------------------------------------------------------ *)
 (* One shard path: the blob check, and frame shapes nothing writes.     *)
 
-(* A samples blob whose first masked sample also claims a deviation at
-   site [sites], one past the program's last dynamic instruction: it
-   decodes (sites ascend, the deviation is positive), and folding it
-   would index outside the boundary. *)
-let propagating_past ~sites blob =
-  let samples = Ftb_inject.Sample_codec.decode (Bytes.to_string blob) in
-  let lied = ref false in
-  let samples =
-    Array.map
-      (fun (s : Ftb_inject.Sample_run.t) ->
-        match s.propagation with
-        | Some (p, d) when not !lied ->
-            lied := true;
-            { s with propagation = Some (Array.append p [| sites |], Array.append d [| 1.0 |]) }
-        | Some _ | None -> s)
-      samples
-  in
-  if not !lied then Alcotest.fail "no masked sample to lie about";
-  Bytes.of_string (Ftb_inject.Sample_codec.encode samples)
-
 let test_shard_check () =
   let model = Ftb_inject.Models.default_spec in
   let golden = Golden.run (Helpers.linear_program ()) in
-  let range = Ftb_dist.Shard.Range { lo = 64; hi = 80 } in
-  let blob = Ftb_dist.Shard.run model golden range in
-  let sites = Golden.sites golden in
-  let ok what shard blob =
-    Alcotest.(check bool) what true (Ftb_dist.Shard.check model ~sites shard blob = Ok ())
-  in
-  let refused what shard blob =
-    Alcotest.(check bool) what true
-      (Result.is_error (Ftb_dist.Shard.check model ~sites shard blob))
-  in
-  ok "a computed range passes" range blob;
-  refused "short range blob" range (Bytes.sub blob 0 15);
-  refused "long range blob" range (Bytes.cat blob (Bytes.make 1 '\000'));
+  let blob = Ftb_dist.Shard.run model golden ~lo:64 ~hi:80 in
+  let check blob = Ftb_dist.Shard.check ~lo:64 ~hi:80 blob in
+  let refused what blob = Alcotest.(check bool) what true (Result.is_error (check blob)) in
+  Alcotest.(check bool) "a computed range passes" true (check blob = Ok ());
+  refused "short range blob" (Bytes.sub blob 0 15);
+  refused "long range blob" (Bytes.cat blob (Bytes.make 1 '\000'));
   let bad = Bytes.copy blob in
   Bytes.set bad 3 '\007';
-  refused "outcome byte outside 0..5" range bad;
-  let cases = [| 3; 70; 129; 447 |] in
-  let drawn = Ftb_dist.Shard.Cases cases in
-  let samples = Ftb_dist.Shard.run model golden drawn in
-  ok "computed samples pass" drawn samples;
-  refused "samples of other cases" (Ftb_dist.Shard.Cases [| 3; 70; 129; 446 |]) samples;
-  refused "too few samples" (Ftb_dist.Shard.Cases (Array.append cases [| 5 |])) samples;
-  refused "not a codec blob" drawn (Bytes.of_string "garbage");
-  refused "a propagation site past the program" drawn (propagating_past ~sites samples);
-  Alcotest.(check bool) "of_wave slices the drawn round" true
-    (Ftb_dist.Shard.of_wave (Some [| 9; 8; 7; 6 |]) ~lo:1 ~hi:3 = Ftb_dist.Shard.Cases [| 8; 7 |])
+  refused "outcome byte outside 0..5" bad
 
 let test_grant_without_model () =
   let frame =
@@ -632,7 +604,6 @@ let test_grant_without_model () =
         lo = 0;
         hi = 4;
         ttl = 2.5;
-        cases = None;
       }
   in
   let strip = function
@@ -796,70 +767,6 @@ let test_invalid_dense_byte_rerun () =
   Alcotest.(check int) "every shard committed remotely once" 7 s.Fleet.remote_committed;
   Alcotest.(check int) "a bad blob is not a digest failure" 0 s.Fleet.bad_digest
 
-let test_liar_propagation_refused () =
-  (* Audit off: only the blob check stands between a lying slice and the
-     round's fold. *)
-  let fleet = Fleet.create ~lease_ttl:5.0 ~poll:0.005 ~audit_rate:0. () in
-  let program = Helpers.linear_program () in
-  let golden = Golden.run program in
-  let sites = Golden.sites golden in
-  let lied = Atomic.make false in
-  let tamper ~bench:_ ~shard:_ b =
-    if Atomic.get lied then b
-    else
-      match propagating_past ~sites b with
-      | lie ->
-          Atomic.set lied true;
-          lie
-      | exception _ -> b
-  in
-  let stop = Atomic.make false in
-  let stats = ref None in
-  let worker =
-    Thread.create
-      (fun () ->
-        stats :=
-          Some
-            (Ftb_dist.Worker.run
-               (Ftb_dist.Worker.config ~resolve:(fun _ -> program)
-                  ~stop:(fun () -> Atomic.get stop)
-                  ~tamper (fleet_connector fleet))))
-      ()
-  in
-  let deadline = Unix.gettimeofday () +. 30. in
-  while Fleet.live_workers fleet < 1 do
-    if Unix.gettimeofday () > deadline then Alcotest.fail "worker never registered";
-    Thread.delay 0.002
-  done;
-  let config =
-    { Ftb_core.Adaptive.default_config with Ftb_core.Adaptive.round_fraction = 0.05 }
-  in
-  let model = Ftb_inject.Models.default_spec in
-  let exec =
-    Fleet.round_runner fleet ~job_id:56 ~bench:"helpers.linear" ~fuel:None ~model ~golden
-  in
-  let result, _ =
-    Fun.protect
-      ~finally:(fun () -> Atomic.set stop true)
-      (fun () -> Ftb_plan.Adaptive_engine.run ~config ~exec ~name:"lin" ~seed:5 golden)
-  in
-  Thread.join worker;
-  let oracle = Ftb_core.Adaptive.run_model ~config (Rng.create ~seed:5) golden in
-  Alcotest.(check bool) "the worker lied about a propagation site" true (Atomic.get lied);
-  let threshold (r : Ftb_core.Adaptive.result) i =
-    Int64.bits_of_float (Ftb_core.Boundary.threshold r.boundary i)
-  in
-  Alcotest.(check int) "as many samples as the serial oracle"
-    (Array.length oracle.samples) (Array.length result.samples);
-  for i = 0 to sites - 1 do
-    Alcotest.(check int64) (Printf.sprintf "threshold %d bytes" i) (threshold oracle i)
-      (threshold result i)
-  done;
-  (match !stats with
-  | Some s -> Alcotest.(check int) "the worker saw one refusal" 1 s.Ftb_dist.Worker.failures
-  | None -> Alcotest.fail "worker returned no stats");
-  Alcotest.(check int) "a bad blob is not a digest failure" 0 (Fleet.stats fleet).Fleet.bad_digest
-
 let suite =
   [
     Helpers.qcheck_to_alcotest prop_hex_roundtrip;
@@ -886,6 +793,4 @@ let suite =
       test_digestless_result_rerun;
     Alcotest.test_case "invalid dense byte is refused and re-run" `Quick
       test_invalid_dense_byte_rerun;
-    Alcotest.test_case "out-of-range propagation is refused and re-run" `Quick
-      test_liar_propagation_refused;
   ]

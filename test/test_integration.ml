@@ -114,13 +114,16 @@ let test_models_bitflip64_consistent_with_ground_truth_sampling () =
      classic campaign on a kernel (not just the toy program). *)
   let c = Lazy.force context in
   let rng = Ftb_util.Rng.create ~seed:3 in
-  let campaign =
-    Ftb_inject.Models.monte_carlo ~samples_per_site:64 rng c.Context.golden
-      Ftb_inject.Models.Bit_flip_64
+  let sampled =
+    Ftb_core.Study_models.sample ~samples_per_site:64 rng ~name:"kernel" c.Context.golden
+      [ Ftb_inject.Models.default_spec ]
   in
-  Helpers.check_close ~eps:1e-12 "same sdc ratio as the exhaustive campaign"
-    (Ground_truth.sdc_ratio c.Context.ground_truth)
-    campaign.Ftb_inject.Models.sdc_ratio
+  match sampled.Ftb_core.Study_models.rows with
+  | [ row ] ->
+      Helpers.check_close ~eps:1e-12 "same sdc ratio as the exhaustive campaign"
+        (Ground_truth.sdc_ratio c.Context.ground_truth)
+        row.Ftb_core.Study_models.sdc_ratio
+  | _ -> Alcotest.fail "one row per spec"
 
 let test_cli_binary_runs () =
   (* The built CLI must at least answer `list`. *)

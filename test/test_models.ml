@@ -3,6 +3,7 @@ module Golden = Ftb_trace.Golden
 module Runner = Ftb_trace.Runner
 module Rng = Ftb_util.Rng
 module Bits = Ftb_util.Bits
+module Study_models = Ftb_core.Study_models
 
 let golden = lazy (Golden.run (Helpers.linear_program ~tolerance:0.5 ()))
 
@@ -15,79 +16,121 @@ let test_cases_per_site () =
     (Models.cases_per_site (Models.Random_value { lo = 0.; hi = 1. }))
 
 let rng () = Rng.create ~seed:1
+let spec model = { Models.model; seed = 1 }
 
 let test_bit_flip_64_matches_bits () =
   for bit = 0 to 63 do
     Alcotest.(check bool) "same as Bits.flip" true
       (Int64.equal
-         (Int64.bits_of_float (Models.corrupt Models.Bit_flip_64 ~rng:(rng ()) ~case:bit 1.5))
+         (Int64.bits_of_float (Models.case_corrupt Models.default_spec ~case:bit 1.5))
          (Int64.bits_of_float (Bits.flip ~bit 1.5)))
   done
 
 let test_burst_flips_two_bits () =
   let v = 1.5 in
-  let corrupted = Models.corrupt Models.Adjacent_burst_2 ~rng:(rng ()) ~case:3 v in
+  let corrupted = Models.case_corrupt (spec Models.Adjacent_burst_2) ~case:3 v in
   let diff = Int64.logxor (Int64.bits_of_float corrupted) (Int64.bits_of_float v) in
   Alcotest.(check int64) "bits 3 and 4 flipped" (Int64.of_int 0b11000) diff
 
 let test_random_value_in_range () =
-  let model = Models.Random_value { lo = -2.; hi = 3. } in
-  let r = rng () in
-  for _ = 1 to 200 do
-    let v = Models.corrupt model ~rng:r ~case:0 42. in
+  let spec = spec (Models.Random_value { lo = -2.; hi = 3. }) in
+  for case = 0 to 199 do
+    let v = Models.case_corrupt spec ~case 42. in
     Alcotest.(check bool) "in range" true (v >= -2. && v < 3.)
   done
 
 let test_case_bounds_checked () =
-  (match Models.corrupt Models.Bit_flip_32 ~rng:(rng ()) ~case:32 1. with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "case 32 accepted for 32-bit model");
-  match Models.corrupt Models.Adjacent_burst_2 ~rng:(rng ()) ~case:63 1. with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "case 63 accepted for burst model"
+  (* A case past the last site, or a negative one, names no injection: it
+     is refused before any kernel runs, never classified. *)
+  let g = Lazy.force golden in
+  List.iter
+    (fun model ->
+      let spec = spec model in
+      let past = Models.total_cases spec ~sites:(Golden.sites g) in
+      (match Ftb_inject.Ground_truth.case_byte_model spec g past with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.fail (Models.name model ^ ": case past the last site accepted"));
+      match Ftb_inject.Ground_truth.case_byte_model spec g (-1) with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.fail (Models.name model ^ ": negative case accepted"))
+    [ Models.Bit_flip_32; Models.Adjacent_burst_2 ]
+
+let sample ?(specs = [ Models.default_spec ]) ~samples_per_site g =
+  Study_models.sample ~samples_per_site (rng ()) ~name:"linear" g specs
+
+let only_row (r : Study_models.result) =
+  match r.Study_models.rows with
+  | [ row ] -> row
+  | rows -> Alcotest.failf "%d rows for one spec" (List.length rows)
 
 let test_monte_carlo_counts () =
   let g = Lazy.force golden in
-  let campaign = Models.monte_carlo ~samples_per_site:3 (rng ()) g Models.Bit_flip_64 in
-  Alcotest.(check int) "3 runs per site" (3 * Helpers.linear_sites)
-    campaign.Models.total.Models.runs;
-  let t = campaign.Models.total in
-  Alcotest.(check int) "partition" t.Models.runs (t.Models.masked + t.Models.sdc + t.Models.crash);
-  Helpers.check_close ~eps:1e-12 "ratios consistent" 1.
-    (campaign.Models.masked_ratio +. campaign.Models.sdc_ratio +. campaign.Models.crash_ratio)
+  let row = only_row (sample ~samples_per_site:3 g) in
+  Alcotest.(check int) "3 runs per site" (3 * Helpers.linear_sites) row.Study_models.cases;
+  Helpers.check_close ~eps:1e-12 "ratios partition the runs" 1.
+    (row.Study_models.masked_ratio +. row.Study_models.sdc_ratio
+   +. row.Study_models.crash_ratio);
+  Alcotest.(check bool) "deterministic given the RNG" true
+    (sample ~samples_per_site:3 g = sample ~samples_per_site:3 g);
+  match sample ~samples_per_site:0 g with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "an empty budget was accepted"
 
 let test_discrete_model_exhausts_small_budget () =
-  (* samples_per_site >= cases: every case of the model runs once. *)
+  (* samples_per_site >= cases: every case of the model runs once, and
+     the rows agree exactly with the exhaustive study. *)
   let g = Lazy.force golden in
-  let campaign = Models.monte_carlo ~samples_per_site:64 (rng ()) g Models.Bit_flip_64 in
-  Alcotest.(check int) "full enumeration" (64 * Helpers.linear_sites)
-    campaign.Models.total.Models.runs;
-  (* And then it must agree exactly with the exhaustive campaign. *)
-  let gt = Ftb_inject.Ground_truth.run g in
-  Helpers.check_close ~eps:1e-12 "matches ground truth sdc"
-    (Ftb_inject.Ground_truth.sdc_ratio gt) campaign.Models.sdc_ratio
+  let specs = [ Models.default_spec; spec Models.Bit_flip_32 ] in
+  let sampled = sample ~specs ~samples_per_site:64 g in
+  List.iter2
+    (fun (row : Study_models.row) (exhaustive : Study_models.row) ->
+      Alcotest.(check int) "full enumeration" exhaustive.Study_models.cases row.Study_models.cases;
+      Alcotest.(check bool) "same row as the exhaustive study" true (row = exhaustive))
+    sampled.Study_models.rows (Study_models.run ~name:"linear" g specs).Study_models.rows
 
 let test_random_value_mostly_sdc_on_sensitive_program () =
   (* Replacing a value by something in [-1000,1000) on a program that
      tolerates 0.5 should overwhelmingly corrupt. *)
   let g = Lazy.force golden in
-  let campaign =
-    Models.monte_carlo ~samples_per_site:8 (rng ()) g
-      (Models.Random_value { lo = -1000.; hi = 1000. })
+  let row =
+    only_row
+      (sample ~specs:[ spec (Models.Random_value { lo = -1000.; hi = 1000. }) ]
+         ~samples_per_site:8 g)
   in
+  Alcotest.(check int) "8 of the 64 replicas per site" (8 * Helpers.linear_sites)
+    row.Study_models.cases;
   Alcotest.(check bool)
-    (Printf.sprintf "sdc ratio high (%.2f)" campaign.Models.sdc_ratio)
-    true (campaign.Models.sdc_ratio > 0.9)
+    (Printf.sprintf "sdc ratio high (%.2f)" row.Study_models.sdc_ratio)
+    true (row.Study_models.sdc_ratio > 0.9)
 
 let test_compare_models_order () =
   let g = Lazy.force golden in
-  let campaigns = Models.compare_models ~samples_per_site:2 (rng ()) g Models.all_discrete in
-  Alcotest.(check int) "one campaign per model" (List.length Models.all_discrete)
-    (List.length campaigns);
+  let specs = Study_models.default_specs ~seed:1 in
+  let rows = (sample ~specs ~samples_per_site:2 g).Study_models.rows in
+  Alcotest.(check int) "one row per model" (List.length specs) (List.length rows);
   List.iter2
-    (fun model (c : Models.campaign) ->
-      Alcotest.(check string) "order preserved" (Models.name model) (Models.name c.Models.model))
-    Models.all_discrete campaigns
+    (fun spec (row : Study_models.row) ->
+      Alcotest.(check string) "order preserved" (Models.spec_name spec)
+        (Models.spec_name row.Study_models.model))
+    specs rows
+
+(* A kernel that raises a plain OCaml exception, not [Ctx.Crash], when its
+   value drops below 1 (a flip of one of 1.5's exponent bits). *)
+let raising_program () =
+  let statics = Ftb_trace.Static.create_table () in
+  let tag = Ftb_trace.Static.register statics ~phase:"raise.load" ~label:"x" in
+  Ftb_trace.Program.make ~name:"raising" ~description:"raises on a small value"
+    ~tolerance:0.5 ~statics (fun ctx ->
+      let x = Ftb_trace.Ctx.record ctx ~tag 1.5 in
+      if x < 1. then failwith "index out of range";
+      [| x |])
+
+let test_sampled_exception_is_a_crash () =
+  let g = Golden.run (raising_program ()) in
+  let row = only_row (sample ~samples_per_site:64 g) in
+  let exn = row.Study_models.crash_breakdown.Ftb_inject.Ground_truth.exn in
+  Alcotest.(check bool) (Printf.sprintf "exceptions tallied as crashes (%d)" exn) true
+    (exn > 0 && row.Study_models.crash_ratio > 0.)
 
 (* ------------------------------------------------------------------ *)
 (* Properties of the corruption functions and the spec codec. *)
@@ -245,10 +288,10 @@ let test_spec_equal_semantics () =
   Alcotest.(check bool) "stochastic same seed equal" true (Models.spec_equal (rv 3) (rv 3))
 
 let test_custom_runner_injects () =
-  (* run_outcome_custom with an always-+10 corruption at site 0 must be SDC
-     on the linear program (gain 1, tolerance 0.5). *)
+  (* An always-+10 corruption at site 0 must be SDC on the linear program
+     (gain 1, tolerance 0.5). *)
   let g = Lazy.force golden in
-  let r = Runner.run_outcome_custom g ~site:0 ~corrupt:(fun v -> v +. 10.) in
+  let r = Runner.run_outcome_custom_contained g ~site:0 ~corrupt:(fun v -> v +. 10.) in
   Alcotest.(check bool) "sdc" true (Runner.outcome_equal r.Runner.outcome Runner.Sdc);
   Helpers.check_close "injected error" 10. r.Runner.injected_error;
   Helpers.check_close "output error" 10. r.Runner.output_error
@@ -267,6 +310,8 @@ let suite =
       test_random_value_mostly_sdc_on_sensitive_program;
     Alcotest.test_case "compare models order" `Quick test_compare_models_order;
     Alcotest.test_case "custom runner injects" `Quick test_custom_runner_injects;
+    Alcotest.test_case "sampled kernel exception is a crash" `Quick
+      test_sampled_exception_is_a_crash;
     Helpers.qcheck_to_alcotest prop_bit_flip_involution;
     Helpers.qcheck_to_alcotest prop_bit_flip32_involution;
     Alcotest.test_case "bit-flip-32: signalling NaN counterexample" `Quick

@@ -521,6 +521,21 @@ let test_store_put_find_roundtrip () =
         (Int64.bits_of_float entry.BS.uncertainty)
         (Int64.bits_of_float back.BS.uncertainty)
 
+(* Daemons once leased adaptive rounds to workers and stamped the entry
+   with the compose [fleet:*] token. Nothing writes it now; stored entries
+   that carry it still load, token intact. *)
+let test_store_fleet_provenance_still_loads () =
+  let g = Lazy.force golden in
+  let _, store = tmp_store "fleet-prov" in
+  List.iter
+    (fun prov ->
+      let entry = entry_of ~prov ~seed:(String.length prov) g in
+      BS.put store entry;
+      match BS.find store ~key:entry.BS.key with
+      | Some back -> Alcotest.(check string) "provenance token" prov back.BS.prov
+      | None -> Alcotest.fail ("entry with provenance " ^ prov ^ " not found"))
+    [ "fleet:audited:w1,w2"; "fleet:unaudited:w3" ]
+
 let test_store_key_is_campaign_identity () =
   let g = Lazy.force golden in
   let fingerprint = Ftb_util.Fingerprint.of_floats g.Golden.values in
@@ -736,6 +751,8 @@ let suite =
     Alcotest.test_case "round checkpoint round-trip" `Quick
       test_round_checkpoint_roundtrip;
     Alcotest.test_case "store put/find round-trip" `Quick test_store_put_find_roundtrip;
+    Alcotest.test_case "stored fleet provenance still loads" `Quick
+      test_store_fleet_provenance_still_loads;
     Alcotest.test_case "key is the campaign identity" `Quick
       test_store_key_is_campaign_identity;
     Alcotest.test_case "find_latest and gc" `Quick test_store_find_latest_and_gc;
