@@ -728,7 +728,7 @@ let serve_run () state socket tcp capacity domains checkpoint_every stuck_after
   (* Every daemon is fleet-capable: remote `ftb worker` processes may
      attach at any time and exhaustive jobs submitted while workers are
      live run on the fleet. The fleet's own shard executions (the local
-     fallback, audits) share the daemon's pool. Adaptive rounds never
+     holder's shards, audits) share the daemon's pool. Adaptive rounds never
      leave the daemon: they run serially on the scheduler thread. *)
   let pool =
     if domains > 1 then Some (Ftb_inject.Parallel.Pool.global ~domains ()) else None

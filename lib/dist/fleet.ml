@@ -1,6 +1,7 @@
 module Json = Ftb_service.Json
 module Engine = Ftb_campaign.Engine
 module Checkpoint = Ftb_campaign.Checkpoint
+module Pool = Ftb_inject.Parallel.Pool
 module P = Worker_proto
 
 type worker_info = {
@@ -46,6 +47,10 @@ type active = {
   a_commit : shard:int -> Bytes.t -> unit;
 }
 
+(* A lease request waiting for work. A wave that opens while it waits
+   hands it a grant before the local holder's first claim. *)
+type parked = { p_wid : int; mutable p_grant : Json.t option }
+
 type stats = {
   granted : int;
   remote_committed : int;
@@ -57,15 +62,19 @@ type stats = {
   disputed : int;
   quarantined : int;
   bad_digest : int;
+  parked : int;
 }
 
 type job_provenance = { jp_workers : string list; jp_audited : bool }
 
 type t = {
   mutex : Mutex.t;
-  pool : Ftb_inject.Parallel.Pool.t option;
+  (* Broadcast, under [mutex], on every event a waiter may be waiting
+     for: a wave opening, a commit or failure, a detach, a quarantine, an
+     expiry, the daemon stopping, and a registered deadline passing. *)
+  wake : Condition.t;
+  pool : Pool.t option;
   lease_ttl : float;
-  poll : float;
   audit_rate : float;
   audit_seed : int;
   quarantine_after : int;
@@ -74,12 +83,18 @@ type t = {
   mutable next_wid : int;
   mutable next_lease : int;
   mutable active : active option;
+  mutable parked : parked list;  (* oldest first *)
+  mutable closed : bool;
+  (* Deadlines of the timed waits in progress, and the alarm thread that
+     broadcasts [wake] when one passes; [fired] is the last time it did. *)
+  mutable deadlines : float list;
+  mutable alarm : bool;
+  mutable fired : float;
   (* Audit state for the job currently (or most recently) driven through
      [drive]; the daemon's scheduler runs one job at a time, so a
      single slot suffices. Records accumulate across the job's waves. *)
   mutable audit_job : int option;
   mutable audit_records : audit_record list;
-  mutable audited_wids : int list;
   (* Quarantine registry. [barred] is keyed by operator-facing worker
      name so a banned worker cannot shed its record by reconnecting under
      a fresh wid; [quarantined_wids] additionally rejects frames from an
@@ -103,19 +118,18 @@ let max_barred = 64
 let max_quarantined_wids = 256
 let now () = Unix.gettimeofday ()
 
-let create ?pool ?(lease_ttl = 5.0) ?(poll = 0.05) ?(audit_rate = 0.02)
-    ?(audit_seed = 0x7f4a7c15) ?(quarantine_after = 2) () =
+let create ?pool ?(lease_ttl = 5.0) ?(audit_rate = 0.02) ?(audit_seed = 0x7f4a7c15)
+    ?(quarantine_after = 2) () =
   if lease_ttl <= 0. then invalid_arg "Fleet.create: lease_ttl must be positive";
-  if poll <= 0. then invalid_arg "Fleet.create: poll must be positive";
   if audit_rate < 0. || audit_rate > 1. then
     invalid_arg "Fleet.create: audit_rate must be within [0, 1]";
   if quarantine_after < 1 then
     invalid_arg "Fleet.create: quarantine_after must be positive";
   {
     mutex = Mutex.create ();
+    wake = Condition.create ();
     pool;
     lease_ttl;
-    poll;
     audit_rate;
     audit_seed;
     quarantine_after;
@@ -124,9 +138,13 @@ let create ?pool ?(lease_ttl = 5.0) ?(poll = 0.05) ?(audit_rate = 0.02)
     next_wid = 1;
     next_lease = 1;
     active = None;
+    parked = [];
+    closed = false;
+    deadlines = [];
+    alarm = false;
+    fired = neg_infinity;
     audit_job = None;
     audit_records = [];
-    audited_wids = [];
     barred = [];
     quarantined_wids = [];
     dispute_counts = Hashtbl.create 8;
@@ -161,7 +179,59 @@ let stats t =
         disputed = t.disputed;
         quarantined = t.quarantined_total;
         bad_digest = t.bad_digest;
+        parked = List.length (List.filter (fun p -> p.p_grant = None) t.parked);
       })
+
+(* ------------------------------------------------------------------ *)
+(* Waiting on events. OCaml's [Condition] has no timed wait, so a waiter
+   that must also wake at a deadline registers it, and one alarm thread
+   per fleet sleeps until the earliest registered deadline and then
+   broadcasts [wake]. The alarm runs only while deadlines are registered.
+   It sleeps at most one park bound at a time, so a deadline registered
+   while it sleeps towards a later one is honoured within that bound;
+   parks and fresh leases always lie at least that far out. *)
+
+let park_bound t = t.lease_ttl /. 4.
+
+let rec alarm_loop t =
+  match List.filter (fun d -> d > t.fired) t.deadlines with
+  | [] -> t.alarm <- false
+  | ds ->
+      let t_now = now () in
+      let next = List.fold_left Float.min infinity ds in
+      if next <= t_now then begin
+        t.fired <- t_now;
+        Condition.broadcast t.wake
+      end
+      else begin
+        Mutex.unlock t.mutex;
+        Thread.delay (Float.min (next -. t_now) (park_bound t));
+        Mutex.lock t.mutex
+      end;
+      alarm_loop t
+
+let rec remove_one x = function [] -> [] | y :: ys -> if y = x then ys else y :: remove_one x ys
+
+(* Wait for the next broadcast, or until [until] passes. Callers hold
+   the mutex and re-check their own condition afterwards. *)
+let wait_locked t ~until =
+  if until = infinity then Condition.wait t.wake t.mutex
+  else if until > now () then begin
+    t.deadlines <- until :: t.deadlines;
+    if not t.alarm then begin
+      t.alarm <- true;
+      ignore (Thread.create (fun () -> with_lock t (fun () -> alarm_loop t)) () : Thread.t)
+    end;
+    Condition.wait t.wake t.mutex;
+    t.deadlines <- remove_one until t.deadlines
+  end
+
+let expire_locked t table ~now:t_now =
+  let n = Lease.expire table ~now:t_now in
+  if n > 0 then begin
+    t.expired <- t.expired + n;
+    Condition.broadcast t.wake
+  end
 
 (* A worker is live while its frames keep arriving: idle workers refresh
    [last_seen] on every lease poll, busy ones on every heartbeat, so a
@@ -202,6 +272,9 @@ let prune_workers_locked t ~now:t_now =
 
 let live_slots_locked t ~now:t_now =
   List.fold_left (fun acc w -> acc + max 1 w.w_domains) 0 (live_workers_locked t ~now:t_now)
+
+(* The daemon's own executor, a holder in every wave's lease table. *)
+let local_holder = 0 (* worker ids start at 1 *)
 
 let find_worker_locked t wid =
   List.find_opt (fun w -> w.wid = wid) t.workers
@@ -264,40 +337,66 @@ let handle_register t json =
             :: t.workers;
           P.registered ~worker:wid ~ttl:t.lease_ttl)
 
+(* A worker may take any pending shard whose result fits a frame. *)
+let grant_locked t a ~wid ~now:t_now =
+  expire_locked t a.table ~now:t_now;
+  match
+    Lease.acquire a.table ~max_cases:P.max_result_cases ~holder:wid ~now:t_now
+      ~ttl:t.lease_ttl
+  with
+  | None -> None
+  | Some g ->
+      t.granted <- t.granted + 1;
+      Some
+        (P.grant_frame
+           {
+             P.job_id = a.a_job;
+             bench = a.a_bench;
+             fuel = a.a_fuel;
+             model = a.a_model;
+             fingerprint = a.a_fingerprint;
+             lease_id = g.Lease.lease_id;
+             shard = g.Lease.shard;
+             lo = g.Lease.lo;
+             hi = g.Lease.hi;
+             ttl = t.lease_ttl;
+           })
+
+(* A long poll: the request waits here until a shard is leasable or one
+   park bound passes, and only then answers [Wait] (with a zero delay:
+   the worker re-polls at once). An idle worker therefore costs one round
+   trip per park bound, and a wave that opens finds it already waiting. *)
 let handle_lease t json =
   let wid = P.req_int "worker" json in
+  let quarantined () =
+    P.error_frame "quarantined"
+      (Printf.sprintf "worker %d is quarantined; leases are refused" wid)
+  in
   with_lock t (fun () ->
-      if quarantined_locked t wid then
-        P.error_frame "quarantined"
-          (Printf.sprintf "worker %d is quarantined; leases are refused" wid)
+      if quarantined_locked t wid then quarantined ()
       else if not (touch_worker_locked t wid) then
         P.error_frame "unknown_worker" (Printf.sprintf "no worker %d" wid)
-      else
-        match t.active with
-        | None -> P.wait_frame ~poll:t.poll
-        | Some a -> (
-            let t_now = now () in
-            t.expired <- t.expired + Lease.expire a.table ~now:t_now;
-            match
-              Lease.acquire a.table ~max_cases:P.max_result_cases ~holder:wid
-                ~now:t_now ~ttl:t.lease_ttl
-            with
-            | None -> P.wait_frame ~poll:t.poll
-            | Some g ->
-                t.granted <- t.granted + 1;
-                P.grant_frame
-                  {
-                    P.job_id = a.a_job;
-                    bench = a.a_bench;
-                    fuel = a.a_fuel;
-                    model = a.a_model;
-                    fingerprint = a.a_fingerprint;
-                    lease_id = g.Lease.lease_id;
-                    shard = g.Lease.shard;
-                    lo = g.Lease.lo;
-                    hi = g.Lease.hi;
-                    ttl = t.lease_ttl;
-                  }))
+      else begin
+        let deadline = now () +. park_bound t in
+        let p = { p_wid = wid; p_grant = None } in
+        t.parked <- t.parked @ [ p ];
+        let rec serve () =
+          if quarantined_locked t wid then quarantined ()
+          else if t.closed then P.error_frame "shutting_down" "daemon is stopping"
+          else
+            match p.p_grant with
+            | Some frame -> frame
+            | None -> (
+                let t_now = now () in
+                match Option.bind t.active (fun a -> grant_locked t a ~wid ~now:t_now) with
+                | Some frame -> frame
+                | None when t_now >= deadline -> P.wait_frame ~poll:0.
+                | None ->
+                    wait_locked t ~until:deadline;
+                    serve ())
+        in
+        Fun.protect ~finally:(fun () -> t.parked <- List.filter (( != ) p) t.parked) serve
+      end)
 
 let handle_heartbeat t json =
   let wid = P.req_int "worker" json in
@@ -346,6 +445,7 @@ let handle_result t json =
              changes nothing. *)
           let refuse code message =
             ignore (Lease.fail a.table ~lease_id ~message : [ `Committed | `Stale ]);
+            Condition.broadcast t.wake;
             P.error_frame code (Printf.sprintf "shard %d: %s" shard message)
           in
           match r.P.res_payload with
@@ -353,6 +453,7 @@ let handle_result t json =
           | Ok (P.Failed message) -> (
               match Lease.fail a.table ~lease_id ~message with
               | `Committed ->
+                  Condition.broadcast t.wake;
                   t.failed <- t.failed + 1;
                   (match find_worker_locked t wid with
                   | Some w -> w.w_failed <- w.w_failed + 1
@@ -378,10 +479,15 @@ let handle_result t json =
                   | Ok () when digest <> sdigest () ->
                       t.bad_digest <- t.bad_digest + 1;
                       refuse "digest_mismatch" "result blob does not match its attestation digest"
+                  | Ok () when Lease.holder a.table ~shard = Some local_holder ->
+                      (* The local holder is writing this range in place
+                         and commits it itself. *)
+                      stale ()
                   | Ok () -> (
                       match Lease.commit a.table ~shard with
                       | `Committed ->
                           a.a_commit ~shard data;
+                          Condition.broadcast t.wake;
                           t.remote_committed <- t.remote_committed + 1;
                           let r_name =
                             match find_worker_locked t wid with
@@ -414,7 +520,8 @@ let handle_detach t json =
           w.detached <- true;
           (match t.active with
           | Some a -> t.expired <- t.expired + Lease.release_holder a.table ~holder:wid
-          | None -> ())
+          | None -> ());
+          Condition.broadcast t.wake
       | None -> ());
       P.detached_frame)
 
@@ -458,6 +565,13 @@ let extension t ~cmd json =
   | "worker_detach" -> Some (guarded handle_detach)
   | "worker_stats" -> Some (guarded handle_workers)
   | "worker_clear" -> Some (guarded handle_clear)
+  | "shutdown" ->
+      (* The daemon is stopping: parked requests answer at once, and so
+         does every later one. *)
+      with_lock t (fun () ->
+          t.closed <- true;
+          Condition.broadcast t.wake);
+      Some P.detached_frame
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
@@ -476,17 +590,16 @@ let quarantine_locked t ~wid ~name ~disputes =
   | Some w -> w.quarantined <- true
   | None -> ());
   (* Revoke anything the worker still holds so surviving workers (or the
-     local fallback) pick the shards up immediately instead of waiting
-     out the lease TTL. *)
-  match t.active with
+     local holder) pick the shards up immediately instead of waiting out
+     the lease TTL, and turn away its parked lease request. *)
+  (match t.active with
   | Some a -> t.expired <- t.expired + Lease.release_holder a.table ~holder:wid
-  | None -> ()
+  | None -> ());
+  Condition.broadcast t.wake
 
 (* ------------------------------------------------------------------ *)
 (* The scheduler side (scheduler thread): one lease-driving loop, with
    the engine's dense waves as a thin adapter over it. *)
-
-let local_holder = 0 (* worker ids start at 1 *)
 
 (* Deterministic audit sampling: a seeded integer hash orders each
    worker's committed shards, and the first [quota] are audited. The
@@ -533,29 +646,32 @@ let audit_job_locked_free t ~fuel ~model ~golden ~fingerprint =
     let by_wid = Hashtbl.create 8 in
     List.iter
       (fun r ->
-        if not r.r_audited then
-          Hashtbl.replace by_wid r.r_wid
-            (r :: (Option.value ~default:[] (Hashtbl.find_opt by_wid r.r_wid))))
+        Hashtbl.replace by_wid r.r_wid
+          (r :: Option.value ~default:[] (Hashtbl.find_opt by_wid r.r_wid)))
       records;
     let quarantined_now = ref [] in
     Hashtbl.iter
-      (fun wid recs ->
+      (fun wid all ->
+        let recs = List.filter (fun r -> not r.r_audited) all in
         let prior = with_lock t (fun () ->
             Option.value ~default:0 (Hashtbl.find_opt t.dispute_counts wid))
-        in
-        let first_time =
-          with_lock t (fun () -> not (List.mem wid t.audited_wids))
         in
         (* A worker with any prior dispute is fully audited from then on —
            suspicion is sticky for the job. *)
         let picks =
           if prior > 0 then recs
           else begin
+            (* The quota is the rate over every shard the worker committed
+               in the job, less those already audited, so the job's audit
+               count does not grow with its number of waves. A worker's
+               first audit in a job is guaranteed. *)
             let n = List.length recs in
+            let audited = List.length all - n in
             let quota =
-              int_of_float (Float.round (t.audit_rate *. float_of_int n))
+              int_of_float (Float.round (t.audit_rate *. float_of_int (List.length all)))
+              - audited
             in
-            let quota = if first_time then max 1 quota else quota in
+            let quota = if audited = 0 then max 1 quota else quota in
             let quota = min n quota in
             let sorted =
               List.sort
@@ -581,7 +697,6 @@ let audit_job_locked_free t ~fuel ~model ~golden ~fingerprint =
           else disputes_here
         in
         with_lock t (fun () ->
-            t.audited_wids <- wid :: List.filter (( <> ) wid) t.audited_wids;
             if disputes_here > 0 then begin
               let total = prior + disputes_here in
               Hashtbl.replace t.dispute_counts wid total;
@@ -626,86 +741,82 @@ let job_provenance t ~job_id =
         Some { jp_workers; jp_audited })
 
 (* Drive one wave — [tasks] are (shard, lo, hi) of a dense campaign — to
-   completion. Workers lease the wave's shards through [handle_lease]
-   and commit validated blobs through [handle_result]; this loop expires
-   dead workers' leases, prunes the registry, and runs on the local
-   executor every shard no worker may take: all of them once no live
-   worker remains (the executor of last resort, so the wave always
-   completes), and shards whose blob could not fit a wire frame at any
-   time. Then it audits the wave's remote commits and fires the
-   quarantine hook before handing the per-shard results back. *)
-let drive t ~job_id ~bench ~fuel ~model ~golden ~fingerprint ~commit tasks =
+   completion. The local holder (this thread) is a holder in the wave's
+   lease table like any worker: it claims a pending shard whenever it is
+   free and runs it through the engine's [run_local], in place, on the
+   daemon's pool. Workers lease shards through [handle_lease] and commit
+   validated blobs through [handle_result]. With nothing left to claim,
+   the loop waits for an event or the next lease deadline, then expires
+   dead workers' leases and prunes the registry. Lease requests parked
+   when the wave opens get their shards before the local holder's first
+   claim, so an idle worker always shares the wave. Then it audits the
+   wave's remote commits and fires the quarantine hook before handing
+   the per-shard results back. *)
+let drive t ~job_id ~bench ~fuel ~model ~golden ~fingerprint ~commit ~run_local tasks =
   let table =
     with_lock t (fun () ->
         if t.audit_job <> Some job_id then begin
           t.audit_job <- Some job_id;
-          t.audit_records <- [];
-          t.audited_wids <- []
+          t.audit_records <- []
         end;
         let table = Lease.create ~first_lease:t.next_lease tasks in
-        t.active <-
-          Some
-            {
-              a_job = job_id;
-              a_bench = bench;
-              a_fuel = fuel;
-              a_model = model;
-              a_fingerprint = fingerprint;
-              table;
-              a_commit = commit;
-            };
+        let a =
+          {
+            a_job = job_id;
+            a_bench = bench;
+            a_fuel = fuel;
+            a_model = model;
+            a_fingerprint = fingerprint;
+            table;
+            a_commit = commit;
+          }
+        in
+        t.active <- Some a;
+        let t_now = now () in
+        List.iter
+          (fun p ->
+            if p.p_grant = None && not (quarantined_locked t p.p_wid) then
+              p.p_grant <- grant_locked t a ~wid:p.p_wid ~now:t_now)
+          t.parked;
+        Condition.broadcast t.wake;
         table)
   in
-  (* Compute outside the lock, commit under it: if a straggler's
-     validated blob won the first-result race meanwhile, it stays
-     (byte-identical anyway for an honest worker) and this one is
-     dropped as stale. *)
-  let run_local (g : Lease.grant) =
-    match Shard.run ?pool:t.pool ?fuel model golden ~lo:g.lo ~hi:g.hi with
-    | blob ->
-        with_lock t (fun () ->
-            match Lease.commit table ~shard:g.shard with
-            | `Committed ->
-                commit ~shard:g.shard blob;
-                t.local_committed <- t.local_committed + 1
-            | `Stale | `Unknown -> t.stale <- t.stale + 1)
-    | exception e ->
-        with_lock t (fun () ->
-            ignore
-              (Lease.fail table ~lease_id:g.lease_id ~message:(Printexc.to_string e)
-                : [ `Committed | `Stale ]))
+  (* An infinite TTL marks the local lease as never expiring: the local
+     holder cannot be SIGKILLed away from under the daemon. *)
+  let rec claim () =
+    let t_now = now () in
+    prune_workers_locked t ~now:t_now;
+    expire_locked t table ~now:t_now;
+    if Lease.outstanding table = 0 then begin
+      t.next_lease <- Lease.next_lease table;
+      t.active <- None;
+      `Finished (Lease.results table)
+    end
+    else
+      match Lease.acquire table ~holder:local_holder ~now:t_now ~ttl:infinity with
+      | Some g -> `Local g
+      | None ->
+          wait_locked t ~until:(Lease.next_deadline table);
+          claim ()
+  in
+  let run (g : Lease.grant) =
+    match t.pool with
+    | None -> run_local ~lo:g.lo ~hi:g.hi
+    | Some pool -> Pool.run pool ~total:(g.hi - g.lo) (fun a b -> run_local ~lo:(g.lo + a) ~hi:(g.lo + b))
   in
   let rec loop () =
-    let claim =
-      with_lock t (fun () ->
-          let t_now = now () in
-          prune_workers_locked t ~now:t_now;
-          t.expired <- t.expired + Lease.expire table ~now:t_now;
-          if Lease.outstanding table = 0 then begin
-            t.next_lease <- Lease.next_lease table;
-            t.active <- None;
-            `Finished (Lease.results table)
-          end
-          else
-            (* An infinite TTL marks the local lease as never-expiring —
-               the local runner cannot be SIGKILLed away from under the
-               daemon. *)
-            let min_cases =
-              if live_workers_locked t ~now:t_now = [] then 0 else P.max_result_cases + 1
-            in
-            match
-              Lease.acquire table ~min_cases ~holder:local_holder ~now:t_now ~ttl:infinity
-            with
-            | Some g -> `Local g
-            | None -> `Wait)
-    in
-    match claim with
+    match with_lock t claim with
     | `Finished results -> results
     | `Local g ->
-        run_local g;
-        loop ()
-    | `Wait ->
-        Thread.delay (min t.poll (t.lease_ttl /. 4.));
+        let message = match run g with () -> None | exception e -> Some (Printexc.to_string e) in
+        with_lock t (fun () ->
+            match message with
+            | None -> (
+                match Lease.commit table ~shard:g.shard with
+                | `Committed -> t.local_committed <- t.local_committed + 1
+                | `Stale | `Unknown -> t.stale <- t.stale + 1)
+            | Some message ->
+                ignore (Lease.fail table ~lease_id:g.lease_id ~message : [ `Committed | `Stale ]));
         loop ()
   in
   let results = loop () in
@@ -715,17 +826,18 @@ let drive t ~job_id ~bench ~fuel ~model ~golden ~fingerprint ~commit tasks =
   | None -> ());
   results
 
+(* A wave holds one shard per executor it must keep busy: the local
+   holder's domains plus every live worker's. *)
 let wave_runner t ~job_id ~bench ~fuel ~model ~golden =
   if live_workers t = 0 then None
   else
     let fingerprint = Checkpoint.fingerprint_of_golden golden in
-    let wave_size () =
-      with_lock t (fun () -> max 2 (2 * live_slots_locked t ~now:(now ())))
-    in
+    let local_slots = match t.pool with Some pool -> Pool.domains pool | None -> 1 in
+    let wave_size () = with_lock t (fun () -> local_slots + live_slots_locked t ~now:(now ())) in
     (* The engine's post-wave checkpoint only ever persists adjudicated
        bytes: [drive] audits before it returns. *)
-    let run_wave (tasks : Engine.shard_task array) ~commit ~run_local:_ =
-      drive t ~job_id ~bench ~fuel ~model ~golden ~fingerprint ~commit
+    let run_wave (tasks : Engine.shard_task array) ~commit ~run_local =
+      drive t ~job_id ~bench ~fuel ~model ~golden ~fingerprint ~commit ~run_local
         (Array.map (fun (task : Engine.shard_task) -> (task.shard, task.lo, task.hi)) tasks)
     in
     Some { Engine.wave_size; run_wave }

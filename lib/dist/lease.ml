@@ -48,13 +48,12 @@ let bounds t ~shard =
   | Some pos -> Some (t.slots.(pos).lo, t.slots.(pos).hi)
   | None -> None
 
-let acquire ?(min_cases = 0) ?(max_cases = max_int) t ~holder ~now ~ttl =
+let acquire ?(max_cases = max_int) t ~holder ~now ~ttl =
   let found = ref None in
   Array.iteri
     (fun pos (slot : slot) ->
-      let cases = slot.hi - slot.lo in
-      if !found = None && slot.state = Pending && min_cases <= cases && cases <= max_cases
-      then found := Some pos)
+      if !found = None && slot.state = Pending && slot.hi - slot.lo <= max_cases then
+        found := Some pos)
     t.slots;
   match !found with
   | None -> None
@@ -75,6 +74,18 @@ let renew t ~lease_id ~now ~ttl =
           true
       | Leased _ | Pending | Done _ -> false)
   | None -> false
+
+let holder t ~shard =
+  match Hashtbl.find_opt t.by_shard shard with
+  | Some pos -> (
+      match t.slots.(pos).state with Leased l -> Some l.holder | Pending | Done _ -> None)
+  | None -> None
+
+let next_deadline t =
+  Array.fold_left
+    (fun acc slot ->
+      match slot.state with Leased l -> Float.min acc l.deadline | Pending | Done _ -> acc)
+    infinity t.slots
 
 let drop_lease t pos =
   match t.slots.(pos).state with

@@ -32,13 +32,19 @@ val outstanding : t -> int
 
 val bounds : t -> shard:int -> (int * int) option
 
-val acquire :
-  ?min_cases:int -> ?max_cases:int -> t -> holder:int -> now:float -> ttl:float -> grant option
-(** Lease the first [Pending] shard of [min_cases..max_cases] cases to
+val acquire : ?max_cases:int -> t -> holder:int -> now:float -> ttl:float -> grant option
+(** Lease the first [Pending] shard of at most [max_cases] cases to
     [holder] with deadline [now +. ttl]. Workers pass [max_cases] (their
-    results must fit a wire frame); the local executor passes
-    [min_cases] to take exactly the shards no worker may. [None] when
-    nothing is leasable. *)
+    results must fit a wire frame); the local holder takes any shard.
+    [None] when nothing is leasable. *)
+
+val holder : t -> shard:int -> int option
+(** Holder of the shard's current lease; [None] when it is pending, done
+    or not in this wave. *)
+
+val next_deadline : t -> float
+(** Earliest deadline among the current leases ([infinity] when none is
+    finite): the next moment {!expire} can reclaim anything. *)
 
 val renew : t -> lease_id:int -> now:float -> ttl:float -> bool
 (** Heartbeat: push the deadline of a live lease. [false] when the lease

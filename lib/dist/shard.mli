@@ -1,8 +1,9 @@
 (** One unit of fleet work: a dense case range [\[lo, hi)] of an
     exhaustive campaign (§3.2 ground truth), whose result blob is one
     outcome byte per case. This module is the one place that knows how to
-    compute that blob ({!run} — called by the worker, the scheduler's
-    local fallback and the audit oracle alike) and how to validate a
+    compute that blob ({!run} — called by the worker and the audit
+    oracle; the daemon's local holder writes the same bytes in place
+    through the engine's executor) and how to validate a
     received one ({!check} — called once, by the scheduler, before
     anything commits). Adaptive rounds never leave the daemon, so no
     other shard kind exists. *)

@@ -125,7 +125,9 @@ let run cfg =
   try
     while not (cfg.stop ()) && not (Atomic.get hb_failed) do
       match P.parse_lease_reply (roundtrip ctl (P.lease ~worker:wid)) with
-      | P.Wait poll -> Thread.delay poll
+      (* The daemon held the request until its long-poll bound passed:
+         re-poll at once. *)
+      | P.Wait _ -> ()
       | P.Granted g ->
           Atomic.set current_lease (Some g.P.lease_id);
           let payload =

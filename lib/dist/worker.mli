@@ -5,9 +5,9 @@
     detach) and a heartbeat channel driven by a dedicated thread, so lease
     renewal keeps flowing while a shard computes on the worker's own
     domain pool. Each granted shard, a dense case range, is executed by
-    {!Shard.run}, the same function the daemon's
-    local fallback and audit oracle call, so the returned blob is
-    bit-identical to what the daemon would have computed itself; the
+    {!Shard.run}, the same function the daemon's audit oracle calls, so
+    the returned blob is bit-identical to what the daemon would have
+    computed itself; the
     grant's golden fingerprint is verified first and a mismatch is
     reported as a typed shard failure instead of silently computing
     against a divergent trace. *)
@@ -20,7 +20,8 @@ type config = {
   domains : int;  (** pool width for shard execution; 1 = serial *)
   resolve : string -> Ftb_trace.Program.t;  (** benchmark lookup *)
   stop : unit -> bool;
-      (** polled between leases; [true] detaches and returns *)
+      (** polled between leases — an idle worker's lease request returns
+          at least every quarter lease TTL; [true] detaches and returns *)
   log : (string -> unit) option;
   name : string option;
       (** operator-facing identity sent at registration; quarantine bars

@@ -129,7 +129,9 @@ type grant = {
 
 type lease_reply =
   | Granted of grant
-  | Wait of float  (** nothing leasable right now; poll again after [s] *)
+  | Wait of float
+      (** nothing became leasable while the daemon held the request; poll
+          again after [s] seconds (the daemon long-polls and sends [0.]) *)
 
 val grant_frame : grant -> Ftb_service.Json.t
 val wait_frame : poll:float -> Ftb_service.Json.t

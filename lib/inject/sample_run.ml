@@ -11,12 +11,12 @@ type t = {
   propagation : (int array * float array) option;
 }
 
-(* One reusable trace sink per domain: a propagation run fills two
-   growable buffers with the faulty trace, and campaign loops run
-   thousands of cases per domain — reusing the buffers keeps the hot loop
-   free of per-case trace allocation. [run_propagation] copies anything it
-   returns, so the sink never escapes. *)
-let domain_sink = Domain.DLS.new_key (fun () -> Ftb_trace.Ctx.create_sink ())
+(* Reusable trace sinks, one per domain in the common case: a propagation
+   run fills two growable buffers with the faulty trace, and campaign
+   loops run thousands of cases per domain — reusing the buffers keeps the
+   hot loop free of per-case trace allocation. [run_propagation] copies
+   anything it returns, so the sink never escapes. *)
+let sinks = Ftb_util.Scratch.create Ftb_trace.Ctx.create_sink
 
 (* The non-zero deviations of a traced run, as (site, Δe) pairs. *)
 let sparse (prop : Runner.propagation) =
@@ -51,8 +51,8 @@ let of_propagation fault (prop : Runner.propagation) =
   }
 
 let traced ?fuel golden fault corrupt =
-  let sink = Domain.DLS.get domain_sink in
-  of_propagation fault (Runner.run_propagation_custom ?fuel ~sink golden ~fault ~corrupt)
+  Ftb_util.Scratch.with_ sinks (fun sink ->
+      of_propagation fault (Runner.run_propagation_custom ?fuel ~sink golden ~fault ~corrupt))
 
 (* The cone tier: one traced scan of the site's forward cone over the
    plan's golden dataflow. Its outcome and pairs equal the traced run's,

@@ -42,7 +42,7 @@ module Program = Ftb_trace.Program
    and every member's tape runs over rows of lane values, so
    interpretation is paid per member, not per case, and no intermediate
    float is boxed. All per-call state lives in one domain-local scratch
-   shared by every plan, sized by the largest plan and cone seen and a
+   (lent to one run at a time, {!Ftb_util.Scratch}) shared by every plan, sized by the largest plan and cone seen and a
    fixed lane buffer, so replaying a site allocates nothing that grows
    with the program. *)
 
@@ -437,8 +437,8 @@ type scratch = {
   mutable crash_nan : int array;  (* per lane: 1 when that guard read NaN *)
 }
 
-let scratch_key =
-  Domain.DLS.new_key (fun () ->
+let scratches =
+  Ftb_util.Scratch.create (fun () ->
       {
         slot = [||];
         members = [||];
@@ -461,9 +461,8 @@ let scratch_key =
         crash_nan = [||];
       })
 
-(* The calling domain's scratch, grown to fit [p] and [lanes]. *)
-let scratch p ~lanes =
-  let s = Domain.DLS.get scratch_key in
+(* [s] grown to fit [p] and [lanes]. *)
+let fit_scratch s p ~lanes =
   let n = Array.length p.golden and ng = Array.length p.g_node in
   if Array.length s.slot < n then s.slot <- Array.make n (-1);
   if Bytes.length s.gseen < ng then begin
@@ -880,22 +879,22 @@ let replay p s out =
 (* The lane runner of one accepted site. *)
 let run_site p seed corrupt out =
   let lanes = Array.length out in
-  if lanes > 0 then begin
-    let s = scratch p ~lanes in
-    let g = p.golden.(seed) in
-    for l = 0 to lanes - 1 do
-      s.seeds.(l) <- corrupt l g
-    done;
-    match
-      walk p s seed;
-      schedule p s;
-      replay p s out
-    with
-    | () -> reset s
-    | exception e ->
-        reset s;
-        raise e
-  end
+  if lanes > 0 then
+    Ftb_util.Scratch.with_ scratches (fun s ->
+        let s = fit_scratch s p ~lanes in
+        let g = p.golden.(seed) in
+        for l = 0 to lanes - 1 do
+          s.seeds.(l) <- corrupt l g
+        done;
+        match
+          walk p s seed;
+          schedule p s;
+          replay p s out
+        with
+        | () -> reset s
+        | exception e ->
+            reset s;
+            raise e)
 
 (* Traced replay of one case: a forward scan over the events after the
    seed. An event is recomputed (scalar tape) only when one of its leaves
@@ -927,8 +926,8 @@ type tscratch = {
   devs : Fbuf.t;
 }
 
-let tscratch_key =
-  Domain.DLS.new_key (fun () ->
+let tscratches =
+  Ftb_util.Scratch.create (fun () ->
       {
         stamp = 0;
         cand = [||];
@@ -944,8 +943,7 @@ let tscratch_key =
         devs = Fbuf.create ();
       })
 
-let tscratch p =
-  let t = Domain.DLS.get tscratch_key in
+let fit_tscratch t p =
   let n = Array.length p.golden and ng = Array.length p.g_node in
   if Array.length t.cand < n then begin
     t.cand <- Array.make n 0;
@@ -1046,9 +1044,10 @@ let first_guard_after p e =
   !lo
 
 let trace_site p ~site corrupt =
+  Ftb_util.Scratch.with_ tscratches @@ fun t ->
   let seed = p.site_ev.(site) in
   let v0 = corrupt p.golden.(seed) in
-  let t = tscratch p in
+  let t = fit_tscratch t p in
   t.cursor <- site;
   let crashed = ref false and crash_nan = ref false in
   if Int64.bits_of_float v0 <> Int64.bits_of_float p.golden.(seed) then begin

@@ -93,6 +93,7 @@ type t = {
   mutable scheduler : Thread.t option;
   mutable scheduler_done : bool;
   mutable subs : sub list;
+  mutable conns : Unix.file_descr list;  (* open client connections *)
   sigterm : bool Atomic.t;
   pool : Pool.t option;  (* one warm handle shared by every campaign *)
   store : Store.t option;  (* compositional profile cache, under <state>/cache *)
@@ -185,6 +186,7 @@ let create config =
       scheduler = None;
       scheduler_done = false;
       subs = [];
+      conns = [];
       sigterm = Atomic.make false;
       pool = (if config.domains > 1 then Some (Pool.global ~domains:config.domains ()) else None);
       store =
@@ -772,6 +774,8 @@ let supervise_job t (job : Job.info) cancel =
       in
       monitor ()
 
+let shutdown_fd fd = try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
+
 let scheduler_loop t =
   let rec loop () =
     let next =
@@ -822,7 +826,15 @@ let scheduler_loop t =
               (Hashtbl.find_opt t.jobs s.sub_job))
           subs)
   in
-  List.iter (fun (s, job, seq) -> safe_write s.sub_fd (done_event ~seq job)) leftovers
+  List.iter (fun (s, job, seq) -> safe_write s.sub_fd (done_event ~seq job)) leftovers;
+  (* The daemon has stopped. The extension releases what it holds (a
+     fleet answers its parked lease requests), then every connection is
+     shut down, so no client waits on a daemon that will not answer and
+     no connection thread outlives the drain. A connection thread removes
+     its descriptor under the lock before closing it, so none of these
+     can have been reused. *)
+  Option.iter (fun ext -> ignore (ext ~cmd:"shutdown" (Json.Obj []) : Json.t option)) t.config.extension;
+  with_lock t (fun () -> List.iter shutdown_fd t.conns)
 
 let start t =
   with_lock t (fun () ->
@@ -1223,6 +1235,9 @@ let handle_request t fd json =
             (error_frame "bad_request" (Printf.sprintf "unknown command %S" cmd)))
 
 let serve_connection t fd =
+  with_lock t (fun () ->
+      t.conns <- fd :: t.conns;
+      if t.scheduler_done then shutdown_fd fd);
   Fun.protect
     ~finally:(fun () ->
       (* Make sure a dying connection — clean close, protocol violation,
@@ -1233,6 +1248,7 @@ let serve_connection t fd =
           let mine, rest = List.partition (fun s -> s.sub_fd = fd) t.subs in
           List.iter (fun s -> s.sub_live <- false) mine;
           t.subs <- rest;
+          t.conns <- List.filter (( <> ) fd) t.conns;
           Condition.broadcast t.sub_done);
       try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->

@@ -105,9 +105,13 @@ type config = {
           ["cmd"] the core protocol does not know. Returning [Some reply]
           sends that frame; [None] falls through to the usual
           [bad_request] error. The handler must not retain the
-          connection. {!Ftb_dist.Fleet.extension} plugs the worker
-          protocol (register / lease / heartbeat / result / detach) in
-          here. *)
+          connection, though it may hold the request until it has a
+          reply. When the daemon stops, the server calls it once with
+          [~cmd:"shutdown"] — a command no client can route to it, since
+          the core protocol answers [shutdown] itself — so it can answer
+          whatever requests it holds. {!Ftb_dist.Fleet.extension} plugs
+          the worker protocol (register / lease / heartbeat / result /
+          detach) in here. *)
   wave_runner :
     (job_id:int ->
     bench:string ->
@@ -184,7 +188,8 @@ val serve_connection : t -> Unix.file_descr -> unit
 (** Serve one client connection until it closes (or the protocol is
     violated), then close the descriptor. Used directly by tests over a
     socketpair; {!run} calls it from per-connection threads. Requires
-    {!start}. *)
+    {!start}. When the daemon stops, every such connection is shut down:
+    its client reads end-of-file. *)
 
 val store : t -> Ftb_compose.Store.t option
 (** The daemon's open profile store, when [config.cache] enabled one —

@@ -97,9 +97,15 @@ let fuel = 10_000
 let lease_ttl = 0.5
 
 (* Every corrupted byte stays a plausible outcome code, so only the audit
-   oracle — never a parser — can tell the bytes are wrong. *)
+   oracle — never a parser — can tell the bytes are wrong. A liar tells
+   the truth until [watching] is set: a quarantine event reaches only
+   watchers already subscribed, and the first wave can convict a liar
+   within milliseconds of the submit, before the client's watch is. *)
+let watching = Atomic.make true
+
 let tamper ~bench:_ ~shard:_ b =
-  Bytes.map (fun c -> if c = '\000' then '\001' else '\000') b
+  if Atomic.get watching then Bytes.map (fun c -> if c = '\000' then '\001' else '\000') b
+  else b
 
 (* ------------------------------------------------------------------ *)
 (* Shared scaffolding: an in-process daemon over socketpairs with a
@@ -162,6 +168,18 @@ let with_scenario ~tag ~audit_rate ?(quarantine_after = 2) ~workers fn =
     end
   in
   check (tag ^ ": all workers registered") (await 500);
+  (* Once every worker's lease request is parked in the daemon, the first
+     wave hands each of them a shard before the local holder claims one:
+     the liar and the honest workers are certain to commit remotely. *)
+  let rec await_parked attempts =
+    if (Fleet.stats fleet).Fleet.parked >= List.length workers then true
+    else if attempts = 0 then false
+    else begin
+      ignore (Unix.select [] [] [] 0.002);
+      await_parked (attempts - 1)
+    end
+  in
+  check (tag ^ ": every worker's lease request parked") (await_parked 5000);
   let client = Client.of_fd (connect ()) in
   fn ~state_dir ~fleet ~server:t ~client;
   Atomic.set stop true;
@@ -191,12 +209,18 @@ let lying_worker_drill () =
       let spec =
         { (Job.default_spec ~bench:"audit.drill") with Job.shard_size; fuel = Some fuel }
       in
+      (* The liar starts lying once the watch is subscribed: on the first
+         progress event after the snapshot, which only a subscriber gets. *)
+      Atomic.set watching false;
       let id = get_ok "liar: submit" (Client.submit client spec) in
       let quarantine_events = ref [] in
+      let progress = ref 0 in
       let final =
         get_ok "liar: watch"
           (Client.watch client id ~on_event:(function
-             | Client.Progress _ | Client.Round _ -> ()
+             | Client.Progress _ | Client.Round _ ->
+                 incr progress;
+                 if !progress >= 2 then Atomic.set watching true
              | Client.Worker_quarantined { worker; disputes; _ } ->
                  quarantine_events := (worker, disputes) :: !quarantine_events))
       in

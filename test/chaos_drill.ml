@@ -500,19 +500,28 @@ let lying_fleet_drill () =
   in
   let quarantined = ref [] in
   let daemon = ref (spawn_audit_daemon ~state_dir sock) in
-  (* The first crew attaches in order: the liar alone, so it holds the
-     first wave's first lease, and the honest pair only once the liar is
-     producing its first (tampered) shard — the gate opens from inside
-     the liar's tamper hook. The wave-end audit of that commit convicts
-     the liar whatever the host's load. *)
+  (* The first crew attaches in order: the liar alone, and the honest
+     pair only once the liar is producing its first shard — the gate
+     opens from inside the liar's tamper hook. The liar tells the truth
+     until the client's watch is subscribed (a byte on [watch_r], sent on
+     the first progress event after the snapshot, which only a subscriber
+     gets): a quarantine event reaches only watchers already subscribed,
+     and the first wave can end within milliseconds of the submit. The
+     wave-end audit of its first lie convicts it, and the kill waits for
+     that conviction: a kill racing that wave's audit would leave the
+     conviction to the restarted daemon, whose resumed job starts before
+     any worker attaches and so never leases a shard. *)
   let gate_r, gate_w = Unix.pipe () in
-  let opened = ref false in
+  let watch_r, watch_w = Unix.pipe () in
+  let opened = ref false and lying = ref false in
   let liar_opening_gate ~bench ~shard b =
     if not !opened then begin
       opened := true;
       ignore (Unix.write gate_w (Bytes.make 2 'g') 0 2 : int)
     end;
-    tamper_outcomes ~bench ~shard b
+    if not !lying then
+      lying := (match Unix.select [ watch_r ] [] [] 0. with [ _ ], _, _ -> true | _ -> false);
+    if !lying then tamper_outcomes ~bench ~shard b else b
   in
   let liar = spawn_fleet_worker ~tamper:liar_opening_gate ~name:"liar" sock ready_w in
   await_crew ~workers:1 "fleet-liar: first crew attached";
@@ -537,12 +546,17 @@ let lying_fleet_drill () =
     | Error e ->
         failwith (Printf.sprintf "fleet-liar submit: %s: %s" e.Client.code e.Client.message)
   in
-  let killed = ref false in
+  let killed = ref false and progress = ref 0 in
   (match
      Client.watch client id ~on_event:(function
        | Client.Round _ -> ()
        | Client.Progress { shards_done; cases_done; cases_total; _ } ->
-           if (not !killed) && shards_done >= 2 && (cases_total = 0 || cases_done < cases_total)
+           incr progress;
+           if !progress = 2 then ignore (Unix.write watch_w (Bytes.make 1 'w') 0 1 : int);
+           if
+             (not !killed) && shards_done >= 2
+             && (cases_total = 0 || cases_done < cases_total)
+             && !quarantined <> []
            then begin
              (* Never kill the daemon under an honest worker that has
                 not attached yet: it would fail to connect. *)
@@ -621,7 +635,7 @@ let lying_fleet_drill () =
       | _, Unix.WEXITED 0 -> ()
       | _, _ -> check "fleet-liar: second-crew worker exited cleanly" false)
     crew2;
-  List.iter Unix.close [ ready_r; ready_w; gate_r; gate_w ]
+  List.iter Unix.close [ ready_r; ready_w; gate_r; gate_w; watch_r; watch_w ]
 
 let () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;

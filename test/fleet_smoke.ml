@@ -8,15 +8,18 @@
       abandoned lease must expire and its shard re-run on the surviving
       worker, converging to outcome bytes bit-identical to the plain
       serial campaign. A second job then loses its *last* worker
-      mid-flight, so the daemon's executor of last resort has to finish
-      the wave on the local pool. The forks happen before the parent
-      touches any domain pool, because a pool's worker domains do not
-      survive fork().
+      mid-flight, so the daemon's local holder, which claims shards in
+      every wave anyway, finishes the job alone. The forks happen before
+      the parent touches any domain pool, because a pool's worker domains
+      do not survive fork().
 
    2. In-process socketpair fleet: two Worker.run threads attached to an
-      in-process daemon over socketpairs; a campaign must be executed by
-      leased shards (fleet stats show remote commits), complete
-      bit-identically, and the workers must detach cleanly on stop. *)
+      in-process daemon over socketpairs; a campaign must be executed
+      partly by leased shards (fleet stats show remote commits), complete
+      bit-identically, and the workers must detach cleanly on stop. Each
+      job is submitted only once both workers' lease requests are parked
+      in the daemon: a wave hands parked requests their shards before the
+      local holder claims any, so the remote commits are certain. *)
 
 module Ctx = Ftb_trace.Ctx
 module Static = Ftb_trace.Static
@@ -226,11 +229,12 @@ let worker_death_test () =
   check_bit_identical "one-dead: outcome bytes bit-identical to serial run"
     ~state_dir ~shard_size:128 id1;
 
-  (* Job 2: kill the *last* worker mid-lease. With zero live workers the
-     scheduler's executor of last resort finishes the wave on the local
-     pool, so the job still terminates — and still bit-identically. *)
+  (* Job 2: kill the *last* worker mid-lease. The local holder claims
+     every shard the dead worker does not hold and, once its lease
+     expires, the one it did, so the job still terminates — and still
+     bit-identically. *)
   let id2, final2 = run_job_killing client ~what:"all-dead" ~victim:w2 in
-  check "all-dead: job completed via local executor of last resort"
+  check "all-dead: job completed on the local executor alone"
     (final2.Job.status = Job.Completed);
   check_bit_identical "all-dead: outcome bytes bit-identical to serial run"
     ~state_dir ~shard_size:128 id2;
@@ -253,6 +257,18 @@ let worker_death_test () =
 
 (* ------------------------------------------------------------------ *)
 (* Part 2: in-process fleet over socketpairs.                           *)
+
+(* Wait until [n] lease requests are parked in the daemon. *)
+let await_parked fleet n =
+  let rec go attempts =
+    if (Fleet.stats fleet).Fleet.parked >= n then true
+    else if attempts = 0 then false
+    else begin
+      ignore (Unix.select [] [] [] 0.002);
+      go (attempts - 1)
+    end
+  in
+  go 5000
 
 let socketpair_fleet_test () =
   let state_dir = fresh_dir "pair" in
@@ -283,6 +299,7 @@ let socketpair_fleet_test () =
     end
   in
   check "both in-process workers registered" (await_workers 500);
+  check "both workers' lease requests parked" (await_parked fleet 2);
 
   let client = Client.of_fd (connect ()) in
   let spec =
@@ -380,6 +397,7 @@ let model_fleet_test () =
           model = spec;
         }
       in
+      check (what ^ ": both workers' lease requests parked") (await_parked fleet 2);
       let id = get_ok (what ^ ": submit") (Client.submit client job_spec) in
       let final = get_ok (what ^ ": watch") (Client.watch client id) in
       check (what ^ ": fleet job completed") (final.Job.status = Job.Completed);

@@ -399,6 +399,33 @@ let test_pooled_cone_campaign_identity () =
         (Bytes.equal serial.Ground_truth.outcomes pooled.Ground_truth.outcomes))
     (Lazy.force fixtures)
 
+let test_threads_share_domain_scratch () =
+  (* Systhreads of one domain interleave on its replay scratch (a daemon's
+     scheduler thread and an in-process fleet worker do): each run must
+     still get bytes of its own. Each thread replays for longer than a
+     thread time slice, so the switches land mid-site. *)
+  List.iter
+    (fun (name, fast, _) ->
+      if name = "ir.cg" || name = "ir.fft" then begin
+        let serial = Executor.ground_truth_model ~domains:1 Models.default_spec fast in
+        let wrong = Atomic.make 0 and runs = Atomic.make 0 in
+        let replay () =
+          let until = Unix.gettimeofday () +. 0.2 in
+          while Unix.gettimeofday () < until do
+            let gt = Executor.ground_truth_model ~domains:1 Models.default_spec fast in
+            Atomic.incr runs;
+            if not (Bytes.equal serial.Ground_truth.outcomes gt.Ground_truth.outcomes) then
+              Atomic.incr wrong
+          done
+        in
+        let threads = List.init 2 (fun _ -> Thread.create replay ()) in
+        List.iter Thread.join threads;
+        Alcotest.(check int)
+          (Printf.sprintf "%s: %d interleaved runs, all = serial" name (Atomic.get runs))
+          0 (Atomic.get wrong)
+      end)
+    (Lazy.force fixtures)
+
 let test_cone_plans_exist_and_cover () =
   (* The plan must cover the full site space, and on branch-free kernels
      it must accept (not fall back on) every site — otherwise the fast
@@ -640,6 +667,8 @@ let suite =
     Alcotest.test_case "cone flag is outcome-invariant" `Quick test_cone_flag_changes_nothing;
     Alcotest.test_case "pooled cone campaign = serial" `Quick
       test_pooled_cone_campaign_identity;
+    Alcotest.test_case "threads of one domain: replay = serial" `Quick
+      test_threads_share_domain_scratch;
     Alcotest.test_case "cone plans cover the site space" `Quick
       test_cone_plans_exist_and_cover;
     Alcotest.test_case "fuel at the golden steps takes the cone" `Quick

@@ -177,7 +177,7 @@ let prop_no_double_commit =
             (* A worker detaches cleanly. *)
             ignore (Lease.release_holder t ~holder:(1 + Rng.int rng 4) : int)
       done;
-      (* Drain: the executor of last resort finishes whatever remains. *)
+      (* Drain: the local holder finishes whatever remains. *)
       while Lease.outstanding t > 0 do
         match Lease.acquire t ~holder:0 ~now:!clock ~ttl:infinity with
         | Some g -> (
@@ -198,11 +198,37 @@ let prop_no_double_commit =
 (* ------------------------------------------------------------------ *)
 (* Fleet scheduler: a result frame only commits into its own job's wave. *)
 
+let await_parked fleet n =
+  let deadline = Unix.gettimeofday () +. 30. in
+  while (Fleet.stats fleet).Fleet.parked < n do
+    if Unix.gettimeofday () > deadline then Alcotest.fail "lease request never parked";
+    Thread.delay 0.001
+  done
+
+(* Send a lease request from a thread and return once the fleet holds it
+   parked. A wave opened after that hands the request a shard before the
+   local holder claims one, so the worker's share of the wave is certain.
+   [grant ()] joins the thread and returns that grant. *)
+let park_lease fleet ext ~wid =
+  let reply = ref None in
+  let th =
+    Thread.create
+      (fun () -> reply := Some (P.parse_lease_reply (ext "worker_lease" (P.lease ~worker:wid))))
+      ()
+  in
+  await_parked fleet 1;
+  fun () ->
+    Thread.join th;
+    match !reply with
+    | Some (P.Granted g) -> g
+    | Some (P.Wait _) -> Alcotest.fail "a parked lease request was answered Wait when the wave opened"
+    | None -> Alcotest.fail "the lease request failed"
+
 let test_cross_job_result_rejected () =
   (* Audit disabled: this test commits a hand-crafted byte pattern (not
      the bench's true outcomes) to observe the commit plumbing, which the
      audit oracle would rightly dispute. *)
-  let fleet = Fleet.create ~lease_ttl:5.0 ~poll:0.005 ~audit_rate:0. () in
+  let fleet = Fleet.create ~lease_ttl:5.0 ~audit_rate:0. () in
   let ext cmd json =
     match Fleet.extension fleet ~cmd json with
     | Some reply -> reply
@@ -224,6 +250,7 @@ let test_cross_job_result_rejected () =
   let commit ~shard bytes = committed := (shard, Bytes.copy bytes) :: !committed in
   let results = ref [] in
   let ran_locally = ref false in
+  let grant = park_lease fleet ext ~wid in
   let wave =
     Thread.create
       (fun () ->
@@ -234,16 +261,7 @@ let test_cross_job_result_rejected () =
             ~run_local:(fun ~lo:_ ~hi:_ -> ran_locally := true))
       ()
   in
-  let rec lease_grant attempts =
-    if attempts = 0 then Alcotest.fail "scheduler never offered a grant"
-    else
-      match P.parse_lease_reply (ext "worker_lease" (P.lease ~worker:wid)) with
-      | P.Granted g -> g
-      | P.Wait poll ->
-          ignore (Unix.select [] [] [] (Float.max poll 0.001));
-          lease_grant (attempts - 1)
-  in
-  let g = lease_grant 1000 in
+  let g = grant () in
   Alcotest.(check int) "grant advertises the active job" job_id g.P.job_id;
   let payload ~job =
     let data = Bytes.of_string "\x00\x01\x02\x03" in
@@ -357,7 +375,8 @@ let test_digest_and_admin_frames () =
     && not (P.parse_cleared (P.cleared_frame ~cleared:false)))
 
 (* Shared scaffolding: drive one wave of [job_id] through a fleet with a
-   single registered worker, returning what the test needs to poke at. *)
+   single registered worker whose lease request is parked before the wave
+   opens, returning what the test needs to poke at. *)
 let drive_wave fleet ~job_id ~wid ~golden ~tasks ~on_grant =
   let ext cmd json =
     match Fleet.extension fleet ~cmd json with
@@ -376,6 +395,7 @@ let drive_wave fleet ~job_id ~wid ~golden ~tasks ~on_grant =
   let commit ~shard bytes = Hashtbl.replace committed shard (Bytes.copy bytes) in
   let ran_locally = ref 0 in
   let results = ref [] in
+  let grant = park_lease fleet ext ~wid in
   let wave =
     Thread.create
       (fun () ->
@@ -384,21 +404,12 @@ let drive_wave fleet ~job_id ~wid ~golden ~tasks ~on_grant =
             ~run_local:(fun ~lo:_ ~hi:_ -> incr ran_locally))
       ()
   in
-  let rec lease_grant attempts =
-    if attempts = 0 then Alcotest.fail "scheduler never offered a grant"
-    else
-      match P.parse_lease_reply (ext "worker_lease" (P.lease ~worker:wid)) with
-      | P.Granted g -> g
-      | P.Wait poll ->
-          ignore (Unix.select [] [] [] (Float.max poll 0.001));
-          lease_grant (attempts - 1)
-  in
-  on_grant ~ext ~lease_grant;
+  on_grant ~ext ~grant;
   Thread.join wave;
   (!results, committed, !ran_locally)
 
 let test_digest_mismatch_rejected () =
-  let fleet = Fleet.create ~lease_ttl:5.0 ~poll:0.005 ~audit_rate:0. () in
+  let fleet = Fleet.create ~lease_ttl:5.0 ~audit_rate:0. () in
   let ext cmd json =
     match Fleet.extension fleet ~cmd json with
     | Some reply -> reply
@@ -411,8 +422,8 @@ let test_digest_mismatch_rejected () =
   let results, committed, _local =
     drive_wave fleet ~job_id ~wid ~golden
       ~tasks:[| { Engine.shard = 0; attempt = 1; lo = 0; hi = 4 } |]
-      ~on_grant:(fun ~ext ~lease_grant ->
-        let g = lease_grant 1000 in
+      ~on_grant:(fun ~ext ~grant ->
+        let g = grant () in
         (* The attestation layer guards the transport: bytes whose frame
            digest disagrees with the server's recomputation never commit,
            whatever they contain. *)
@@ -440,7 +451,7 @@ let test_digest_mismatch_rejected () =
 
 let test_audit_dispute_quarantine_clear () =
   let fleet =
-    Fleet.create ~lease_ttl:5.0 ~poll:0.005 ~audit_rate:1.0 ~quarantine_after:1 ()
+    Fleet.create ~lease_ttl:5.0 ~audit_rate:1.0 ~quarantine_after:1 ()
   in
   let events = ref [] in
   Fleet.set_on_quarantine fleet (fun ~name ~disputes ->
@@ -468,8 +479,8 @@ let test_audit_dispute_quarantine_clear () =
   let results, committed, _local =
     drive_wave fleet ~job_id ~wid ~golden
       ~tasks:[| { Engine.shard = 0; attempt = 1; lo = 0; hi = 4 } |]
-      ~on_grant:(fun ~ext ~lease_grant ->
-        let g = lease_grant 1000 in
+      ~on_grant:(fun ~ext ~grant ->
+        let g = grant () in
         let digest =
           P.outcome_digest ~job:job_id ~shard:g.P.shard ~lo:g.P.lo ~hi:g.P.hi
             ~fingerprint:g.P.fingerprint lie
@@ -535,7 +546,7 @@ let test_audit_dispute_quarantine_clear () =
 
 let test_local_executor_never_self_quarantined () =
   let fleet =
-    Fleet.create ~lease_ttl:5.0 ~poll:0.005 ~audit_rate:1.0 ~quarantine_after:1 ()
+    Fleet.create ~lease_ttl:5.0 ~audit_rate:1.0 ~quarantine_after:1 ()
   in
   let ext cmd json =
     match Fleet.extension fleet ~cmd json with
@@ -545,29 +556,39 @@ let test_local_executor_never_self_quarantined () =
   let reg = P.parse_registered (ext "worker_register" (P.register ~domains:1 ())) in
   let wid = reg.P.worker in
   let golden = Golden.run (Helpers.linear_program ()) in
-  (* The worker detaches before taking a lease, so the executor of last
-     resort (holder wid 0) runs the whole wave. Local commits create no
-     audit records: even at audit-rate 1.0 there is nothing to audit, and
-     the server can never dispute — let alone quarantine — itself. *)
-  let results, committed, ran_locally =
-    drive_wave fleet ~job_id:53 ~wid ~golden
-      ~tasks:[| { Engine.shard = 0; attempt = 1; lo = 0; hi = 4 } |]
-      ~on_grant:(fun ~ext ~lease_grant:_ ->
-        ignore (ext "worker_detach" (P.detach ~worker:wid) : Json.t))
+  let runner =
+    match
+      Fleet.wave_runner fleet ~job_id:53 ~bench:"helpers.linear" ~fuel:None
+        ~model:Ftb_inject.Models.default_spec ~golden
+    with
+    | Some r -> r
+    | None -> Alcotest.fail "no wave runner despite a registered worker"
+  in
+  (* The worker detaches before taking a lease, so the local holder
+     (holder wid 0) runs the whole wave. Local commits create no audit
+     records: even at audit-rate 1.0 there is nothing to audit, and the
+     server can never dispute — let alone quarantine — itself. *)
+  ignore (ext "worker_detach" (P.detach ~worker:wid) : Json.t);
+  let committed = ref 0 in
+  let out = Bytes.make 4 '\255' in
+  let results =
+    runner.Engine.run_wave
+      [| { Engine.shard = 0; attempt = 1; lo = 0; hi = 4 } |]
+      ~commit:(fun ~shard:_ _ -> incr committed)
+      ~run_local:(fun ~lo ~hi ->
+        Bytes.blit (Ftb_dist.Shard.run Ftb_inject.Models.default_spec golden ~lo ~hi) 0 out lo (hi - lo))
   in
   (match results with
   | [ (0, Ok ()) ] -> ()
-  | _ -> Alcotest.fail "local fallback did not resolve the shard");
-  (* The local executor hands its blob to the engine's [commit], like a
-     remote one: the oracle's bytes, never the engine's [run_local]. *)
+  | _ -> Alcotest.fail "the local holder did not resolve the shard");
+  (* The local holder writes through the engine's [run_local], in place:
+     no blob crosses [commit]. *)
   let truth =
     (Ftb_inject.Executor.ground_truth_model Ftb_inject.Models.default_spec golden)
       .Ftb_inject.Ground_truth.outcomes
   in
-  Alcotest.(check (option string)) "shard ran locally"
-    (Some (Bytes.sub_string truth 0 4))
-    (Option.map Bytes.to_string (Hashtbl.find_opt committed 0));
-  Alcotest.(check int) "through Shard.run, not the engine's run_local" 0 ran_locally;
+  Alcotest.(check string) "shard ran locally" (Bytes.sub_string truth 0 4) (Bytes.to_string out);
+  Alcotest.(check int) "through the engine's run_local, not commit" 0 !committed;
   let s = Fleet.stats fleet in
   Alcotest.(check int) "one local commit" 1 s.Fleet.local_committed;
   Alcotest.(check int) "local commits are never audited" 0 s.Fleet.audited;
@@ -621,7 +642,7 @@ let test_grant_without_model () =
   | exception P.Decode_error _ -> ()
 
 let test_digestless_result_rerun () =
-  let fleet = Fleet.create ~lease_ttl:5.0 ~poll:0.005 ~audit_rate:0. () in
+  let fleet = Fleet.create ~lease_ttl:5.0 ~audit_rate:0. () in
   let ext cmd json =
     match Fleet.extension fleet ~cmd json with
     | Some reply -> reply
@@ -638,7 +659,7 @@ let test_digestless_result_rerun () =
   let wave attempt frame =
     drive_wave fleet ~job_id ~wid ~golden
       ~tasks:[| { Engine.shard = 0; attempt; lo = 0; hi = 4 } |]
-      ~on_grant:(fun ~ext ~lease_grant -> frame ~ext (lease_grant 1000))
+      ~on_grant:(fun ~ext ~grant -> frame ~ext (grant ()))
   in
   (* First attempt: the worker's blob arrives without its digest — a frame
      shape nothing writes. It is refused typed, and its lease fails. *)
@@ -710,13 +731,14 @@ let fleet_connector fleet () =
 let test_invalid_dense_byte_rerun () =
   (* Audit off: the corrupt shard is one no audit picks, so only the blob
      check stands between its bytes and the campaign. *)
-  let fleet = Fleet.create ~lease_ttl:5.0 ~poll:0.005 ~audit_rate:0. () in
+  let fleet = Fleet.create ~lease_ttl:5.0 ~audit_rate:0. () in
   let program = Helpers.linear_program () in
   let golden = Golden.run program in
   let corrupted = ref false in
-  (* One correctly digested blob carrying 0x07, which is no outcome. *)
-  let tamper ~bench:_ ~shard b =
-    if shard = 1 && not !corrupted then begin
+  (* One correctly digested blob carrying 0x07, which is no outcome: the
+     worker's first. *)
+  let tamper ~bench:_ ~shard:_ b =
+    if not !corrupted then begin
       corrupted := true;
       Bytes.set b 0 '\007'
     end;
@@ -735,11 +757,9 @@ let test_invalid_dense_byte_rerun () =
                   ~tamper (fleet_connector fleet))))
       ()
   in
-  let deadline = Unix.gettimeofday () +. 30. in
-  while Fleet.live_workers fleet < 1 do
-    if Unix.gettimeofday () > deadline then Alcotest.fail "worker never registered";
-    Thread.delay 0.002
-  done;
+  (* Parked before the job starts, the worker is certain to get a shard of
+     the first wave. *)
+  await_parked fleet 1;
   let config = { Engine.default_config with Engine.shard_size = 64 } in
   let fleet_run () =
     Engine.run
@@ -764,8 +784,180 @@ let test_invalid_dense_byte_rerun () =
   | Some s -> Alcotest.(check int) "the worker saw one refusal" 1 s.Ftb_dist.Worker.failures
   | None -> Alcotest.fail "worker returned no stats");
   let s = Fleet.stats fleet in
-  Alcotest.(check int) "every shard committed remotely once" 7 s.Fleet.remote_committed;
+  Alcotest.(check int) "every shard committed once" 7
+    (s.Fleet.remote_committed + s.Fleet.local_committed);
   Alcotest.(check int) "a bad blob is not a digest failure" 0 s.Fleet.bad_digest
+
+(* ------------------------------------------------------------------ *)
+(* The local holder, the long-poll lease and the audit quota.           *)
+
+let one_shard_wave fleet ~job_id ~golden ~shard ~run_local =
+  match
+    Fleet.wave_runner fleet ~job_id ~bench:"helpers.linear" ~fuel:None
+      ~model:Ftb_inject.Models.default_spec ~golden
+  with
+  | None -> Alcotest.fail "no wave runner despite a registered worker"
+  | Some runner ->
+      runner.Engine.run_wave
+        [| { Engine.shard; attempt = 1; lo = 0; hi = 4 } |]
+        ~commit:(fun ~shard:_ _ -> ())
+        ~run_local
+
+let test_silent_worker_no_stall () =
+  let fleet = Fleet.create ~lease_ttl:5.0 ~audit_rate:0. () in
+  let ext cmd json = Option.get (Fleet.extension fleet ~cmd json) in
+  (* Registered and live, but it never asks for a lease. *)
+  ignore (P.parse_registered (ext "worker_register" (P.register ~domains:1 ())));
+  let golden = Golden.run (Helpers.linear_program ()) in
+  let runner =
+    Option.get
+      (Fleet.wave_runner fleet ~job_id:60 ~bench:"helpers.linear" ~fuel:None
+         ~model:Ftb_inject.Models.default_spec ~golden)
+  in
+  Alcotest.(check int) "a wave holds one shard per executor" 2 (runner.Engine.wave_size ());
+  let ran = ref 0 in
+  let t0 = Unix.gettimeofday () in
+  let results =
+    runner.Engine.run_wave
+      (Array.init 4 (fun i -> { Engine.shard = i; attempt = 1; lo = 4 * i; hi = (4 * i) + 4 }))
+      ~commit:(fun ~shard:_ _ -> Alcotest.fail "nothing was leased, so nothing commits")
+      ~run_local:(fun ~lo:_ ~hi:_ -> incr ran)
+  in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) "every shard resolved" true
+    (List.length results = 4 && List.for_all (fun (_, r) -> r = Ok ()) results);
+  Alcotest.(check int) "all on the local holder" 4 !ran;
+  Alcotest.(check bool)
+    (Printf.sprintf "finished in well under the lease TTL (%.3f s)" elapsed)
+    true (elapsed < 1.0);
+  let s = Fleet.stats fleet in
+  Alcotest.(check int) "local commits" 4 s.Fleet.local_committed;
+  Alcotest.(check int) "no grant" 0 s.Fleet.granted
+
+let test_parked_lease_granted () =
+  let fleet = Fleet.create ~lease_ttl:5.0 ~audit_rate:0. () in
+  let ext cmd json = Option.get (Fleet.extension fleet ~cmd json) in
+  let wid = (P.parse_registered (ext "worker_register" (P.register ~domains:1 ()))).P.worker in
+  let golden = Golden.run (Helpers.linear_program ()) in
+  let runner =
+    Option.get
+      (Fleet.wave_runner fleet ~job_id:61 ~bench:"helpers.linear" ~fuel:None
+         ~model:Ftb_inject.Models.default_spec ~golden)
+  in
+  (* Parked while no wave is open: the request waits in the daemon. *)
+  let grant = park_lease fleet ext ~wid in
+  let ran = ref [] in
+  let results = ref [] in
+  let wave =
+    Thread.create
+      (fun () ->
+        results :=
+          runner.Engine.run_wave
+            [|
+              { Engine.shard = 0; attempt = 1; lo = 0; hi = 4 };
+              { Engine.shard = 1; attempt = 1; lo = 4; hi = 8 };
+            |]
+            ~commit:(fun ~shard:_ _ -> ())
+            ~run_local:(fun ~lo ~hi -> ran := (lo, hi) :: !ran))
+      ()
+  in
+  let g = grant () in
+  Alcotest.(check int) "the parked request got the wave's first shard" 0 g.P.shard;
+  let data = Ftb_dist.Shard.run Ftb_inject.Models.default_spec golden ~lo:g.P.lo ~hi:g.P.hi in
+  let digest =
+    P.outcome_digest ~job:61 ~shard:g.P.shard ~lo:g.P.lo ~hi:g.P.hi ~fingerprint:g.P.fingerprint data
+  in
+  let ack =
+    P.parse_result_ack
+      (ext "worker_result"
+         (P.result ~worker:wid ~job:61 ~lease:g.P.lease_id ~shard:g.P.shard
+            (P.Blob { data; digest })))
+  in
+  Thread.join wave;
+  Alcotest.(check bool) "the worker's result committed" true ack.P.committed;
+  Alcotest.(check bool) "the local holder ran the other shard" true (!ran = [ (4, 8) ]);
+  Alcotest.(check bool) "both shards resolved" true
+    (List.sort compare !results = [ (0, Ok ()); (1, Ok ()) ]);
+  let s = Fleet.stats fleet in
+  Alcotest.(check (pair int int)) "one remote and one local commit" (1, 1)
+    (s.Fleet.remote_committed, s.Fleet.local_committed)
+
+(* A worker that commits one shard per small wave, 100 waves in one job,
+   at audit rate 0.02: the quota is taken over all its commits in the job,
+   so the job audits round (0.02 * 100) = 2 shards, not one per wave. *)
+let test_audit_quota_per_job () =
+  let fleet = Fleet.create ~lease_ttl:5.0 ~audit_rate:0.02 () in
+  let program = Helpers.linear_program () in
+  let golden = Golden.run program in
+  let stop = Atomic.make false in
+  let worker =
+    Thread.create
+      (fun () ->
+        Ftb_dist.Worker.run
+          (Ftb_dist.Worker.config ~resolve:(fun _ -> program)
+             ~stop:(fun () -> Atomic.get stop)
+             (fleet_connector fleet)))
+      ()
+  in
+  let local = ref 0 in
+  Fun.protect
+    ~finally:(fun () -> Atomic.set stop true)
+    (fun () ->
+      for shard = 0 to 99 do
+        await_parked fleet 1;
+        match one_shard_wave fleet ~job_id:62 ~golden ~shard ~run_local:(fun ~lo:_ ~hi:_ -> incr local) with
+        | [ (_, Ok ()) ] -> ()
+        | _ -> Alcotest.fail "a wave did not resolve its shard"
+      done);
+  Thread.join worker;
+  let s = Fleet.stats fleet in
+  Alcotest.(check int) "every shard committed remotely" 100 s.Fleet.remote_committed;
+  Alcotest.(check int) "the local holder ran nothing" 0 !local;
+  Alcotest.(check int) "audited round (rate * commits)" 2 s.Fleet.audited;
+  Alcotest.(check int) "no disputes" 0 s.Fleet.disputed
+
+(* The daemon stopping ends every connection: a worker waiting in a long
+   poll sees end-of-file and returns its stats. *)
+let test_shutdown_closes_connections () =
+  let module Server = Ftb_service.Server in
+  let module Client = Ftb_service.Client in
+  let state_dir = Filename.temp_dir "ftb_dist_shutdown" "" in
+  let fleet = Fleet.create ~lease_ttl:1.0 () in
+  let t =
+    Server.create
+      {
+        (Server.default_config ~state_dir) with
+        Server.extension = Some (Fleet.extension fleet);
+        wave_runner = Some (Fleet.wave_runner fleet);
+      }
+  in
+  Server.start t;
+  let connect () =
+    let mine, theirs = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    ignore (Thread.create (fun () -> Server.serve_connection t theirs) () : Thread.t);
+    mine
+  in
+  let returned = Atomic.make None in
+  let worker =
+    Thread.create
+      (fun () ->
+        Atomic.set returned
+          (Some (Ftb_dist.Worker.run (Ftb_dist.Worker.config ~resolve:(fun _ -> Helpers.linear_program ()) connect))))
+      ()
+  in
+  await_parked fleet 1;
+  let client = Client.of_fd (connect ()) in
+  (match Client.shutdown client with Ok () -> () | Error _ -> Alcotest.fail "shutdown refused");
+  Server.join t;
+  let deadline = Unix.gettimeofday () +. 5. in
+  while Atomic.get returned = None && Unix.gettimeofday () < deadline do
+    Thread.delay 0.005
+  done;
+  (match Atomic.get returned with
+  | Some s -> Alcotest.(check int) "the idle worker computed nothing" 0 s.Ftb_dist.Worker.shards
+  | None -> Alcotest.fail "the worker was still connected after the daemon stopped");
+  Thread.join worker;
+  Client.close client
 
 let suite =
   [
@@ -793,4 +985,12 @@ let suite =
       test_digestless_result_rerun;
     Alcotest.test_case "invalid dense byte is refused and re-run" `Quick
       test_invalid_dense_byte_rerun;
+    Alcotest.test_case "a silent worker does not stall a wave" `Quick
+      test_silent_worker_no_stall;
+    Alcotest.test_case "a parked lease request is granted when a wave opens" `Quick
+      test_parked_lease_granted;
+    Alcotest.test_case "audit quota is a rate over the job's commits" `Quick
+      test_audit_quota_per_job;
+    Alcotest.test_case "daemon shutdown closes every connection" `Quick
+      test_shutdown_closes_connections;
   ]
