@@ -334,7 +334,10 @@ let campaign_cmd =
     Arg.(
       value & opt int 1
       & info [ "checkpoint-every" ] ~docv:"N"
-          ~doc:"Write a checkpoint every $(docv) completed shards.")
+          ~doc:
+            "Write a checkpoint at the end of each shard wave by which at least $(docv) \
+             shards have completed since the last one. Waves hold one shard per domain \
+             at first and double while each takes under 0.25 s.")
   in
   let resume_arg =
     Arg.(
@@ -814,7 +817,9 @@ let serve_cmd =
     Arg.(
       value & opt int 1
       & info [ "checkpoint-every" ] ~docv:"N"
-          ~doc:"Shard waves between checkpoint writes for exhaustive jobs.")
+          ~doc:
+            "Exhaustive jobs write a checkpoint at the end of each shard wave by which at \
+             least $(docv) shards have completed since the last one.")
   in
   let stuck_after_arg =
     Arg.(
@@ -824,7 +829,9 @@ let serve_cmd =
           ~doc:
             "Stuck-job watchdog: a running job that completes no shard wave for \
              this long is marked $(b,stuck) (terminal, checkpoint preserved) and \
-             the queue moves on. Off by default.")
+             the queue moves on. Waves grow only while each takes under 0.25 s, so \
+             a healthy job completes one about every half second or faster. Off by \
+             default.")
   in
   let lease_ttl_arg =
     Arg.(
@@ -1135,7 +1142,11 @@ let submit_cmd =
     Arg.(
       value & opt int 4096
       & info [ "shard-size" ] ~docv:"N"
-          ~doc:"Cases per shard — the progress, checkpoint and cancellation granularity.")
+          ~doc:
+            "Cases per shard: the unit a worker leases, a failure retries and a checkpoint \
+             records. Progress events, checkpoints and cancellation land between shard \
+             waves; a wave holds one shard per executor at first and doubles while each \
+             takes under 0.25 s.")
   in
   let fuel_arg =
     Arg.(

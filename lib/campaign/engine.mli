@@ -5,7 +5,8 @@
     {!Ftb_inject.Ground_truth} loop:
 
     - {b checkpoint/resume} — outcome bytes and the shard manifest are
-      written atomically every [checkpoint_every] completed shards; a
+      written atomically at the end of a wave, once [checkpoint_every]
+      shards have completed since the last write; a
       killed campaign resumes from its last checkpoint, validates it
       against the golden run and re-executes only the missing shards.
       The resumed result is bit-identical to an uninterrupted run.
@@ -39,7 +40,8 @@ type progress = {
   sdc : int;  (** SDC outcomes over completed shards *)
   crash : int;  (** Crash outcomes (any taxonomy reason) over completed shards *)
 }
-(** Snapshot passed to the progress callback after every wave. Counts
+(** Snapshot passed to the progress callback after every wave (see
+    {!wave_runner} for how waves are sized). Counts
     cover completed shards only (including shards resumed from a
     checkpoint), so [masked + sdc + crash = cases_done]. *)
 
@@ -53,9 +55,14 @@ type shard_task = {
 
 type wave_runner = {
   wave_size : unit -> int;
-      (** how many pending shards to hand over in the next wave; queried
-          before each wave so a distributed runner can track its current
-          worker capacity *)
+      (** how many executors the runner keeps busy: the size of the first
+          wave and the floor of every later one. Queried before each wave
+          so a distributed runner can track its current worker capacity.
+          The engine doubles each later wave while the previous one took
+          under 0.25 s, halves it when the previous took over 0.5 s, and
+          never goes below [wave_size ()]: a fast job pays few barriers
+          (checkpoint, progress event, fleet audit), and a slow one still
+          reaches a wave boundary about every quarter second. *)
   run_wave :
     shard_task array ->
     commit:(shard:int -> Bytes.t -> unit) ->
@@ -80,8 +87,14 @@ type wave_runner = {
 
 type config = {
   shard_size : int;  (** cases per shard (checkpoint/retry granularity) *)
-  checkpoint_every : int;  (** completed shards between checkpoint writes *)
-  domains : int;  (** worker domains per wave; 1 = serial *)
+  checkpoint_every : int;
+      (** a checkpoint is written at the end of each wave by which at least
+          this many shards have completed since the last write; with the
+          default of 1 that is every wave *)
+  domains : int;
+      (** domains of the built-in runner; 1 = serial. The domains
+          claim a wave's shards one at a time; a shard that raises fails
+          alone and is retried. *)
   fuel : int option;  (** per-case dynamic-instruction budget *)
   model : Ftb_inject.Models.spec;
       (** the campaign's fault model. Sizes the dense case space
@@ -98,7 +111,8 @@ type config = {
   on_checkpoint : (shards_done:int -> shards_total:int -> unit) option;
       (** called after each successful checkpoint write *)
   cancel : (unit -> bool) option;
-      (** polled between shard waves; returning [true] checkpoints the
+      (** polled between shard waves (about every quarter second at most,
+          see {!wave_runner}); returning [true] checkpoints the
           campaign (when a checkpoint path was given) and raises
           {!Cancelled}. The campaign service uses this for cooperative job
           cancellation and graceful daemon drain. *)

@@ -799,10 +799,18 @@ let drive t ~job_id ~bench ~fuel ~model ~golden ~fingerprint ~commit ~run_local 
           wait_locked t ~until:(Lease.next_deadline table);
           claim ()
   in
+  (* The local holder runs its shard in site pieces, over the pool when
+     the daemon has one. Between pieces this thread yields its domain:
+     the connection threads that answer workers' results and lease
+     requests run on the same domain, and would otherwise wait for the
+     runtime's 50 ms tick while a worker idles. *)
   let run (g : Lease.grant) =
-    match t.pool with
-    | None -> run_local ~lo:g.lo ~hi:g.hi
-    | Some pool -> Pool.run pool ~total:(g.hi - g.lo) (fun a b -> run_local ~lo:(g.lo + a) ~hi:(g.lo + b))
+    let pieces = Ftb_inject.Executor.site_pieces model ~lo:g.lo ~hi:g.hi in
+    let home = Domain.self () in
+    Pool.each t.pool ~total:(Array.length pieces) (fun i ->
+        let lo, hi = pieces.(i) in
+        run_local ~lo ~hi;
+        if Domain.self () = home then Thread.yield ())
   in
   let rec loop () =
     match with_lock t claim with

@@ -22,9 +22,14 @@
 
     {2 Lease lifecycle}
 
-    A wave holds one shard per executor it must keep busy: the daemon's
-    domains plus every live worker's. The scheduler thread is the {e local
-    holder}: it claims any pending shard whenever it is free, so a wave
+    A job's first wave holds one shard per executor it must keep busy:
+    the daemon's domains plus every live worker's ([wave_size]); the
+    engine doubles later waves while they run fast. The scheduler thread
+    is the {e local holder}: it claims any pending shard whenever it is
+    free and runs it in site pieces ({!Ftb_inject.Executor.site_pieces}),
+    yielding its domain between pieces so the connection threads that
+    answer workers (which share that domain) never wait out the
+    runtime's tick while a worker idles. So a wave
     never waits on a worker that does not lease, and a fleet job always
     terminates. A worker's lease request is a long poll: it waits in the
     daemon until a shard is leasable or a quarter of [lease_ttl] passes,
@@ -139,8 +144,8 @@ val wave_runner :
     workers execute their leased ranges under exactly the model the
     daemon's campaign was submitted with. [None] when no
     live worker is attached (the job runs on the local pool as before);
-    otherwise a runner whose wave size is the local domains plus the live
-    workers' domains, and whose [run_wave] runs shards on the local
+    otherwise a runner whose [wave_size] is the local domains plus the
+    live workers' domains, and whose [run_wave] runs shards on the local
     holder and leases them to workers, renews/expires deadlines,
     reassigns abandoned shards and merges results. *)
 

@@ -1,12 +1,13 @@
 module Pool = Ftb_inject.Parallel.Pool
 
+(* The range is claimed in site pieces: over a pool, a chunk bound that
+   cut a site would make both chunks pay for it. *)
 let run ?pool ?fuel model golden ~lo ~hi =
   let buf = Bytes.create (hi - lo) in
-  let work a b =
-    Ftb_inject.Executor.range_into_model ?fuel model golden ~lo:(lo + a) ~hi:(lo + b) buf
-      ~off:a
-  in
-  (match pool with None -> work 0 (hi - lo) | Some pool -> Pool.run pool ~total:(hi - lo) work);
+  let pieces = Ftb_inject.Executor.site_pieces model ~lo ~hi in
+  Pool.each pool ~total:(Array.length pieces) (fun i ->
+      let a, b = pieces.(i) in
+      Ftb_inject.Executor.range_into_model ?fuel model golden ~lo:a ~hi:b buf ~off:(a - lo));
   buf
 
 let check ~lo ~hi blob =

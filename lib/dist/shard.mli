@@ -17,8 +17,9 @@ val run :
   hi:int ->
   Bytes.t
 (** The shard's {!Ftb_inject.Executor.range_into_model} outcome bytes,
-    split over [pool] when one is given; the blob is the same either
-    way. *)
+    computed in site pieces ({!Ftb_inject.Executor.site_pieces}) that the
+    domains of [pool], when one is given, steal one at a time; the blob
+    is the same either way. *)
 
 val check : lo:int -> hi:int -> Bytes.t -> (unit, string) result
 (** Validate a received blob against the range it was granted for: it

@@ -43,10 +43,13 @@ let per_case ?fuel spec golden buf ~pos ~lo ~hi =
     Bytes.set buf (pos + case - lo) (Ground_truth.case_byte_model ?fuel spec golden case)
   done
 
-(* The [width] cases of one site, into [buf.[pos..pos+width-1]].
+(* Cases [from, until) of one site (offsets within the site, so the whole
+   site is [0, width)), into [buf.[pos..]]. A range bound that cuts a site
+   asks for part of it, and the part takes the site's own tier.
 
    Cone replay first: when the plan accepts the site, one lane-runner
-   call classifies all [width] cases (lanes) at once.
+   call classifies all [width] cases (lanes) at once, and the slice is
+   copied out.
 
    Otherwise prefix-snapshot batching: the cases of a site share the exact
    same injection-free prefix — every dynamic instruction before the site
@@ -59,11 +62,13 @@ let per_case ?fuel spec golden buf ~pos ~lo ~hi =
    fast path. Programs without the [resumable] capability (a hand-written
    [Program.make] body) fall back to full re-execution: same bytes, just
    without the savings. *)
-let site_into ?fuel ~plan spec golden ~site buf ~pos =
+let site_into ?fuel ~plan spec golden ~site ~from ~until buf ~pos =
   let width = Models.spec_width spec in
   let first = site * width in
   let corrupt case = Models.case_corrupt spec ~case:(first + case) in
-  let fallback () = per_case ?fuel spec golden buf ~pos ~lo:first ~hi:(first + width) in
+  let fallback () =
+    per_case ?fuel spec golden buf ~pos ~lo:(first + from) ~hi:(first + until)
+  in
   let snapshot () =
     match golden.Golden.program.Program.resumable with
     | None -> fallback ()
@@ -75,14 +80,14 @@ let site_into ?fuel ~plan spec golden ~site buf ~pos =
                fuel watchdog can do that — the golden run is clean),
                strictly before the injection point: every case follows
                the identical path to the identical crash. *)
-            Bytes.fill buf pos width (Ground_truth.crash_byte reason)
+            Bytes.fill buf pos (until - from) (Ground_truth.crash_byte reason)
         | exception Out_of_memory -> raise Out_of_memory
         | exception _ ->
             (* Campaign containment, mirroring
                [Runner.run_outcome_custom_contained]: a non-cooperative
                exception inside the body is an exception crash for every
                case. *)
-            Bytes.fill buf pos width (Ground_truth.crash_byte Ctx.Exception_raised)
+            Bytes.fill buf pos (until - from) (Ground_truth.crash_byte Ctx.Exception_raised)
         | Program.Completed _ ->
             (* A deterministic program cannot finish before issuing
                [site < sites] dynamic instructions; if it somehow does,
@@ -91,10 +96,10 @@ let site_into ?fuel ~plan spec golden ~site buf ~pos =
         | Program.Paused resume ->
             let snap = Ctx.snapshot ctx in
             let fault = Fault.make ~site ~bit:0 in
-            for case = 0 to width - 1 do
+            for case = from to until - 1 do
               let ctx = Ctx.resume_custom snap ~site ~corrupt:(corrupt case) in
               let result = Runner.outcome_of_run_contained golden fault ctx resume in
-              Bytes.set buf (pos + case) (Ground_truth.byte_of_result result)
+              Bytes.set buf (pos + case - from) (Ground_truth.byte_of_result result)
             done)
   in
   match Option.bind plan (fun plan -> plan.Program.cone_lanes ~site) with
@@ -102,13 +107,24 @@ let site_into ?fuel ~plan spec golden ~site buf ~pos =
   | Some run -> (
       let out = Array.make width Program.Cone_masked in
       match run corrupt out with
-      | () -> Array.iteri (fun case o -> Bytes.set buf (pos + case) (byte_of_cone_outcome o)) out
+      | () ->
+          for case = from to until - 1 do
+            Bytes.set buf (pos + case - from) (byte_of_cone_outcome out.(case))
+          done
       | exception Out_of_memory -> raise Out_of_memory
       | exception _ ->
           (* Containment: a lane batch that raises (a corruption function
              that throws) hands the whole site to the snapshot tier, which
              contains each case on its own. *)
           snapshot ())
+
+let site_pieces (spec : Models.spec) ~lo ~hi =
+  let width = Models.spec_width spec in
+  if hi <= lo then [||]
+  else
+    Array.init (((hi - 1) / width) - (lo / width) + 1) (fun i ->
+        let first = ((lo / width) + i) * width in
+        (max lo first, min hi (first + width)))
 
 let range_into_model ?fuel (spec : Models.spec) golden ~lo ~hi buf ~off =
   let width = Models.spec_width spec in
@@ -117,19 +133,16 @@ let range_into_model ?fuel (spec : Models.spec) golden ~lo ~hi buf ~off =
     invalid_arg "Executor.range_into_model: case range out of bounds";
   if off < 0 || off + (hi - lo) > Bytes.length buf then
     invalid_arg "Executor.range_into_model: buffer too small";
-  (* Whole sites inside [lo, hi) are batched; ragged edges (shard bounds
-     not aligned to the model's width) run per-case. *)
+  (* Every site the range touches takes its tier; a site cut by a range
+     bound computes only its cases inside the range. *)
   let plan = cone_plan ?fuel golden in
-  let first_whole = (lo + width - 1) / width * width in
-  let last_whole = hi / width * width in
-  if first_whole >= last_whole then per_case ?fuel spec golden buf ~pos:off ~lo ~hi
-  else begin
-    per_case ?fuel spec golden buf ~pos:off ~lo ~hi:first_whole;
-    for site = first_whole / width to (last_whole / width) - 1 do
-      site_into ?fuel ~plan spec golden ~site buf ~pos:(off + (site * width) - lo)
-    done;
-    per_case ?fuel spec golden buf ~pos:(off + last_whole - lo) ~lo:last_whole ~hi
-  end
+  Array.iter
+    (fun (a, b) ->
+      let site = a / width in
+      let first = site * width in
+      site_into ?fuel ~plan spec golden ~site ~from:(a - first) ~until:(b - first) buf
+        ~pos:(off + a - lo))
+    (site_pieces spec ~lo ~hi)
 
 let ground_truth_model ?pool ?domains ?fuel (spec : Models.spec) golden =
   let want =
@@ -142,7 +155,7 @@ let ground_truth_model ?pool ?domains ?fuel (spec : Models.spec) golden =
   let plan = cone_plan ?fuel golden in
   let run_sites lo hi =
     for site = lo to hi - 1 do
-      site_into ?fuel ~plan spec golden ~site outcomes ~pos:(site * width)
+      site_into ?fuel ~plan spec golden ~site ~from:0 ~until:width outcomes ~pos:(site * width)
     done
   in
   (if want = 1 && pool = None then run_sites 0 sites

@@ -29,8 +29,7 @@
       O(width × sites × run).
     + {b per-case} — one full contained run per case
       ({!Ground_truth.case_byte_model}): programs without the
-      capability (a hand-written [Program.make] body) and ragged shard
-      edges.
+      capability (a hand-written [Program.make] body).
 
     Every model takes the same tiers: a corruption is a pure function of
     the golden value and the dense case (the stochastic random-value
@@ -63,6 +62,13 @@ val cone_plan : ?fuel:int -> Ftb_trace.Golden.t -> Ftb_trace.Program.cone_plan o
     ({!Ftb_trace.Program.cone}). The gate of both cone tiers: the
     executor's lane replay and {!Sample_run}'s traced one-lane scan. *)
 
+val site_pieces : Models.spec -> lo:int -> hi:int -> (int * int) array
+(** [lo, hi) cut at the model's site boundaries (multiples of its
+    [spec_width]): one piece per site the range touches, in case order;
+    the first and last may be partial sites. The unit in which executors
+    claim work off a pool and the daemon's scheduler yields its domain;
+    any cut of a range into pieces writes the same bytes. *)
+
 val range_into_model :
   ?fuel:int ->
   Models.spec ->
@@ -75,10 +81,12 @@ val range_into_model :
 (** [range_into_model spec golden ~lo ~hi buf ~off] computes outcome
     bytes for the dense case range [lo, hi) of the model's case space
     ([sites * spec_width]) into [buf] starting at [off] (case [c] lands at
-    [off + c - lo]). Whole sites inside the range take the tiers above;
-    ragged edges at non-site-aligned bounds (shard boundaries) run
-    per-case. The campaign engine's, the fleet worker's and the section
-    cache's shard runner. Raises [Invalid_argument] when the range is out
+    [off + c - lo]). Every site the range touches takes the tiers above;
+    a site cut by a bound that is not a multiple of the model's width (a
+    shard edge) runs its prefix or lane batch once for the cases inside
+    the range, so any split of a range costs about what the whole range
+    costs, and writes the same bytes. The campaign engine's, the fleet
+    worker's and the section cache's shard runner. Raises [Invalid_argument] when the range is out
     of bounds or the buffer slice does not fit. *)
 
 val ground_truth_model :

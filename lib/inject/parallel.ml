@@ -198,6 +198,16 @@ module Pool = struct
       match failed with Some e -> raise e | None -> ()
     end
 
+  let each ?participants pool ~total f =
+    let items lo hi =
+      for i = lo to hi - 1 do
+        f i
+      done
+    in
+    match pool with
+    | None -> items 0 total
+    | Some t -> run ?participants ~chunk:1 t ~total items
+
   (* The shared persistent pool: spawned on first use, kept alive for the
      process, grown in place (never shrunk, never respawned — previously
      obtained handles stay valid) when a caller asks for more domains. *)

@@ -55,6 +55,12 @@ module Pool : sig
       [Invalid_argument] if the pool is already running a job or has been
       shut down. *)
 
+  val each : ?participants:int -> t option -> total:int -> (int -> unit) -> unit
+  (** [each pool ~total f] runs [f i] for every [i] in [0, total): off
+      [pool] one item per claim ([run ~chunk:1], so items of uneven cost
+      balance to the last one), or in order on the calling domain when
+      [pool] is [None]. Exceptions as for {!run}. *)
+
   val shutdown : t -> unit
   (** Stop and join all worker domains. Blocks until any in-flight job
       has completed. Idempotent. *)

@@ -32,7 +32,8 @@ type event =
       crash : int;
       cases_per_sec : float;
     }
-      (** one frame per completed shard wave, plus an initial snapshot *)
+      (** one frame per completed shard wave, plus an initial snapshot;
+          waves grow while they run fast, so a fast job sends few *)
   | Round of {
       seq : int;
       round : int;  (** 1-based §3.4 round number *)

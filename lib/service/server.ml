@@ -64,17 +64,19 @@ type cancel_reason = User | Drain
 
 type running = { job_id : int; cancel : cancel_reason option Atomic.t }
 
-(* One [watch] subscription. Write discipline: before registration only
-   the subscribing connection thread writes to [fd]; after registration
-   only the thread that finishes the subscription does (the scheduler for
-   the running job, the cancelling connection for a queued job, the
-   drain path at exit) — so no two threads ever interleave frames on one
-   descriptor. [sub_after] is the last event sequence number the client
-   already saw (reconnect resume); frames at or below it are skipped. *)
+(* One [watch] subscription. Every frame to [fd] is written under
+   [sub_write], so no two threads ever interleave frames on one
+   descriptor. The subscribing connection thread registers the
+   subscription with [sub_write] already held and releases it once its
+   ok and snapshot frames are out: an event published meanwhile waits
+   for them instead of being lost. [sub_after] is the last event
+   sequence number the client already saw (reconnect resume) or the
+   snapshot's; frames at or below it are skipped. *)
 type sub = {
   sub_job : int;
   sub_fd : Unix.file_descr;
   sub_after : int;
+  sub_write : Mutex.t;
   mutable sub_live : bool;
 }
 
@@ -297,7 +299,15 @@ let finish_subs t id event =
         Condition.broadcast t.sub_done;
         mine)
   in
-  List.iter (fun s -> safe_write s.sub_fd event) mine
+  List.iter (fun s -> Mutex.protect s.sub_write (fun () -> safe_write s.sub_fd event)) mine
+
+(* Watcher gone: drop the subscription so its connection thread unblocks
+   and the scheduler stops writing to a dead pipe. *)
+let drop_sub t s =
+  with_lock t (fun () ->
+      s.sub_live <- false;
+      t.subs <- List.filter (fun s' -> s' != s) t.subs;
+      Condition.broadcast t.sub_done)
 
 let stream_to_subs t id ~seq event =
   let targets =
@@ -310,14 +320,9 @@ let stream_to_subs t id ~seq event =
   in
   List.iter
     (fun s ->
-      try Wire.write s.sub_fd event
-      with _ ->
-        (* Watcher gone: drop the subscription so its connection thread
-           unblocks and the scheduler stops writing to a dead pipe. *)
-        with_lock t (fun () ->
-            s.sub_live <- false;
-            t.subs <- List.filter (fun s' -> s' != s) t.subs;
-            Condition.broadcast t.sub_done))
+      match Mutex.protect s.sub_write (fun () -> Wire.write s.sub_fd event) with
+      | () -> ()
+      | exception _ -> drop_sub t s)
     targets
 
 (* Surface a fleet quarantine to whoever is watching the currently
@@ -826,7 +831,10 @@ let scheduler_loop t =
               (Hashtbl.find_opt t.jobs s.sub_job))
           subs)
   in
-  List.iter (fun (s, job, seq) -> safe_write s.sub_fd (done_event ~seq job)) leftovers;
+  List.iter
+    (fun (s, job, seq) ->
+      Mutex.protect s.sub_write (fun () -> safe_write s.sub_fd (done_event ~seq job)))
+    leftovers;
   (* The daemon has stopped. The extension releases what it holds (a
      fleet answers its parked lease requests), then every connection is
      shut down, so no client waits on a daemon that will not answer and
@@ -1066,11 +1074,13 @@ let handle_cancel t json =
           error_frame "not_cancellable"
             (Printf.sprintf "job %d is already %s" id (Job.status_name job.Job.status)))
 
-(* [watch] writes its response and snapshot before registering, so the
-   subscription-finishing thread is the only later writer (see {!sub}).
-   The terminal check is re-done under the registration lock: if the job
-   finished between the snapshot and here, the scheduler has already
-   dropped its done-frame duty for us, so we send it ourselves. *)
+(* [watch] takes the snapshot and registers the subscription in one
+   critical section, so every event after the snapshot reaches the
+   watcher: one published earlier is already counted in the snapshot,
+   and one published later has a greater seq. It writes its ok and
+   snapshot frames holding the subscription's [sub_write], so they
+   precede every streamed event. A job that is already terminal (or a
+   daemon that is stopping) gets its final frame from here. *)
 let handle_watch t fd json =
   match req_id json with
   | Error e ->
@@ -1086,53 +1096,68 @@ let handle_watch t fd json =
         | Some n -> n
         | None -> 0
       in
-      match
+      let plan =
         with_lock t (fun () ->
-            Option.map
-              (fun job ->
+            match Hashtbl.find_opt t.jobs id with
+            | None -> `Missing
+            | Some job ->
                 (* An unknown seq (fresh daemon) gets a new one, so the
                    snapshot always outranks pre-restart frames. *)
-                let seq =
+                let snapshot_seq =
                   match current_seq t id with 0 -> next_seq t id | s -> s
                 in
-                (job, seq))
-              (Hashtbl.find_opt t.jobs id))
-      with
-      | None ->
+                (* A terminal job's seq counter also advanced when earlier
+                   watchers were sent their final frames, so [snapshot_seq >
+                   after] alone would re-deliver the snapshot to a resuming
+                   client forever. A resumed watch ([after > 0]) of a
+                   finished job gets just the final frame. *)
+                let terminal = Job.is_terminal job.Job.status in
+                let snapshot =
+                  if snapshot_seq > after && (after = 0 || not terminal) then
+                    Some (snapshot_event ~seq:snapshot_seq job)
+                  else None
+                in
+                if terminal || t.stopping || t.scheduler_done then
+                  `Send_done (job, snapshot, next_seq t id)
+                else begin
+                  let s =
+                    {
+                      sub_job = id;
+                      sub_fd = fd;
+                      sub_after = max after snapshot_seq;
+                      sub_write = Mutex.create ();
+                      sub_live = true;
+                    }
+                  in
+                  Mutex.lock s.sub_write;
+                  t.subs <- s :: t.subs;
+                  `Wait (s, job, snapshot)
+                end)
+      in
+      let prelude job snapshot =
+        Wire.write fd (ok_frame [ ("job", Job.info_to_json job) ]);
+        Option.iter (Wire.write fd) snapshot
+      in
+      match plan with
+      | `Missing ->
           Wire.write fd (error_frame "not_found" (Printf.sprintf "no job %d" id));
           `Handled
-      | Some (job, snapshot_seq) -> (
-          Wire.write fd (ok_frame [ ("job", Job.info_to_json job) ]);
-          (* A terminal job's seq counter also advanced when earlier
-             watchers were sent their final frames, so [snapshot_seq >
-             after] alone would re-deliver the snapshot to a resuming
-             client forever. A resumed watch ([after > 0]) of a finished
-             job gets just the final frame, which follows immediately. *)
-          let want_snapshot =
-            snapshot_seq > after && (after = 0 || not (Job.is_terminal job.Job.status))
-          in
-          if want_snapshot then Wire.write fd (snapshot_event ~seq:snapshot_seq job);
-          let registered =
-            with_lock t (fun () ->
-                let job = Hashtbl.find t.jobs id in
-                if Job.is_terminal job.Job.status || t.stopping || t.scheduler_done then
-                  `Send_done (job, next_seq t id)
-                else begin
-                  let s = { sub_job = id; sub_fd = fd; sub_after = after; sub_live = true } in
-                  t.subs <- s :: t.subs;
-                  `Wait s
-                end)
-          in
-          match registered with
-          | `Send_done (job, seq) ->
-              Wire.write fd (done_event ~seq job);
-              `Handled
-          | `Wait s ->
-              with_lock t (fun () ->
-                  while s.sub_live do
-                    Condition.wait t.sub_done t.mutex
-                  done);
-              `Handled))
+      | `Send_done (job, snapshot, seq) ->
+          prelude job snapshot;
+          Wire.write fd (done_event ~seq job);
+          `Handled
+      | `Wait (s, job, snapshot) ->
+          (match prelude job snapshot with
+          | () -> Mutex.unlock s.sub_write
+          | exception e ->
+              Mutex.unlock s.sub_write;
+              drop_sub t s;
+              raise e);
+          with_lock t (fun () ->
+              while s.sub_live do
+                Condition.wait t.sub_done t.mutex
+              done);
+          `Handled)
 
 let boundary_entry_json (e : Bstore.entry) =
   Json.Obj

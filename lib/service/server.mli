@@ -48,7 +48,10 @@
 
     After a successful [watch] the server pushes one immediate
     ["progress"] snapshot (so every watcher observes at least one event),
-    then one ["progress"] frame per completed shard wave — adaptive jobs
+    then one ["progress"] frame per completed shard wave (a job's first
+    wave holds one shard per executor, and each later one doubles while
+    the previous took under 0.25 s, so a fast job streams a handful of
+    frames and a slow one about two a second) — adaptive jobs
     additionally stream one ["round"] frame per §3.4 round (fields
     ["round"], ["drawn"], ["masked"], ["sdc"], ["crash"],
     ["samples_total"], ["cases_total"]) so watchers follow convergence
@@ -57,7 +60,9 @@
     do not know),
     then a final ["done"] frame carrying the job descriptor, after which
     the connection reverts to request/response. Every event frame carries a
-    per-job, strictly increasing ["seq"]; a reconnecting watcher passes
+    per-job, strictly increasing ["seq"], and a watcher receives every
+    event published after its snapshot (the snapshot and the
+    subscription are taken together); a reconnecting watcher passes
     the last seq it processed as ["after"] and the server suppresses
     frames it has already seen (including the snapshot, unless the
     daemon restarted and the job's seq history is gone).
@@ -77,13 +82,18 @@ type config = {
   state_dir : string;  (** job descriptors + checkpoints live here *)
   capacity : int;  (** queue bound (running job excluded) *)
   domains : int;  (** worker domains for campaign execution *)
-  checkpoint_every : int;  (** shard waves between checkpoint writes *)
+  checkpoint_every : int;
+      (** an exhaustive job writes its checkpoint at the end of each shard
+          wave by which at least this many shards have completed since the
+          last write ({!Ftb_campaign.Engine.config.checkpoint_every}) *)
   stuck_after : float option;
       (** stuck-job watchdog deadline, seconds: a running job whose
           progress callbacks stop beating for this long is declared
-          {!Job.Stuck} (checkpoint preserved, queue moves on). [None]
-          disables the watchdog and runs jobs inline on the scheduler
-          thread. *)
+          {!Job.Stuck} (checkpoint preserved, queue moves on). An
+          exhaustive job beats once per shard wave, and waves stop
+          growing once one takes 0.25 s (halving past 0.5 s), so a deadline
+          of a second or more never trips a healthy job. [None] disables
+          the watchdog and runs jobs inline on the scheduler thread. *)
   resolve : string -> Ftb_trace.Program.t;
       (** benchmark lookup; [Invalid_argument] rejects the submission.
           The CLI passes {!Ftb_kernels.Suite.find}; tests inject tiny

@@ -572,6 +572,9 @@ let lying_fleet_drill () =
   | exception Unix.Unix_error _ -> ());
   (try Client.close client with _ -> ());
   check "fleet-liar: daemon SIGKILLed mid-campaign" !killed;
+  (* A kill that never happened leaves the daemon serving: stop it, so
+     the failed check reports instead of waiting on a live process. *)
+  if not !killed then (try Unix.kill !daemon Sys.sigkill with Unix.Unix_error _ -> ());
   ignore (Unix.waitpid [] !daemon);
   (* The daemon's death hangs up every worker connection; the whole crew
      exits cleanly (a quarantined liar already exited on its refused

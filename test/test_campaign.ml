@@ -548,16 +548,19 @@ let test_progress_counts_are_consistent () =
   Alcotest.(check int) "final event is complete" last.Engine.cases_total
     last.Engine.cases_done
 
+(* Cancellation lands between waves even as they grow: the checkpoint
+   holds exactly the shards of the completed waves, which with one domain
+   are 1, 2 and 4 shards. *)
 let test_cancel_checkpoints_and_resumes () =
   let g = Lazy.force golden in
   let path = tmp "cancelled" in
   let reference = Ground_truth.run g in
-  let waves = ref 0 in
+  let reported = ref [] in
   let config =
     {
       (engine_config ~shard_size:4 ~domains:1) with
-      Engine.progress = Some (fun _ -> incr waves);
-      cancel = Some (fun () -> !waves >= 2);
+      Engine.progress = Some (fun p -> reported := p.Engine.shards_done :: !reported);
+      cancel = Some (fun () -> List.length !reported >= 3);
     }
   in
   (match Engine.run ~config ~checkpoint:path g with
@@ -566,6 +569,8 @@ let test_cancel_checkpoints_and_resumes () =
   let state = Checkpoint.load ~path ~shard_size:4 g in
   Alcotest.(check bool) "cancel left a resumable partial checkpoint" true
     (Checkpoint.completed_count state > 0 && not (Checkpoint.is_complete state));
+  Alcotest.(check (list int)) "shards done after each wave" [ 7; 3; 1 ] !reported;
+  Alcotest.(check int) "checkpoint = the completed waves" 7 (Checkpoint.completed_count state);
   let report =
     Engine.run ~config:(engine_config ~shard_size:4 ~domains:1) ~checkpoint:path g
   in
@@ -575,6 +580,85 @@ let test_cancel_checkpoints_and_resumes () =
     reference.Ground_truth.outcomes
     report.Engine.ground_truth.Ground_truth.outcomes;
   Sys.remove path
+
+(* ------------------------------------------------------------------ *)
+(* Engine: wave sizing                                                  *)
+
+(* A runner of constant width that runs every shard in place and records
+   each wave's size; [pause] runs before the wave's shards. *)
+let recording_runner ~width ~pause =
+  let sizes = ref [] in
+  let runner =
+    {
+      Engine.wave_size = (fun () -> width);
+      run_wave =
+        (fun tasks ~commit:_ ~run_local ->
+          pause (List.length !sizes);
+          sizes := Array.length tasks :: !sizes;
+          Array.to_list
+            (Array.map
+               (fun (t : Engine.shard_task) ->
+                 run_local ~lo:t.Engine.lo ~hi:t.Engine.hi;
+                 (t.Engine.shard, Ok ()))
+               tasks));
+    }
+  in
+  (runner, fun () -> List.rev !sizes)
+
+let test_waves_grow_from_wave_size () =
+  let g = Lazy.force golden in
+  let runner, sizes = recording_runner ~width:3 ~pause:ignore in
+  let config = { (engine_config ~shard_size:1 ~domains:1) with Engine.runner = Some runner } in
+  let report = Engine.run ~config g in
+  let sizes = sizes () in
+  Alcotest.(check (list int)) "fast waves double from wave_size, the last takes the rest"
+    [ 3; 6; 12; 24; 48; 96; 192; 67 ] sizes;
+  Alcotest.(check bytes) "bytes = the plain campaign"
+    (Ground_truth.run g).Ground_truth.outcomes report.Engine.ground_truth.Ground_truth.outcomes
+
+(* Waves double while the previous one took under the target (0.25 s),
+   keep their size up to twice that, halve beyond it, and never drop
+   below wave_size. *)
+let test_slow_waves_stop_growing () =
+  let g = Lazy.force golden in
+  let pause = function 2 -> Thread.delay 0.6 | 3 | 4 -> Thread.delay 0.3 | _ -> () in
+  let runner, sizes = recording_runner ~width:2 ~pause in
+  let config = { (engine_config ~shard_size:8 ~domains:1) with Engine.runner = Some runner } in
+  ignore (Engine.run ~config g : Engine.report);
+  let sizes = sizes () in
+  Alcotest.(check (list int)) "wave sizes" [ 2; 4; 8; 4; 4; 4; 8; 16; 6 ] sizes;
+  ignore
+    (List.fold_left
+       (fun prev n ->
+         Alcotest.(check bool) "a wave at most doubles" true (n <= 2 * prev);
+         n)
+       (List.hd sizes) sizes)
+
+(* The built-in runner's domains claim the wave's shards: bytes equal the
+   executor's at one and two domains, with a shard that raises once
+   failing alone and being retried. *)
+let test_wave_runner_bytes_and_retry () =
+  let g = Lazy.force golden in
+  let spec = Ftb_inject.Models.default_spec in
+  let reference = (Ftb_inject.Executor.ground_truth_model ~domains:1 spec g).Ground_truth.outcomes in
+  List.iter
+    (fun domains ->
+      let plain = Engine.run ~config:(engine_config ~shard_size:100 ~domains) g in
+      Alcotest.(check bytes)
+        (Printf.sprintf "domains %d: bytes = Executor.ground_truth_model" domains)
+        reference plain.Engine.ground_truth.Ground_truth.outcomes;
+      let raised = Atomic.make false in
+      let case_runner golden case =
+        if case = 150 && not (Atomic.exchange raised true) then failwith "transient shard failure";
+        Ground_truth.case_byte_model spec golden case
+      in
+      let report = Engine.run ~config:(engine_config ~shard_size:100 ~domains) ~case_runner g in
+      Alcotest.(check int) (Printf.sprintf "domains %d: one shard retried" domains) 1
+        report.Engine.retries;
+      Alcotest.(check bytes)
+        (Printf.sprintf "domains %d: retried bytes = Executor.ground_truth_model" domains)
+        reference report.Engine.ground_truth.Ground_truth.outcomes)
+    [ 1; 2 ]
 
 (* ------------------------------------------------------------------ *)
 (* Engine: crash isolation and retries                                 *)
@@ -682,6 +766,10 @@ let suite =
       test_progress_counts_are_consistent;
     Alcotest.test_case "cancel checkpoints and resumes" `Quick
       test_cancel_checkpoints_and_resumes;
+    Alcotest.test_case "waves grow from wave_size" `Quick test_waves_grow_from_wave_size;
+    Alcotest.test_case "slow waves stop growing" `Quick test_slow_waves_stop_growing;
+    Alcotest.test_case "wave runner: bytes and retry" `Quick
+      test_wave_runner_bytes_and_retry;
     Alcotest.test_case "engine retries flaky shard" `Quick test_engine_retries_flaky_shard;
     Alcotest.test_case "engine gives up after retry budget" `Quick
       test_engine_gives_up_after_retry_budget;

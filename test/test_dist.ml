@@ -916,6 +916,82 @@ let test_audit_quota_per_job () =
   Alcotest.(check int) "audited round (rate * commits)" 2 s.Fleet.audited;
   Alcotest.(check int) "no disputes" 0 s.Fleet.disputed
 
+(* The local holder yields its domain between the site pieces of a shard,
+   so an in-process worker (its thread and its connection's serving
+   thread share that domain) keeps committing while the holder is inside
+   one long shard. The stand-in executor spins about 1 ms per piece
+   without releasing the domain, as real kernel code does. *)
+let test_worker_commits_during_long_local_shard () =
+  let fleet = Fleet.create ~lease_ttl:1.0 ~audit_rate:0. () in
+  let program =
+    Ftb_ir.Ir.to_program (Ftb_ir.Programs.dot ~n:128 ~seed:3 ~tolerance:1e-9)
+  in
+  let golden = Golden.run program in
+  let width = Ftb_inject.Models.spec_width Ftb_inject.Models.default_spec in
+  let long_lo = width and long_hi = 81 * width in
+  Alcotest.(check bool) "the program has room for the wave" true
+    (Golden.sites golden >= 90);
+  let stop = Atomic.make false in
+  let worker =
+    Thread.create
+      (fun () ->
+        ignore
+          (Ftb_dist.Worker.run
+             (Ftb_dist.Worker.config ~resolve:(fun _ -> program)
+                ~stop:(fun () -> Atomic.get stop)
+                (fleet_connector fleet))))
+      ()
+  in
+  await_parked fleet 1;
+  (* Shard 0 goes to the parked worker, shard 1 (80 sites) to the local
+     holder, and shards 2-9 (one site each) to whoever is free. *)
+  let tasks =
+    Array.init 10 (fun i ->
+        let lo, hi =
+          match i with
+          | 0 -> (0, width)
+          | 1 -> (long_lo, long_hi)
+          | i -> (long_hi + ((i - 2) * width), long_hi + ((i - 1) * width))
+        in
+        { Engine.shard = i; attempt = 1; lo; hi })
+  in
+  let inside = ref None and commits = ref [] in
+  let run_local ~lo ~hi =
+    if lo >= long_lo && hi <= long_hi then begin
+      let t0 = Unix.gettimeofday () in
+      (match !inside with None -> inside := Some (t0, t0) | Some _ -> ());
+      while Unix.gettimeofday () -. t0 < 0.001 do
+        ()
+      done;
+      inside := Option.map (fun (first, _) -> (first, Unix.gettimeofday ())) !inside
+    end
+  in
+  let runner =
+    Option.get
+      (Fleet.wave_runner fleet ~job_id:63 ~bench:"ir.dot" ~fuel:None
+         ~model:Ftb_inject.Models.default_spec ~golden)
+  in
+  let results =
+    Fun.protect
+      ~finally:(fun () -> Atomic.set stop true)
+      (fun () ->
+        runner.Engine.run_wave tasks
+          ~commit:(fun ~shard _ -> commits := (shard, Unix.gettimeofday ()) :: !commits)
+          ~run_local)
+  in
+  Thread.join worker;
+  Alcotest.(check int) "every shard resolved" 10
+    (List.length (List.filter (fun (_, r) -> r = Ok ()) results));
+  let first, last = Option.get !inside in
+  let during = List.filter (fun (_, at) -> at > first && at < last) !commits in
+  Alcotest.(check bool)
+    (Printf.sprintf "the worker committed %d shards while the holder was inside its long one"
+       (List.length during))
+    true
+    (List.length during >= 2);
+  Alcotest.(check bool) "the long shard ran locally" true
+    (not (List.mem_assoc 1 !commits))
+
 (* The daemon stopping ends every connection: a worker waiting in a long
    poll sees end-of-file and returns its stats. *)
 let test_shutdown_closes_connections () =
@@ -989,6 +1065,8 @@ let suite =
       test_silent_worker_no_stall;
     Alcotest.test_case "a parked lease request is granted when a wave opens" `Quick
       test_parked_lease_granted;
+    Alcotest.test_case "a worker commits while the local holder runs a long shard" `Quick
+      test_worker_commits_during_long_local_shard;
     Alcotest.test_case "audit quota is a rate over the job's commits" `Quick
       test_audit_quota_per_job;
     Alcotest.test_case "daemon shutdown closes every connection" `Quick

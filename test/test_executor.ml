@@ -116,6 +116,62 @@ let test_model_fuel_identity () =
   let golden = Lazy.force ir_golden in
   check_ragged_bounds ~fuel:(Golden.sites golden / 2) golden
 
+(* Shard edges that cut sites: the bytes of a range written in pieces,
+   split anywhere, equal the bytes of the range written at once. Run on
+   both batched tiers (prefix snapshot, and cone replay through the
+   optimizing pipeline) at width 64 and at width 63, which never aligns
+   with a power-of-two shard. *)
+let test_split_ranges_equal_one_range () =
+  let stencil () = Ftb_ir.Programs.stencil3 ~n:8 ~sweeps:2 ~seed:9 ~tolerance:1e-6 in
+  let goldens =
+    [
+      ("snapshot tier", Lazy.force ir_golden);
+      ("cone tier", Golden.run (Ftb_ir.Pipeline.to_program (stencil ())));
+    ]
+  in
+  List.iter
+    (fun (tier, golden) ->
+      List.iter
+        (fun model ->
+          let spec = { Models.model; seed = 0 } in
+          let width = Models.spec_width spec in
+          let total = Models.total_cases spec ~sites:(Golden.sites golden) in
+          let range lo hi =
+            let buf = Bytes.make (hi - lo) '\255' in
+            Executor.range_into_model spec golden ~lo ~hi buf ~off:0;
+            buf
+          in
+          let label what = Printf.sprintf "%s, width %d: %s" tier width what in
+          let lo = width / 2 and hi = min total ((4 * width) + 7) in
+          let pieces = Executor.site_pieces spec ~lo ~hi in
+          Alcotest.(check bool) (label "site pieces tile the range, one site each") true
+            (Array.length pieces = ((hi - 1) / width) - (lo / width) + 1
+            && fst pieces.(0) = lo
+            && snd pieces.(Array.length pieces - 1) = hi
+            && Array.for_all (fun (a, b) -> a < b && a / width = (b - 1) / width) pieces
+            && Array.for_all Fun.id
+                 (Array.init (Array.length pieces - 1) (fun i ->
+                      snd pieces.(i) = fst pieces.(i + 1))));
+          let whole = range lo hi in
+          for cut = lo + 1 to hi - 1 do
+            if not (Bytes.equal whole (Bytes.cat (range lo cut) (range cut hi))) then
+              Alcotest.fail (label (Printf.sprintf "[%d, %d) split at %d" lo hi cut))
+          done;
+          let all = range 0 total in
+          List.iter
+            (fun chunk ->
+              let pieces =
+                List.init ((total + chunk - 1) / chunk) (fun i ->
+                    range (i * chunk) (min total ((i + 1) * chunk)))
+              in
+              Alcotest.(check bool)
+                (label (Printf.sprintf "%d-case pieces = one range" chunk))
+                true
+                (Bytes.equal all (Bytes.concat Bytes.empty pieces)))
+            [ 1; 7; 128; 4096 ])
+        [ Models.Bit_flip_64; Models.Adjacent_burst_2 ])
+    goldens
+
 let test_ground_truth_pooled_identity () =
   let golden = Lazy.force ir_golden in
   List.iter
@@ -234,6 +290,8 @@ let suite =
     Alcotest.test_case "model range_into handles ragged bounds" `Quick
       test_model_range_into_ragged_bounds;
     Alcotest.test_case "model fuel identity" `Quick test_model_fuel_identity;
+    Alcotest.test_case "split ranges = one range (widths 63, 64)" `Quick
+      test_split_ranges_equal_one_range;
     Alcotest.test_case "stochastic replay is scheduling-independent" `Quick
       test_model_stochastic_replay_identical;
     QCheck_alcotest.to_alcotest prop_batched_identity;

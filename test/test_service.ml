@@ -463,9 +463,108 @@ let fuzz_wire_split_boundaries =
           Thread.join writer;
           result))
 
+(* ------------------------------------------------------------------ *)
+(* Watch: no event lost between the snapshot and the subscription       *)
+
+(* Watchers attach at staggered moments while a job streams. Each must
+   see its snapshot and then exactly the progress events of the waves
+   after it, with strictly increasing seqs, up to the final frame. The
+   job's waves take a short pause each, and the runner records the
+   cumulative shard count after every wave: with one case per shard,
+   that is the [cases_done] its progress event carries. *)
+let test_watch_sees_every_event_after_its_snapshot () =
+  let module Server = Ftb_service.Server in
+  let module Client = Ftb_service.Client in
+  let module Engine = Ftb_campaign.Engine in
+  let state_dir = Filename.temp_dir "ftb_watch_gapfree" "" in
+  let boundaries = ref [] and done_so_far = ref 0 in
+  let runner =
+    {
+      Engine.wave_size = (fun () -> 1);
+      run_wave =
+        (fun tasks ~commit:_ ~run_local ->
+          Thread.delay 0.02;
+          let results =
+            Array.to_list
+              (Array.map
+                 (fun (task : Engine.shard_task) ->
+                   run_local ~lo:task.Engine.lo ~hi:task.Engine.hi;
+                   (task.Engine.shard, Ok ()))
+                 tasks)
+          in
+          done_so_far := !done_so_far + Array.length tasks;
+          boundaries := !done_so_far :: !boundaries;
+          results);
+    }
+  in
+  let t =
+    Server.create
+      {
+        (Server.default_config ~state_dir) with
+        Server.resolve = (fun _ -> Helpers.linear_program ());
+        resolve_ir = (fun _ -> None);
+        cache = false;
+        wave_runner = Some (fun ~job_id:_ ~bench:_ ~fuel:_ ~model:_ ~golden:_ -> Some runner);
+      }
+  in
+  Server.start t;
+  let connect () =
+    let mine, theirs = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    ignore (Thread.create (fun () -> Server.serve_connection t theirs) () : Thread.t);
+    Client.of_fd mine
+  in
+  let client = connect () in
+  let id =
+    match Client.submit client { (Job.default_spec ~bench:"linear") with Job.shard_size = 1 } with
+    | Ok id -> id
+    | Error e -> Alcotest.fail e.Client.message
+  in
+  let watchers = 8 in
+  let seen = Array.make watchers [] and finals = Array.make watchers None in
+  let threads =
+    List.init watchers (fun i ->
+        Thread.create
+          (fun () ->
+            Thread.delay (0.015 *. float_of_int i);
+            let c = connect () in
+            let on_event = function
+              | Client.Progress { seq; cases_done; _ } -> seen.(i) <- (seq, cases_done) :: seen.(i)
+              | Client.Round _ | Client.Worker_quarantined _ -> ()
+            in
+            finals.(i) <- Some (Client.watch ~on_event c id);
+            Client.close c)
+          ())
+  in
+  List.iter Thread.join threads;
+  let boundaries = List.rev !boundaries in
+  Array.iteri
+    (fun i events ->
+      let label what = Printf.sprintf "watcher %d: %s" i what in
+      (match finals.(i) with
+      | Some (Ok job) -> Alcotest.(check bool) (label "completed") true (job.Job.status = Job.Completed)
+      | _ -> Alcotest.fail (label "no final frame"));
+      match List.rev events with
+      | [] -> Alcotest.fail (label "no snapshot")
+      | (_, snapshot) :: rest as all ->
+          ignore
+            (List.fold_left
+               (fun prev (seq, _) ->
+                 Alcotest.(check bool) (label "seqs strictly increase") true (seq > prev);
+                 seq)
+               0 all);
+          Alcotest.(check (list int)) (label "every wave after the snapshot, in order")
+            (List.filter (fun n -> n > snapshot) boundaries)
+            (List.map snd rest))
+    seen;
+  (match Client.shutdown client with Ok () -> () | Error e -> Alcotest.fail e.Client.message);
+  Server.join t;
+  Client.close client
+
 let suite =
   [
     Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
+    Alcotest.test_case "watch sees every event after its snapshot" `Quick
+      test_watch_sees_every_event_after_its_snapshot;
     Alcotest.test_case "json unicode escapes" `Quick test_json_unicode_escapes;
     Alcotest.test_case "json non-finite floats" `Quick test_json_nonfinite_floats;
     Alcotest.test_case "json rejects garbage" `Quick test_json_rejects_garbage;
